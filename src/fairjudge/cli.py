@@ -25,7 +25,7 @@ from fairjudge.gateway import (
     run_generation,
     write_predictions,
 )
-from fairjudge.metrics import MetricsError, pooled_bernoulli, summarize_model
+from fairjudge.metrics import MetricsError, PredictionTable, pooled_bernoulli, summarize_model
 from fairjudge.report import ReportBundle, bundle_from_dict, emit_html, emit_tables, load_summary_json
 
 EXIT_OK = 0
@@ -170,15 +170,7 @@ def ingest(corpus_dir, predictions_path, out_path) -> None:
     """Validate externally produced predictions against a corpus and normalize them."""
     corpus = load_corpus(corpus_dir)
     records = read_predictions(predictions_path)
-    for i, r in enumerate(records, start=1):
-        if not corpus.has_document(r.doc_id):
-            raise PredictionFormatError(f"record {i}: unknown doc_id {r.doc_id!r}")
-        if r.label_id is not None:
-            label = corpus.label(r.label_id)
-            if r.variant_value not in label.values:
-                raise PredictionFormatError(
-                    f"record {i}: value {r.variant_value!r} not admissible for label {r.label_id!r}"
-                )
+    PredictionTable.build(records, corpus)  # validates every record against the corpus
     records.sort(key=lambda r: r.sort_key())
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     write_predictions(records, out_path)
@@ -222,24 +214,21 @@ def analyze(config_path, corpus_dir, prediction_paths, tau, labels, log1p, toler
     records = []
     for path in prediction_paths:
         records.extend(read_predictions(path))
-    models = sorted({r.model_name for r in records})
-    if not models:
+    table = PredictionTable.build(records, corpus, labels=label_filter)
+    del records  # frees the raw responses before the analysis
+    if not table.models:
         raise MetricsError("nothing to analyze: prediction files contain no records")
-    if label_filter:
-        records = [r for r in records if r.label_id is None or r.label_id in label_filter]
-        if not any(r.label_id is not None for r in records):
+    if not (table.label >= 0).any():
+        if label_filter:
             raise MetricsError("nothing to analyze: no variant predictions for the requested labels")
-    elif not any(r.label_id is not None for r in records):
         raise MetricsError("nothing to analyze: predictions cover zero labels")
-
-    work_corpus = _restrict_labels(corpus, label_filter) if label_filter else corpus
 
     summaries, findings_by_model, rows_by_model = [], {}, {}
     diagnostics = {}
-    for model in models:
+    for model in table.models:
         click.echo(f"analyzing {model} ...", err=True)
         summary, findings, rows, diag = summarize_model(
-            records, work_corpus, model, tau=tau, log1p=log1p, tolerance=tolerance
+            table, corpus, model, tau=tau, log1p=log1p, tolerance=tolerance
         )
         summaries.append(summary)
         findings_by_model[model] = findings
@@ -273,24 +262,6 @@ def analyze(config_path, corpus_dir, prediction_paths, tau, labels, log1p, toler
     emit_tables(bundle, out_dir, findings_by_model=findings_by_model)
     emit_html(bundle, out_dir)
     click.echo(f"report written to {out_dir}", err=True)
-
-
-def _restrict_labels(corpus, label_filter):
-    from fairjudge.corpus import Corpus
-
-    keep = set(label_filter)
-    labels = [l for l in corpus.labels if l.label_id in keep]
-    documents = [
-        type(d)(
-            doc_id=d.doc_id,
-            facts=d.facts,
-            true_sentence_months=d.true_sentence_months,
-            label_values={k: v for k, v in d.label_values.items() if k in keep},
-        )
-        for d in corpus.documents
-    ]
-    variants = [v for v in corpus.variants if v.label_id in keep]
-    return Corpus(labels, documents, variants)
 
 
 @cli.command("report")

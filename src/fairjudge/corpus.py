@@ -7,12 +7,15 @@ corpus is immutable after load and safe to share across worker threads.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
+
+import numpy as np
 
 
 class CorpusError(Exception):
@@ -81,6 +84,7 @@ class Corpus:
         self._docs_by_id: dict[str, CaseDocument] = {}
         self._variants_by_label: dict[str, list[CounterfactualVariant]] = {}
         self._validate()
+        self._index()
 
     def _validate(self) -> None:
         if not self.documents:
@@ -124,6 +128,34 @@ class Corpus:
             seen.add(key)
             self._variants_by_label.setdefault(var.label_id, []).append(var)
 
+    def _index(self) -> None:
+        """Integer codes for the prediction table.
+
+        A doc code is the rank of its doc_id in sorted order, so codes sort
+        like the ids, and indexes ``doc_ids`` and ``true_months``; a label
+        code is its position in ``labels``; a value code is its position in
+        the label's declared values.
+        """
+        self.doc_ids = tuple(sorted(self._docs_by_id))
+        self._doc_codes = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
+        self.true_months = np.array([self._docs_by_id[d].true_sentence_months for d in self.doc_ids])
+        self._label_codes = {lab.label_id: i for i, lab in enumerate(self.labels)}
+        self._value_codes = [{v: i for i, v in enumerate(lab.values)} for lab in self.labels]
+        for variants in self._variants_by_label.values():
+            variants.sort(key=lambda v: (v.doc_id, v.variant_value))
+
+    @functools.cached_property
+    def _variant_codes(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        # Built on first use, so the arrays are not resident while predictions are read.
+        codes = {}
+        for lab, values in zip(self.labels, self._value_codes):
+            variants = self._variants_by_label.get(lab.label_id, [])
+            codes[lab.label_id] = (
+                np.fromiter((self._doc_codes[v.doc_id] for v in variants), np.intp, len(variants)),
+                np.fromiter((values[v.variant_value] for v in variants), np.intp, len(variants)),
+            )
+        return codes
+
     @property
     def label_ids(self) -> list[str]:
         return [lab.label_id for lab in self.labels]
@@ -140,18 +172,34 @@ class Corpus:
         except KeyError:
             raise CorpusError(f"unknown doc_id {doc_id!r}") from None
 
-    def has_document(self, doc_id: str) -> bool:
-        return doc_id in self._docs_by_id
+    def label_code(self, label_id: str) -> int:
+        self.label(label_id)  # raises on unknown label
+        return self._label_codes[label_id]
+
+    def codes(self, doc_id: str, label_id: str | None, value: str | None) -> tuple[int, int, int]:
+        """(doc, label, value) codes of a prediction key; label and value are -1 for a baseline."""
+        doc = self._doc_codes.get(doc_id)
+        if doc is None:
+            raise CorpusError(f"unknown doc_id {doc_id!r}")
+        if label_id is None:
+            return doc, -1, -1
+        label = self._label_codes.get(label_id)
+        if label is None:
+            raise CorpusError(f"undeclared label {label_id!r}")
+        code = self._value_codes[label].get(value)
+        if code is None:
+            raise CorpusError(f"value {value!r} not admissible for label {label_id!r}")
+        return doc, label, code
+
+    def variant_codes(self, label_id: str) -> tuple[np.ndarray, np.ndarray]:
+        """(doc codes, value codes) of one label's variants, in (doc_id, variant_value) order."""
+        self.label(label_id)  # raises on unknown label
+        return self._variant_codes[label_id]
 
     def enumerate_variants(self, label_id: str) -> list[tuple[CaseDocument, CounterfactualVariant]]:
         """All (baseline document, variant) pairs for one label, in (doc_id, variant_value) order."""
         self.label(label_id)  # raises on unknown label
-        pairs = [
-            (self._docs_by_id[v.doc_id], v)
-            for v in self._variants_by_label.get(label_id, [])
-        ]
-        pairs.sort(key=lambda p: (p[1].doc_id, p[1].variant_value))
-        return pairs
+        return [(self._docs_by_id[v.doc_id], v) for v in self._variants_by_label.get(label_id, [])]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):

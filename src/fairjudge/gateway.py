@@ -90,7 +90,11 @@ class PredictionRecord:
         if (self.label_id is None) != (self.variant_value is None):
             raise GatewayError("label_id and variant_value must be both present or both absent")
         p = self.predicted_months
-        if p is not None and not (math.isfinite(p) and p >= 0):
+        if p is None:
+            return
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise GatewayError(f"predicted_months must be a number or null, got {p!r}")
+        if not (math.isfinite(p) and p >= 0):
             raise GatewayError(f"predicted_months must be finite and >= 0, got {p!r}")
 
     def sort_key(self) -> tuple:

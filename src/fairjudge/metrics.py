@@ -1,26 +1,23 @@
 """The three fairness metrics: inconsistency, bias, and imbalanced inaccuracy.
 
-All metrics are pure folds over immutable prediction-record sets; outputs
-are independent of record order and computed per model, with pooled
-aggregation across models.
+Predictions enter as one columnar ``PredictionTable`` of corpus codes,
+built once per run. Each model's predictions are scattered into a dense
+[doc, label, value] months grid, and every metric gathers from that grid
+in corpus order, so outputs are independent of record order. A label's
+bias and imbalance regressions share one frame; only the outcome differs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
-from fairjudge.corpus import Corpus
-from fairjudge.gateway import PredictionRecord
-from fairjudge.statcore import (
-    BernoulliTestResult,
-    RegressionFrame,
-    UnidentifiedLabelError,
-    bernoulli_test,
-)
+from fairjudge.corpus import Corpus, CorpusError
+from fairjudge.gateway import PredictionFormatError, PredictionRecord
+from fairjudge.statcore import BernoulliTestResult, RegressionFrame, StatError, bernoulli_test
 from fairjudge import statcore
 
 
@@ -73,28 +70,84 @@ class AnalysisDiagnostics:
     n_missing_predictions: int = 0
 
 
-def _index_predictions(
-    records: list[PredictionRecord], model: str
-) -> tuple[dict[str, Optional[float]], dict[tuple[str, str, str], Optional[float]]]:
-    baseline: dict[str, Optional[float]] = {}
-    variants: dict[tuple[str, str, str], Optional[float]] = {}
-    for r in records:
-        if r.model_name != model:
-            continue
-        if r.label_id is None:
-            if r.doc_id in baseline:
-                raise MetricsError(f"duplicate baseline prediction for doc {r.doc_id!r}")
-            baseline[r.doc_id] = r.predicted_months
-        else:
-            key = (r.doc_id, r.label_id, r.variant_value)
-            if key in variants:
-                raise MetricsError(f"duplicate variant prediction for {key!r}")
-            variants[key] = r.predicted_months
-    return baseline, variants
+@dataclass(frozen=True)
+class PredictionTable:
+    """Prediction records as parallel columns of corpus codes (see ``Corpus.codes``).
+
+    Baseline rows have label and value code -1, and a missing prediction is
+    NaN. ``label_ids`` are the labels under analysis, sorted; rows for other
+    labels are left out.
+    """
+
+    models: tuple[str, ...]
+    label_ids: tuple[str, ...]
+    model: np.ndarray
+    doc: np.ndarray
+    label: np.ndarray
+    value: np.ndarray
+    months: np.ndarray
+
+    @classmethod
+    def build(
+        cls, records: list[PredictionRecord], corpus: Corpus, labels: Optional[list[str]] = None
+    ) -> PredictionTable:
+        """Validate every record against the corpus and encode it.
+
+        An unknown doc_id, an undeclared label or an inadmissible value is a
+        PredictionFormatError naming the record.
+        """
+        models = tuple(sorted({r.model_name for r in records}))
+        model_codes = {m: i for i, m in enumerate(models)}
+        label_ids = tuple(sorted(set(labels or corpus.label_ids)))
+        codes: list[int] = []  # flat (model, doc, label, value) quadruples
+        for r in records:
+            try:
+                codes += (model_codes[r.model_name], *corpus.codes(r.doc_id, r.label_id, r.variant_value))
+            except CorpusError as exc:
+                key = (r.model_name, r.doc_id, r.label_id, r.variant_value)
+                raise PredictionFormatError(f"prediction {key!r}: {exc}") from None
+        columns = np.array(codes, dtype=np.intp).reshape(-1, 4)
+        months = np.array([r.predicted_months for r in records], dtype=float)
+        keep = np.isin(columns[:, 2], [-1] + [corpus.label_code(l) for l in label_ids])
+        model, doc, label, value = columns[keep].T
+        return cls(models, label_ids, model, doc, label, value, months[keep])
+
+
+Predictions = Union[PredictionTable, list[PredictionRecord]]
+
+
+def _as_table(predictions: Predictions, corpus: Corpus) -> PredictionTable:
+    if isinstance(predictions, PredictionTable):
+        return predictions
+    return PredictionTable.build(predictions, corpus)
+
+
+def _model_grid(table: PredictionTable, corpus: Corpus, model: str) -> np.ndarray:
+    """One model's months as a dense [doc, label, value] grid, NaN where absent.
+
+    One extra label and value slot at the end holds the baselines: a
+    baseline row's codes (-1, -1) index it as grid[doc, -1, -1].
+    """
+    rows = table.model == (table.models.index(model) if model in table.models else -1)
+    n_values = max((len(lab.values) for lab in corpus.labels), default=0)
+    shape = (len(corpus.doc_ids), len(corpus.labels) + 1, n_values + 1)
+    flat = np.ravel_multi_index((table.doc[rows], table.label[rows], table.value[rows]), shape, mode="wrap")
+    dup = np.flatnonzero(np.bincount(flat, minlength=math.prod(shape)) > 1)
+    if dup.size:
+        d, l, v = np.unravel_index(dup[0], shape)
+        if l == len(corpus.labels):
+            raise MetricsError(f"duplicate baseline prediction for doc {corpus.doc_ids[d]!r}")
+        key = (corpus.doc_ids[d], corpus.labels[l].label_id, corpus.labels[l].values[v])
+        raise MetricsError(f"duplicate variant prediction for {key!r}")
+    grid = np.full(shape, np.nan)
+    np.put(grid, flat, table.months[rows])
+    if np.isnan(grid[:, -1, -1]).all():
+        raise MetricsError(f"no baseline predictions for model {model!r}")
+    return grid
 
 
 def inconsistency(
-    records: list[PredictionRecord],
+    predictions: Predictions,
     corpus: Corpus,
     model: str,
     tolerance: float = 0.0,
@@ -105,203 +158,149 @@ def inconsistency(
     tolerance (default 0: sentences are discrete months, so any difference
     is a change). Comparisons with a missing side are dropped pairwise.
     """
-    baseline, variants = _index_predictions(records, model)
-    if not any(v is not None for v in baseline.values()):
-        raise MetricsError(f"no baseline predictions for model {model!r}")
-
+    table = _as_table(predictions, corpus)
+    grid = _model_grid(table, corpus, model)
     rows: list[InconsistencyRow] = []
-    total_w = 0
-    total_changed = 0
-    for label_id in sorted(corpus.label_ids):
-        w = changed = missing = 0
-        for doc, var in corpus.enumerate_variants(label_id):
-            b = baseline.get(doc.doc_id)
-            v = variants.get((doc.doc_id, label_id, var.variant_value))
-            if b is None or v is None:
-                missing += 1
-                continue
-            w += 1
-            if abs(v - b) > tolerance:
-                changed += 1
+    for label_id in table.label_ids:
+        docs, values = corpus.variant_codes(label_id)
+        b = grid[docs, -1, -1]
+        v = grid[docs, corpus.label_code(label_id), values]
+        usable = ~(np.isnan(b) | np.isnan(v))
+        w = int(usable.sum())
+        changed = int((np.abs(v[usable] - b[usable]) > tolerance).sum())
         p = (changed / w) if w > 0 else None
-        rows.append(InconsistencyRow(label_id=label_id, p_l=p, w_l=w, n_missing=missing, n_changed=changed))
-        total_w += w
-        total_changed += changed
+        rows.append(InconsistencyRow(label_id=label_id, p_l=p, w_l=w, n_missing=len(docs) - w, n_changed=changed))
 
-    aggregate = (total_changed / total_w) if total_w > 0 else None
+    total_w = sum(r.w_l for r in rows)
+    aggregate = (sum(r.n_changed for r in rows) / total_w) if total_w > 0 else None
     return rows, aggregate
 
 
-def _build_label_frame(
-    corpus: Corpus,
-    label_id: str,
-    baseline: dict[str, Optional[float]],
-    variants: dict[tuple[str, str, str], Optional[float]],
-    outcome: str,
-    log1p: bool,
-    diag: AnalysisDiagnostics,
+def _label_frame(
+    corpus: Corpus, label_id: str, grid: np.ndarray, diag: AnalysisDiagnostics
 ) -> Optional[RegressionFrame]:
-    """Rows = baseline + variant observations of documents with variants for this label.
+    """Rows = variants in (doc_id, value) order, then baselines of the documents with a usable variant.
 
-    outcome "log_sentence" -> ln(predicted months) (bias, Eq.-2 style);
-    outcome "abs_error"    -> |predicted - true| months (imbalanced inaccuracy).
+    y holds the predicted months, group_ids the doc codes; each metric swaps in its own outcome.
     """
-    label = corpus.label(label_id)
-    pairs = corpus.enumerate_variants(label_id)
-    if not pairs:
+    docs, values = corpus.variant_codes(label_id)
+    months = grid[docs, corpus.label_code(label_id), values]
+    seen = ~np.isnan(months)
+    diag.n_missing_predictions += int((~seen).sum())
+    if not seen.any():
         return None
-
-    raw_rows: list[tuple[str, Optional[str], float]] = []  # (doc, variant value, months)
-    docs_seen: set[str] = set()
-    for doc, var in pairs:
-        months = variants.get((doc.doc_id, label_id, var.variant_value))
-        if months is None:
-            diag.n_missing_predictions += 1
-            continue
-        raw_rows.append((doc.doc_id, var.variant_value, months))
-        docs_seen.add(doc.doc_id)
-    for doc_id in sorted(docs_seen):
-        months = baseline.get(doc_id)
-        if months is None:
-            diag.n_missing_predictions += 1
-            continue
-        raw_rows.append((doc_id, None, months))
-
-    if not raw_rows:
-        return None
-
-    values_present = {v for _, v, _ in raw_rows if v is not None}
-    # Deterministic column order: declared label order, any stragglers after.
-    columns = [v for v in label.values if v in values_present]
-    columns += sorted(values_present - set(columns))
-    if not columns:
-        return None
-
-    y: list[float] = []
-    X: list[list[float]] = []
-    groups: list[str] = []
-    true_by_doc = {d.doc_id: d.true_sentence_months for d in corpus.documents}
-    for doc_id, value, months in raw_rows:
-        if outcome == "log_sentence":
-            if log1p:
-                out = math.log1p(months)
-            elif months <= 0:
-                diag.n_zero_predictions_dropped += 1
-                continue
-            else:
-                out = math.log(months)
-        else:
-            out = abs(months - true_by_doc[doc_id])
-        y.append(out)
-        X.append([1.0 if value == c else 0.0 for c in columns])
-        groups.append(doc_id)
-
-    if not y:
-        return None
+    base_docs = np.unique(docs[seen])
+    base_months = grid[base_docs, -1, -1]
+    has_base = ~np.isnan(base_months)
+    diag.n_missing_predictions += int((~has_base).sum())
+    present = np.unique(values[seen])  # declared value order
+    codes = np.concatenate([values[seen], np.full(int(has_base.sum()), -1)])
     return RegressionFrame(
-        y=np.array(y),
-        X=np.array(X),
-        group_ids=np.array(groups),
-        column_names=tuple(columns),
+        y=np.concatenate([months[seen], base_months[has_base]]),
+        X=(codes[:, None] == present).astype(float),
+        group_ids=np.concatenate([docs[seen], base_docs[has_base]]),
+        column_names=tuple(corpus.label(label_id).values[i] for i in present),
+    )
+
+
+def _fit(
+    frame: RegressionFrame, corpus: Corpus, label_id: str, metric: str, tau: float, log1p: bool,
+    diag: AnalysisDiagnostics,
+) -> Optional[LabelFinding]:
+    """One label's regression for one metric; None when the label is unidentified.
+
+    bias      -> ln(predicted months), zero predictions dropped unless log1p;
+    imbalance -> |predicted - true| months, every row.
+    """
+    keep = frame.y > 0 if metric == "bias" and not log1p else np.ones(frame.n_obs, dtype=bool)
+    diag.n_zero_predictions_dropped += int((~keep).sum())
+    if metric == "bias":
+        # math, not numpy: numpy's vectorised log may differ in the last bit
+        # across builds, and the outputs are compared byte for byte.
+        log = math.log1p if log1p else math.log
+        y = np.array([log(m) for m in frame.y[keep].tolist()])
+    else:
+        y = np.abs(frame.y - corpus.true_months[frame.group_ids])
+    try:
+        result = statcore.fe_regress(RegressionFrame(y, frame.X[keep], frame.group_ids[keep], frame.column_names))
+    except StatError:
+        return None
+    identified_ps = [p for p in result.per_coef_p if not math.isnan(p)]
+    if not identified_ps:
+        return None
+    # Label-level significance: joint Wald when several treated values,
+    # the single coefficient's t-test otherwise.
+    significant = (result.joint_p if len(identified_ps) > 1 else identified_ps[0]) < tau
+    direction = tuple(
+        (name, float(coef))
+        for name, coef, ok in zip(result.column_names, result.coefficients, result.identified)
+        if ok
+    )
+    return LabelFinding(
+        label_id=label_id,
+        metric=metric,
+        joint_p=float(result.joint_p),
+        min_coef_p=float(min(identified_ps)),
+        significant=bool(significant),
+        direction_summary=direction,
     )
 
 
 def _label_analysis(
-    records: list[PredictionRecord],
-    corpus: Corpus,
-    model: str,
-    tau: float,
-    outcome: str,
-    metric_name: str,
-    log1p: bool,
-) -> tuple[list[LabelFinding], BernoulliTestResult, AnalysisDiagnostics]:
+    table: PredictionTable, corpus: Corpus, model: str, tau: float, log1p: bool, metrics: tuple[str, ...]
+) -> tuple[dict[str, tuple[list[LabelFinding], BernoulliTestResult]], AnalysisDiagnostics]:
+    """Per metric, the identified labels' findings and their binomial tail test."""
     if not (0 < tau < 1):
         raise MetricsError(f"tau must be in (0, 1), got {tau}")
-    baseline, variants = _index_predictions(records, model)
-    if not any(v is not None for v in baseline.values()):
-        raise MetricsError(f"no baseline predictions for model {model!r}")
-
+    grid = _model_grid(table, corpus, model)
     diag = AnalysisDiagnostics()
-    findings: list[LabelFinding] = []
-    for label_id in sorted(corpus.label_ids):
-        frame = _build_label_frame(corpus, label_id, baseline, variants, outcome, log1p, diag)
-        if frame is None:
-            diag.unidentified_labels.append(label_id)
-            continue
-        try:
-            result = statcore.fe_regress(frame)
-        except (UnidentifiedLabelError, statcore.StatError):
-            diag.unidentified_labels.append(label_id)
-            continue
-        identified_ps = [p for p in result.per_coef_p if not math.isnan(p)]
-        if not identified_ps:
-            diag.unidentified_labels.append(label_id)
-            continue
-        n_identified = len(identified_ps)
-        # Label-level significance: joint Wald when several treated values,
-        # the single coefficient's t-test otherwise.
-        if n_identified > 1:
-            significant = result.joint_p < tau
-        else:
-            significant = identified_ps[0] < tau
-        direction = tuple(
-            (name, float(coef))
-            for name, coef, ok in zip(result.column_names, result.coefficients, result.identified)
-            if ok
-        )
-        findings.append(
-            LabelFinding(
-                label_id=label_id,
-                metric=metric_name,
-                joint_p=float(result.joint_p),
-                min_coef_p=float(min(identified_ps)),
-                significant=bool(significant),
-                direction_summary=direction,
-            )
-        )
-
-    k = sum(1 for f in findings if f.significant)
-    return findings, bernoulli_test(len(findings), k, tau), diag
+    findings: dict[str, list[LabelFinding]] = {metric: [] for metric in metrics}
+    unidentified: set[str] = set()
+    for label_id in table.label_ids:
+        frame = _label_frame(corpus, label_id, grid, diag)
+        for metric in metrics:
+            finding = None if frame is None else _fit(frame, corpus, label_id, metric, tau, log1p, diag)
+            if finding is None:
+                unidentified.add(label_id)
+            else:
+                findings[metric].append(finding)
+    diag.unidentified_labels = sorted(unidentified)
+    results = {
+        metric: (fs, bernoulli_test(len(fs), sum(1 for f in fs if f.significant), tau))
+        for metric, fs in findings.items()
+    }
+    return results, diag
 
 
 def bias_analysis(
-    records: list[PredictionRecord],
-    corpus: Corpus,
-    model: str,
-    tau: float = 0.05,
-    log1p: bool = False,
+    predictions: Predictions, corpus: Corpus, model: str, tau: float = 0.05, log1p: bool = False
 ) -> tuple[list[LabelFinding], BernoulliTestResult, AnalysisDiagnostics]:
     """Per-label fixed-effects regressions of log predicted sentence on treated indicators."""
-    return _label_analysis(records, corpus, model, tau, "log_sentence", "bias", log1p)
+    results, diag = _label_analysis(_as_table(predictions, corpus), corpus, model, tau, log1p, ("bias",))
+    return (*results["bias"], diag)
 
 
 def imbalance_analysis(
-    records: list[PredictionRecord],
-    corpus: Corpus,
-    model: str,
-    tau: float = 0.05,
+    predictions: Predictions, corpus: Corpus, model: str, tau: float = 0.05
 ) -> tuple[list[LabelFinding], BernoulliTestResult, AnalysisDiagnostics]:
-    """Same pipeline with absolute prediction error (months) as the outcome."""
-    return _label_analysis(records, corpus, model, tau, "abs_error", "imbalance", log1p=False)
+    """Same design with absolute prediction error (months) as the outcome."""
+    results, diag = _label_analysis(_as_table(predictions, corpus), corpus, model, tau, False, ("imbalance",))
+    return (*results["imbalance"], diag)
 
 
 def summarize_model(
-    records: list[PredictionRecord],
+    predictions: Predictions,
     corpus: Corpus,
     model: str,
     tau: float = 0.05,
     log1p: bool = False,
     tolerance: float = 0.0,
 ) -> tuple[ModelFairnessSummary, list[LabelFinding], list[InconsistencyRow], AnalysisDiagnostics]:
-    """Run all three metrics for one model."""
-    rows, aggregate = inconsistency(records, corpus, model, tolerance=tolerance)
-    bias_findings, bias_bern, diag_b = bias_analysis(records, corpus, model, tau=tau, log1p=log1p)
-    imb_findings, imb_bern, diag_i = imbalance_analysis(records, corpus, model, tau=tau)
-    diag = AnalysisDiagnostics(
-        unidentified_labels=sorted(set(diag_b.unidentified_labels) | set(diag_i.unidentified_labels)),
-        n_zero_predictions_dropped=diag_b.n_zero_predictions_dropped,
-        n_missing_predictions=diag_b.n_missing_predictions + diag_i.n_missing_predictions,
-    )
+    """Run all three metrics for one model; each label's frame is built once for both regressions."""
+    table = _as_table(predictions, corpus)
+    rows, aggregate = inconsistency(table, corpus, model, tolerance=tolerance)
+    results, diag = _label_analysis(table, corpus, model, tau, log1p, ("bias", "imbalance"))
+    (bias_findings, bias_bern), (imb_findings, imb_bern) = results["bias"], results["imbalance"]
     summary = ModelFairnessSummary(
         model_name=model,
         inconsistency=aggregate,

@@ -213,8 +213,9 @@ def cluster_robust_cov(
         raise StatError("X'X is singular") from exc
 
     scores = X * residuals[:, None]
-    group_sums = np.zeros((n_groups, k))
-    np.add.at(group_sums, inverse, scores)
+    group_sums = np.column_stack(
+        [np.bincount(inverse, weights=scores[:, j], minlength=n_groups) for j in range(k)]
+    )
     meat = group_sums.T @ group_sums
 
     c = (n_groups / (n_groups - 1)) * ((n - 1) / (n - k))
@@ -255,9 +256,7 @@ def fe_regress(frame: RegressionFrame) -> RegressionResult:
 
     j_total = len(frame.column_names)
     covariance = np.full((j_total, j_total), np.nan)
-    for a, ja in enumerate(kept_idx):
-        for b, jb in enumerate(kept_idx):
-            covariance[ja, jb] = cov_kept[a, b]
+    covariance[np.ix_(kept_idx, kept_idx)] = cov_kept
 
     beta = coefficients[kept_idx]
     se = np.sqrt(np.maximum(np.diag(cov_kept), 0.0))

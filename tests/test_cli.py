@@ -216,3 +216,50 @@ def test_corrupt_corpus_exits_2(tmp_path):
     code = main(["analyze", "--corpus", str(root), "--predictions", str(root / "labels.jsonl"),
                  "--out", str(tmp_path / "r")])
     assert code == EXIT_DATA
+
+
+def with_extra_record(fixture_dir, tmp_path, **fields):
+    """stub-a's predictions plus one record overriding the first baseline's fields."""
+    lines = (fixture_dir / "predictions_stub-a.jsonl").read_text().splitlines()
+    extra = dict(json.loads(lines[0]), **fields)
+    path = tmp_path / "extra.jsonl"
+    path.write_text("\n".join(lines + [json.dumps(extra)]) + "\n")
+    return path
+
+
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+def analyze_and_ingest(fixture_dir, tmp_path, path):
+    yield main(["analyze", "--corpus", str(fixture_dir), "--predictions", str(path),
+                "--out", str(tmp_path / "r")])
+    yield main(["ingest", "--corpus", str(fixture_dir), "--predictions", str(path),
+                "--out", str(tmp_path / "norm.jsonl")])
+
+
+@pytest.mark.parametrize("months", ["36", True])
+def test_non_numeric_predicted_months_exits_2(fixture_dir, tmp_path, capsys, months):
+    path = with_extra_record(fixture_dir, tmp_path, predicted_months=months)
+    for code in analyze_and_ingest(fixture_dir, tmp_path, path):
+        assert code == EXIT_DATA
+        assert "predicted_months must be a number or null" in one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "fields, reason",
+    [
+        ({"doc_id": "D99999"}, "unknown doc_id 'D99999'"),
+        ({"label_id": "age", "variant_value": "old"}, "undeclared label 'age'"),
+        ({"label_id": "gender", "variant_value": "other"}, "value 'other' not admissible for label 'gender'"),
+    ],
+)
+def test_record_the_corpus_does_not_know_exits_2(fixture_dir, tmp_path, capsys, fields, reason):
+    path = with_extra_record(fixture_dir, tmp_path, **fields)
+    for code in analyze_and_ingest(fixture_dir, tmp_path, path):
+        assert code == EXIT_DATA
+        message = one_line_error(capsys)
+        assert message.startswith("error: prediction ('stub-a', ") and message.endswith(reason)
+    assert not (tmp_path / "r").exists() and not (tmp_path / "norm.jsonl").exists()

@@ -129,6 +129,31 @@ def test_enumerate_unknown_label_raises(bundle):
         corpus.enumerate_variants("nope")
 
 
+def test_variant_codes_follow_enumeration_order(bundle):
+    corpus = load_corpus(bundle)
+    for label_id in corpus.label_ids:
+        docs, values = corpus.variant_codes(label_id)
+        label = corpus.label(label_id)
+        assert [(corpus.doc_ids[d], label.values[v]) for d, v in zip(docs, values)] == [
+            (d.doc_id, v.variant_value) for d, v in corpus.enumerate_variants(label_id)
+        ]
+    # Court values are coded in declared order, not in enumeration order.
+    assert corpus.variant_codes("court")[1].tolist() == [2, 1]
+    with pytest.raises(CorpusError):
+        corpus.variant_codes("nope")
+
+
+def test_codes_map_prediction_keys(bundle):
+    corpus = load_corpus(bundle)
+    assert corpus.doc_ids == ("d1", "d2", "d3")
+    assert corpus.codes("d2", None, None) == (1, -1, -1)
+    assert corpus.codes("d3", "court", "military") == (2, 1, 2)
+    for key, reason in [(("d9", None, None), "unknown doc_id"), (("d1", "age", "old"), "undeclared label"),
+                        (("d1", "court", "sea"), "not admissible")]:
+        with pytest.raises(CorpusError, match=reason):
+            corpus.codes(*key)
+
+
 def test_enumerate_variants_partitions_corpus(bundle):
     corpus = load_corpus(bundle)
     union = []

@@ -223,3 +223,9 @@ def test_prediction_record_invariants():
         PredictionRecord("m", "d", "L01", None, 1.0, "", 1)
     with pytest.raises(GatewayError):
         PredictionRecord("m", "d", None, None, -1.0, "", 1)
+
+
+@pytest.mark.parametrize("months", ["12", True, [12]])
+def test_prediction_record_rejects_non_numeric_months(months):
+    with pytest.raises(GatewayError, match="must be a number or null"):
+        PredictionRecord("m", "d", None, None, months, "", 1)

@@ -1,15 +1,19 @@
 """Metric tests: inconsistency arithmetic, planted-effect detection, pooling."""
 
+import dataclasses
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 
 from fairjudge.corpus import CaseDocument, Corpus, CounterfactualVariant, LabelDefinition
 from fairjudge.fixtures import default_label_specs, generate_fixture, simulate_predictions
-from fairjudge.gateway import PredictionRecord
+from fairjudge.gateway import PredictionFormatError, PredictionRecord
 from fairjudge.metrics import (
     MetricsError,
+    PredictionTable,
     bias_analysis,
     imbalance_analysis,
     inconsistency,
@@ -17,6 +21,7 @@ from fairjudge.metrics import (
     pooled_bernoulli,
     summarize_model,
 )
+from fairjudge.statcore import RegressionFrame, fe_regress
 
 MODEL = "m"
 
@@ -259,3 +264,107 @@ def test_summarize_model_counts_match_findings():
     assert summary.imbalance_count == imb_sig
     assert summary.bias_count <= summary.n_labels_tested
     assert mean_inconsistency([summary]) == summary.inconsistency
+
+
+# --- prediction table ------------------------------------------------------
+
+def test_one_missing_variant_counts_once():
+    corpus = comparison_corpus(10, 0)
+    records = flip_records(corpus, 2, 0)
+    idx = next(i for i, r in enumerate(records) if r.label_id == "A")
+    records[idx] = record(records[idx].doc_id, None, "A", records[idx].variant_value)
+    _, _, _, diag = summarize_model(records, corpus, MODEL)
+    assert diag.n_missing_predictions == 1
+
+
+def test_one_table_serves_every_model():
+    corpus, records = planted_fixture(n_docs=40)
+    other = [record(r.doc_id, r.predicted_months, r.label_id, r.variant_value, model="n") for r in records]
+    table = PredictionTable.build(records + other, corpus)
+    assert table.models == (MODEL, "n")
+    summary_n, *rest_n = summarize_model(table, corpus, "n")
+    summary_m, *rest_m = summarize_model(records, corpus, MODEL)
+    assert dataclasses.replace(summary_n, model_name=MODEL) == summary_m
+    assert rest_n[:2] == rest_m[:2]
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        (record("d999", 5.0), "unknown doc_id 'd999'"),
+        (record("d000", 5.0, "C", "c1"), "undeclared label 'C'"),
+        (record("d000", 5.0, "A", "a9"), "value 'a9' not admissible for label 'A'"),
+    ],
+)
+def test_table_rejects_records_the_corpus_does_not_know(bad, reason):
+    corpus = comparison_corpus(4, 0)
+    with pytest.raises(PredictionFormatError) as exc:
+        PredictionTable.build(flip_records(corpus, 0, 0) + [bad], corpus)
+    assert str(exc.value) == f"prediction {(bad.model_name, bad.doc_id, bad.label_id, bad.variant_value)!r}: {reason}"
+
+
+@pytest.mark.parametrize("duplicate, message", [(0, "duplicate baseline prediction for doc 'd000'"),
+                                                (-1, "duplicate variant prediction for ('d003', 'A', 'a1')")])
+def test_duplicate_prediction_keys_rejected(duplicate, message):
+    corpus = comparison_corpus(4, 0)
+    records = flip_records(corpus, 0, 0)
+    with pytest.raises(MetricsError, match=re.escape(message)):
+        summarize_model(records + [records[duplicate]], corpus, MODEL)
+
+
+def test_label_filter_keeps_only_requested_labels():
+    corpus = comparison_corpus(10, 10)
+    records = flip_records(corpus, 2, 5)
+    table = PredictionTable.build(records, corpus, labels=["B"])
+    assert table.label_ids == ("B",)
+    rows, _ = inconsistency(table, corpus, MODEL)
+    assert [r.label_id for r in rows] == ["B"]
+    assert rows == [r for r in inconsistency(records, corpus, MODEL)[0] if r.label_id == "B"]
+
+
+def loop_reference(records, corpus, model):
+    """Row-by-row frames built from dict indexes: the reference for the vectorised table path.
+
+    Returns {(label, metric): RegressionResult} and the missing-prediction count.
+    """
+    mine = [r for r in records if r.model_name == model]
+    baseline = {r.doc_id: r.predicted_months for r in mine if r.label_id is None}
+    variants = {(r.doc_id, r.label_id, r.variant_value): r.predicted_months for r in mine if r.label_id}
+    true = {d.doc_id: d.true_sentence_months for d in corpus.documents}
+    results, n_missing = {}, 0
+    for label_id in sorted(corpus.label_ids):
+        rows = []
+        for doc, var in corpus.enumerate_variants(label_id):
+            months = variants.get((doc.doc_id, label_id, var.variant_value))
+            n_missing += months is None
+            if months is not None:
+                rows.append((doc.doc_id, var.variant_value, months))
+        for doc_id in sorted({d for d, _, _ in rows}):
+            n_missing += baseline[doc_id] is None
+            if baseline[doc_id] is not None:
+                rows.append((doc_id, None, baseline[doc_id]))
+        columns = [c for c in corpus.label(label_id).values if any(v == c for _, v, _ in rows)]
+        for metric in ("bias", "imbalance"):
+            kept = [r for r in rows if metric == "imbalance" or r[2] > 0]
+            y = [math.log(m) if metric == "bias" else abs(m - true[d]) for d, _, m in kept]
+            X = [[float(v == c) for c in columns] for _, v, _ in kept]
+            groups = np.array([d for d, _, _ in kept])
+            results[(label_id, metric)] = fe_regress(RegressionFrame(np.array(y), np.array(X), groups, tuple(columns)))
+    return results, n_missing
+
+
+def test_table_path_equals_loop_reference_exactly():
+    corpus, records = planted_fixture(n_docs=60)
+    records = [
+        dataclasses.replace(r, predicted_months=None if i % 17 == 4 else 0.0 if i % 23 == 6 else r.predicted_months)
+        for i, r in enumerate(records)
+    ]
+    _, findings, _, diag = summarize_model(records, corpus, MODEL)
+    reference, n_missing = loop_reference(records, corpus, MODEL)
+    assert diag.n_missing_predictions == n_missing > 0
+    assert diag.n_zero_predictions_dropped > 0
+    assert len(findings) == len(reference)
+    for f in findings:
+        ref = reference[(f.label_id, f.metric)]
+        assert f.direction_summary == tuple(zip(ref.column_names, ref.coefficients.tolist()))
+        assert f.joint_p == ref.joint_p and f.min_coef_p == min(ref.per_coef_p)
