@@ -66,6 +66,15 @@ def _merged(config: dict, key: str, flag_value, default=None):
     return default
 
 
+def _number(config: dict, key: str, flag_value, default, kind=float):
+    """A numeric setting from a flag or the config file; a non-number is a ConfigError."""
+    raw = _merged(config, key, flag_value, default)
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"{key} must be a number, got {raw!r}") from None
+
+
 @click.group()
 @click.version_option(version=__version__)
 def cli() -> None:
@@ -103,11 +112,11 @@ def fixture(seed: int, spec_path: str | None, out_dir: str, n_docs: int | None, 
 @click.option("--corpus", "corpus_dir", type=click.Path(file_okay=False), default=None)
 @click.option("--api-url", default=None)
 @click.option("--model", "model_name", default=None)
-@click.option("--temperature", type=float, default=None)
+@click.option("--temperature", default=None)
 @click.option("--provider", default=None)
 @click.option("--api-key-env", default=None)
-@click.option("--concurrency", type=int, default=None)
-@click.option("--retries", type=int, default=None)
+@click.option("--concurrency", default=None)
+@click.option("--retries", default=None)
 @click.option("--cache-dir", default=None)
 @click.option("--template-file", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--labels", default=None, help="Comma-separated label subset.")
@@ -126,11 +135,11 @@ def generate(config_path, corpus_dir, api_url, model_name, temperature, provider
     model_config = ModelConfig(
         api_url=api_url,
         model_name=model_name,
-        temperature=float(_merged(config, "temperature", temperature, 0.0)),
+        temperature=_number(config, "temperature", temperature, 0.0),
         provider_name=_merged(config, "provider", provider),
         api_key_env=_merged(config, "api_key_env", api_key_env, "FAIRJUDGE_API_KEY"),
-        max_concurrency=int(_merged(config, "concurrency", concurrency, 4)),
-        max_retries=int(_merged(config, "retries", retries, 3)),
+        max_concurrency=_number(config, "concurrency", concurrency, 4, int),
+        max_retries=_number(config, "retries", retries, 3, int),
     )
     corpus = load_corpus(corpus_dir)
     cache = _merged(config, "cache_dir", cache_dir, str(Path(out_path).parent / "cache"))
@@ -182,11 +191,11 @@ def ingest(corpus_dir, predictions_path, out_path) -> None:
 @click.option("--corpus", "corpus_dir", type=click.Path(file_okay=False), default=None)
 @click.option("--predictions", "prediction_paths", multiple=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--tau", type=float, default=None)
+@click.option("--tau", default=None)
 @click.option("--labels", default=None, help="Comma-separated label subset.")
 @click.option("--log1p", is_flag=True, default=False,
               help="Use ln(1 + months) so zero predictions are kept.")
-@click.option("--tolerance", type=float, default=None,
+@click.option("--tolerance", default=None,
               help="Change threshold for the inconsistency metric (default 0).")
 @click.option("--timestamp", default=None, help="Run timestamp recorded in metadata.")
 @click.option("--out", "out_dir", default=None)
@@ -196,8 +205,8 @@ def analyze(config_path, corpus_dir, prediction_paths, tau, labels, log1p, toler
     config = _read_config(config_path)
     corpus_dir = _merged(config, "corpus", corpus_dir)
     out_dir = _merged(config, "out", out_dir)
-    tau = float(_merged(config, "tau", tau, 0.05))
-    tolerance = float(_merged(config, "tolerance", tolerance, 0.0))
+    tau = _number(config, "tau", tau, 0.05)
+    tolerance = _number(config, "tolerance", tolerance, 0.0)
     if not (0 < tau < 1):
         raise ConfigError(f"tau must be in (0, 1), got {tau}")
     if not corpus_dir or not out_dir:
@@ -211,11 +220,7 @@ def analyze(config_path, corpus_dir, prediction_paths, tau, labels, log1p, toler
         for label_id in label_filter:
             corpus.label(label_id)
 
-    records = []
-    for path in prediction_paths:
-        records.extend(read_predictions(path))
-    table = PredictionTable.build(records, corpus, labels=label_filter)
-    del records  # frees the raw responses before the analysis
+    table = PredictionTable.read(prediction_paths, corpus, labels=label_filter)
     if not table.models:
         raise MetricsError("nothing to analyze: prediction files contain no records")
     if not (table.label >= 0).any():

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from pathlib import Path
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from fairjudge.corpus import Corpus, CorpusError
-from fairjudge.gateway import PredictionFormatError, PredictionRecord
+from fairjudge.gateway import PredictionFormatError, PredictionRecord, iter_prediction_fields
 from fairjudge.statcore import BernoulliTestResult, RegressionFrame, StatError, bernoulli_test
 from fairjudge import statcore
 
@@ -91,26 +92,48 @@ class PredictionTable:
     def build(
         cls, records: list[PredictionRecord], corpus: Corpus, labels: Optional[list[str]] = None
     ) -> PredictionTable:
-        """Validate every record against the corpus and encode it.
+        """The table of in-memory records (see ``_encode``)."""
+        fields = ((r.model_name, r.doc_id, r.label_id, r.variant_value, r.predicted_months) for r in records)
+        return cls._encode(fields, corpus, labels)
 
-        An unknown doc_id, an undeclared label or an inadmissible value is a
-        PredictionFormatError naming the record.
+    @classmethod
+    def read(
+        cls, paths: Iterable[str | Path], corpus: Corpus, labels: Optional[list[str]] = None
+    ) -> PredictionTable:
+        """The table of predictions.jsonl files, streamed line by line (see ``_encode``)."""
+        fields = (f[:5] for path in paths for f in iter_prediction_fields(path))
+        return cls._encode(fields, corpus, labels)
+
+    @classmethod
+    def _encode(
+        cls, fields: Iterable[tuple], corpus: Corpus, labels: Optional[list[str]] = None
+    ) -> PredictionTable:
+        """Validate (model, doc, label, value, months) tuples against the corpus and encode them.
+
+        Model codes follow sorted model names. An unknown doc_id, an
+        undeclared label or an inadmissible value is a PredictionFormatError
+        naming the prediction.
         """
-        models = tuple(sorted({r.model_name for r in records}))
-        model_codes = {m: i for i, m in enumerate(models)}
-        label_ids = tuple(sorted(set(labels or corpus.label_ids)))
+        seen: dict[str, int] = {}  # model name -> code in first-seen order
         codes: list[int] = []  # flat (model, doc, label, value) quadruples
-        for r in records:
+        months: list[Optional[float]] = []
+        for model_name, doc_id, label_id, value, predicted in fields:
+            model = seen.get(model_name)
+            if model is None:
+                model = seen[model_name] = len(seen)
             try:
-                codes += (model_codes[r.model_name], *corpus.codes(r.doc_id, r.label_id, r.variant_value))
+                codes += (model, *corpus.codes(doc_id, label_id, value))
             except CorpusError as exc:
-                key = (r.model_name, r.doc_id, r.label_id, r.variant_value)
+                key = (model_name, doc_id, label_id, value)
                 raise PredictionFormatError(f"prediction {key!r}: {exc}") from None
+            months.append(predicted)
+        models = tuple(sorted(seen))
+        rank = np.array([models.index(m) for m in seen], dtype=np.intp)  # first-seen code -> sorted code
+        label_ids = tuple(sorted(set(labels or corpus.label_ids)))
         columns = np.array(codes, dtype=np.intp).reshape(-1, 4)
-        months = np.array([r.predicted_months for r in records], dtype=float)
         keep = np.isin(columns[:, 2], [-1] + [corpus.label_code(l) for l in label_ids])
         model, doc, label, value = columns[keep].T
-        return cls(models, label_ids, model, doc, label, value, months[keep])
+        return cls(models, label_ids, rank[model], doc, label, value, np.array(months, dtype=float)[keep])
 
 
 Predictions = Union[PredictionTable, list[PredictionRecord]]

@@ -192,6 +192,8 @@ def emit_tables(
 # ---------------------------------------------------------------------------
 # HTML report: inline SVG charts, no scripts fetched, data embedded as JSON.
 
+_SCRIPT_SAFE = str.maketrans({"<": "\\u003c", ">": "\\u003e", "&": "\\u0026"})
+
 _CSS = """
 body { font-family: system-ui, sans-serif; margin: 2rem auto; max-width: 64rem; color: #222; }
 h1 { border-bottom: 2px solid #345; padding-bottom: 0.3rem; }
@@ -266,7 +268,8 @@ def emit_html(bundle: ReportBundle, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summaries = sorted(bundle.summaries, key=lambda s: s.model_name)
-    data_json = json.dumps(bundle_to_dict(bundle), sort_keys=True)
+    # JSON escapes for <, > and &, so no string in the data can end the <script> block.
+    data_json = json.dumps(bundle_to_dict(bundle), sort_keys=True).translate(_SCRIPT_SAFE)
 
     sections = []
     sections.append(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy import stats as spstats
+from scipy import special
 
 # Relative pivot threshold below which a column is treated as collinear.
 RANK_TOL = 1e-10
@@ -265,7 +265,7 @@ def fe_regress(frame: RegressionFrame) -> RegressionResult:
     for pos, j in enumerate(kept_idx):
         if se[pos] > 0:
             t = beta[pos] / se[pos]
-            per_coef_p[j] = 2 * spstats.t.sf(abs(t), dof_t)
+            per_coef_p[j] = 2 * special.stdtr(dof_t, -abs(t))
         else:
             # Degenerate exact fit: zero coefficient is trivially null.
             per_coef_p[j] = 1.0 if beta[pos] == 0 else 0.0
@@ -302,7 +302,7 @@ def _wald_joint_p(beta: np.ndarray, cov: np.ndarray, n_identified: int, dof: int
     if w < 0:
         w = 0.0
     f = w / n_identified
-    return float(spstats.f.sf(f, n_identified, dof))
+    return float(special.fdtrc(n_identified, dof, f))
 
 
 def binomial_tail(n_trials: int, k: int, tau: float) -> float:

@@ -135,6 +135,16 @@ def test_config_file_with_flag_override(fixture_dir, tmp_path):
     assert not (tmp_path / "cfg_out").exists()
 
 
+def test_analyze_streams_without_prediction_records(fixture_dir, tmp_path, monkeypatch):
+    from fairjudge.gateway import PredictionRecord
+
+    def refuse(self):
+        raise AssertionError("analyze built a PredictionRecord")
+
+    monkeypatch.setattr(PredictionRecord, "__post_init__", refuse)
+    assert run_analyze(fixture_dir, tmp_path / "r") == EXIT_OK
+
+
 def test_ingest_validates_and_normalizes(fixture_dir, tmp_path):
     out = tmp_path / "norm.jsonl"
     code = main(["ingest", "--corpus", str(fixture_dir),
@@ -263,3 +273,71 @@ def test_record_the_corpus_does_not_know_exits_2(fixture_dir, tmp_path, capsys, 
         message = one_line_error(capsys)
         assert message.startswith("error: prediction ('stub-a', ") and message.endswith(reason)
     assert not (tmp_path / "r").exists() and not (tmp_path / "norm.jsonl").exists()
+
+
+def extra_line(fixture_dir) -> str:
+    """file:line of the record that with_extra_record appends."""
+    n = len((fixture_dir / "predictions_stub-a.jsonl").read_text().splitlines())
+    return f"extra.jsonl:{n + 1}: "
+
+
+@pytest.mark.parametrize("bad", [["x"], {"x": 1}, 7], ids=["list", "object", "number"])
+@pytest.mark.parametrize(
+    "fields",
+    [
+        lambda bad: {"model_name": bad},
+        lambda bad: {"doc_id": bad},
+        lambda bad: {"label_id": bad, "variant_value": "male"},
+        lambda bad: {"label_id": "gender", "variant_value": bad},
+    ],
+    ids=["model_name", "doc_id", "label_id", "variant_value"],
+)
+def test_key_field_of_wrong_type_exits_2(fixture_dir, tmp_path, capsys, fields, bad):
+    path = with_extra_record(fixture_dir, tmp_path, **fields(bad))
+    for code in analyze_and_ingest(fixture_dir, tmp_path, path):
+        assert code == EXIT_DATA
+        message = one_line_error(capsys)
+        assert message.startswith("error: " + extra_line(fixture_dir)) and "must be strings" in message
+
+
+def test_non_integer_attempt_count_exits_2(fixture_dir, tmp_path, capsys):
+    path = with_extra_record(fixture_dir, tmp_path, attempt_count="three")
+    for code in analyze_and_ingest(fixture_dir, tmp_path, path):
+        assert code == EXIT_DATA
+        assert one_line_error(capsys) == (
+            "error: " + extra_line(fixture_dir) + "attempt_count must be an integer, got 'three'"
+        )
+
+
+@pytest.mark.parametrize("key", ["tau", "tolerance", "temperature", "concurrency", "retries"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_non_numeric_config_value_exits_1(fixture_dir, tmp_path, capsys, key, source):
+    if key in ("tau", "tolerance"):
+        argv = ["analyze", "--corpus", str(fixture_dir),
+                "--predictions", str(fixture_dir / "predictions_stub-a.jsonl"),
+                "--out", str(tmp_path / "r")]
+    else:  # rejected before the corpus is read or any request is made
+        argv = ["generate", "--corpus", str(fixture_dir), "--api-url", "http://127.0.0.1:9/v1",
+                "--model", "m", "--out", str(tmp_path / "p.jsonl")]
+    if source == "flag":
+        argv += [f"--{key}", "lots"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = lots\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == EXIT_USAGE
+    assert one_line_error(capsys) == f"error: {key} must be a number, got 'lots'"
+    assert not (tmp_path / "r").exists() and not (tmp_path / "p.jsonl").exists()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import fairjudge
+
+    src = os.path.dirname(os.path.dirname(fairjudge.__file__))
+    code = "import sys, fairjudge.cli; sys.exit('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0

@@ -12,6 +12,7 @@ from fairjudge.gateway import (
     PredictionFormatError,
     PredictionRecord,
     build_prompt,
+    iter_prediction_fields,
     parse_prediction,
     read_predictions,
     run_generation,
@@ -223,9 +224,45 @@ def test_prediction_record_invariants():
         PredictionRecord("m", "d", "L01", None, 1.0, "", 1)
     with pytest.raises(GatewayError):
         PredictionRecord("m", "d", None, None, -1.0, "", 1)
+    with pytest.raises(GatewayError, match="must be finite"):
+        PredictionRecord("m", "d", None, None, 10**400, "", 1)  # too large for a float
 
 
 @pytest.mark.parametrize("months", ["12", True, [12]])
 def test_prediction_record_rejects_non_numeric_months(months):
     with pytest.raises(GatewayError, match="must be a number or null"):
         PredictionRecord("m", "d", None, None, months, "", 1)
+
+
+BASELINE = {"model_name": "m", "doc_id": "d", "predicted_months": 12, "attempt_count": 1}
+
+
+def test_read_accepts_blank_lines_and_surrounding_whitespace(tmp_path):
+    path = tmp_path / "p.jsonl"
+    line = json.dumps(BASELINE)
+    path.write_text(f"\n  {line}\t\n\n\t{line}  \r\n   \n")
+    expected = PredictionRecord("m", "d", None, None, 12, "", 1)
+    assert read_predictions(path) == [expected, expected]
+
+
+def test_record_split_over_two_lines_rejected_at_its_first_line(tmp_path):
+    path = tmp_path / "p.jsonl"
+    first, rest = json.dumps(BASELINE).split(", ", 1)
+    path.write_text(json.dumps(BASELINE) + "\n" + first + ",\n" + rest + "\n")
+    with pytest.raises(PredictionFormatError, match=r"^p\.jsonl:2: invalid JSON"):
+        list(iter_prediction_fields(path))
+
+
+def test_one_object_per_line(tmp_path):
+    path = tmp_path / "p.jsonl"
+    path.write_text(json.dumps(BASELINE) * 2 + "\n")
+    with pytest.raises(PredictionFormatError, match=r"^p\.jsonl:1: invalid JSON: Extra data"):
+        read_predictions(path)
+
+
+@pytest.mark.parametrize("months", [True, "12"])
+def test_read_rejects_bool_or_string_months_with_line_number(tmp_path, months):
+    path = tmp_path / "p.jsonl"
+    path.write_text(json.dumps(BASELINE) + "\n\n" + json.dumps(dict(BASELINE, predicted_months=months)) + "\n")
+    with pytest.raises(PredictionFormatError, match=r"^p\.jsonl:3: predicted_months must be a number or null"):
+        read_predictions(path)

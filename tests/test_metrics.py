@@ -8,9 +8,9 @@ import re
 import numpy as np
 import pytest
 
-from fairjudge.corpus import CaseDocument, Corpus, CounterfactualVariant, LabelDefinition
-from fairjudge.fixtures import default_label_specs, generate_fixture, simulate_predictions
-from fairjudge.gateway import PredictionFormatError, PredictionRecord
+from fairjudge.corpus import CaseDocument, Corpus, CounterfactualVariant, LabelDefinition, load_corpus
+from fairjudge.fixtures import default_label_specs, default_spec, generate_fixture, simulate_predictions, write_fixture
+from fairjudge.gateway import PredictionFormatError, PredictionRecord, read_predictions
 from fairjudge.metrics import (
     MetricsError,
     PredictionTable,
@@ -320,6 +320,21 @@ def test_label_filter_keeps_only_requested_labels():
     rows, _ = inconsistency(table, corpus, MODEL)
     assert [r.label_id for r in rows] == ["B"]
     assert rows == [r for r in inconsistency(records, corpus, MODEL)[0] if r.label_id == "B"]
+
+
+@pytest.mark.parametrize("labels", [None, ["L03", "L01"]])
+def test_streamed_table_equals_table_of_records(tmp_path, labels):
+    spec = dataclasses.replace(default_spec(), stub_models=("stub-b", "stub-c", "stub-a"))
+    write_fixture(spec, seed=11, out_dir=tmp_path)
+    corpus = load_corpus(tmp_path)
+    paths = [tmp_path / f"predictions_{m}.jsonl" for m in spec.stub_models]  # models out of name order
+    streamed = PredictionTable.read(paths, corpus, labels=labels)
+    built = PredictionTable.build([r for p in paths for r in read_predictions(p)], corpus, labels=labels)
+    assert streamed.models == built.models == ("stub-a", "stub-b", "stub-c")
+    assert [streamed.models[m] for m in streamed.model[[0, -1]]] == ["stub-b", "stub-a"]  # first, last file
+    assert streamed.label_ids == built.label_ids
+    for column in ("model", "doc", "label", "value", "months"):
+        np.testing.assert_array_equal(getattr(streamed, column), getattr(built, column), err_msg=column)
 
 
 def loop_reference(records, corpus, model):

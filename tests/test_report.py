@@ -111,6 +111,15 @@ def test_html_embedded_json_round_trips(tmp_path):
     assert embedded == bundle_to_dict(bundle)
 
 
+def test_html_names_cannot_end_the_data_block(tmp_path):
+    bundle = make_bundle(models=("</script><b>x", "a&b"))
+    html_text = emit_html(bundle, tmp_path).read_text()
+    assert html_text.count("</script>") == 1
+    start = html_text.index('id="report-data">') + len('id="report-data">')
+    end = html_text.index("</script>", start)
+    assert json.loads(html_text[start:end]) == bundle_to_dict(bundle)
+
+
 def test_summary_json_lossless_round_trip(tmp_path):
     bundle = make_bundle()
     emit_tables(bundle, tmp_path, findings_by_model={})
