@@ -2,28 +2,33 @@
 
 Speaks the OpenAI-compatible chat-completions JSON shape over HTTPS (the
 OpenRouter-style wire format); the URL is fully configurable so any
-compatible endpoint works. Responses are cached on disk keyed by
+compatible endpoint works. Each pool thread keeps one stdlib keep-alive
+connection. Responses are cached in one append-only log keyed by
 (model, temperature, prompt), making interrupted runs resumable with zero
 repeat traffic.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import http.client
 import json
 import math
 import os
 import random
 import re
+import ssl
 import sys
 import threading
 import time
+import urllib.parse
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
-
-import requests
 
 from fairjudge.corpus import Corpus
 
@@ -50,6 +55,14 @@ class AuthenticationError(GatewayError):
 
 class PromptTemplateError(GatewayError):
     """Prompt template does not contain exactly one {facts} placeholder."""
+
+
+class _RetryableReply(Exception):
+    """A reply worth retrying: a non-2xx status or a malformed body."""
+
+    def __init__(self, message: str, retry_after: Optional[float] = None) -> None:
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 @dataclass(frozen=True)
@@ -147,19 +160,17 @@ def parse_prediction(raw: str) -> Optional[float]:
             continue
         try:
             obj, _ = decoder.raw_decode(text, pos)
-        except json.JSONDecodeError:
+        except ValueError:  # also an integer longer than int's digit limit
             continue
         if not isinstance(obj, dict) or "sentence_months" not in obj:
             continue
         value = obj["sentence_months"]
-        if isinstance(value, str):
-            try:
-                value = float(value)
-            except ValueError:
-                return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             return None
-        value = float(value)
+        try:
+            value = float(value)
+        except (ValueError, OverflowError):  # OverflowError: an integer too large for a float
+            return None
         if math.isfinite(value) and value >= 0:
             return value
         return None
@@ -175,11 +186,30 @@ class _WorkItem:
 
 
 class _Cache:
-    """One small JSON file per (model, temperature, prompt) key."""
+    """Append-only ``cache.jsonl`` of ``[key, value]`` lines, read once into a dict.
+
+    Each put is one ``write`` on an ``O_APPEND`` descriptor, so processes
+    and instances sharing a directory never interleave lines. A torn last
+    line from an interrupted run is skipped (its prompt is asked again).
+    """
 
     def __init__(self, cache_dir: Path) -> None:
-        self.dir = cache_dir
+        self.dir = Path(cache_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
+        path = self.dir / "cache.jsonl"
+        self.file = open(path, "ab", buffering=0)
+        data = path.read_bytes()
+        self.entries: dict[str, dict] = {}
+        for line in data.splitlines():
+            try:
+                key, value = json.loads(line)
+            except (ValueError, TypeError):
+                continue
+            if isinstance(key, str) and isinstance(value, dict):
+                self.entries[key] = value
+        # Start the first new line on a line of its own after a torn tail.
+        self.pending_newline = bool(data) and not data.endswith(b"\n")
+        self.lock = threading.Lock()
 
     @staticmethod
     def key(model_name: str, temperature: float, prompt: str) -> str:
@@ -187,40 +217,116 @@ class _Cache:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def get(self, key: str) -> Optional[dict]:
-        f = self.dir / f"{key}.json"
-        if not f.exists():
-            return None
-        try:
-            return json.loads(f.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return None
+        return self.entries.get(key)
 
     def put(self, key: str, value: dict) -> None:
-        tmp = self.dir / f"{key}.json.tmp"
-        tmp.write_text(json.dumps(value, sort_keys=True), encoding="utf-8")
-        tmp.replace(self.dir / f"{key}.json")
+        line = (json.dumps([key, value], sort_keys=True) + "\n").encode("utf-8")
+        with self.lock:
+            if self.pending_newline:
+                line = b"\n" + line
+                self.pending_newline = False
+            self.file.write(line)
+            self.entries[key] = value
+
+    def close(self) -> None:
+        self.file.close()
 
 
 class _Client:
-    """HTTP worker shared by the pool; serializes cache and audit writes."""
+    """HTTP worker shared by the pool: one keep-alive connection per thread.
+
+    The endpoint URL and any proxy from the environment are resolved once;
+    audit writes are serialized on one handle kept open until ``close``.
+    """
 
     def __init__(self, config: ModelConfig, cache: _Cache, audit_path: Path, api_key: str) -> None:
         self.config = config
         self.cache = cache
         self.audit_path = audit_path
-        self.api_key = api_key
+        self.audit_file = None
         self.lock = threading.Lock()
         self.local = threading.local()
+        self.connections: list[http.client.HTTPConnection] = []
+        self.headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
 
-    def _session(self) -> requests.Session:
-        if not hasattr(self.local, "session"):
-            self.local.session = requests.Session()
-        return self.local.session
+        url, port = _split_url(config.api_url, "api_url", ("http", "https"))
+        self.https = url.scheme == "https"
+        self.host, self.port = url.hostname, port
+        self.target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
+        self.proxy = None
+        self.tunnel_headers: dict[str, str] = {}
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(url.hostname):
+            if "://" not in proxy:
+                proxy = "http://" + proxy
+            proxy_url, proxy_port = _split_url(proxy, "proxy", ("http",))
+            self.proxy = (proxy_url.hostname, proxy_port)
+            auth = {}
+            if proxy_url.username is not None:
+                user, password = (urllib.parse.unquote(s or "") for s in (proxy_url.username, proxy_url.password))
+                token = base64.b64encode(f"{user}:{password}".encode()).decode()
+                auth["Proxy-Authorization"] = "Basic " + token
+            if self.https:
+                self.tunnel_headers = auth
+            else:
+                # A plain-HTTP proxy takes the absolute-form target.
+                self.target = f"http://{url.netloc.rpartition('@')[2]}{self.target}"
+                self.headers.update(auth)
+        self.ssl_context = ssl.create_default_context() if self.https else None
+
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self.local, "conn", None)
+        if conn is None:
+            host, port = self.proxy or (self.host, self.port)
+            timeout = self.config.timeout_s
+            if self.https:
+                conn = http.client.HTTPSConnection(host, port, timeout=timeout, context=self.ssl_context)
+                if self.proxy:
+                    conn.set_tunnel(self.host, self.port, headers=self.tunnel_headers)
+            else:
+                conn = http.client.HTTPConnection(host, port, timeout=timeout)
+            self.local.conn = conn
+            with self.lock:
+                self.connections.append(conn)
+        return conn
 
     def _audit(self, entry: dict) -> None:
+        line = json.dumps(entry, sort_keys=True) + "\n"
         with self.lock:
-            with self.audit_path.open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            if self.audit_file is None:
+                self.audit_file = self.audit_path.open("a", encoding="utf-8")
+            self.audit_file.write(line)
+            self.audit_file.flush()
+
+    def close(self) -> None:
+        with self.lock:
+            for conn in self.connections:
+                conn.close()
+            if self.audit_file is not None:
+                self.audit_file.close()
+
+    def _exchange(self, data: bytes) -> tuple[int, str, bytes]:
+        """POST once; return (status, Retry-After header, body).
+
+        A kept-alive connection the server has closed meanwhile fails before
+        any status line; that request is sent once more on a new connection.
+        """
+        conn = self._connection()
+        reused = conn.sock is not None
+        try:
+            try:
+                conn.request("POST", self.target, data, self.headers)
+                resp = conn.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                conn.close()
+                conn.request("POST", self.target, data, self.headers)
+                resp = conn.getresponse()
+            return resp.status, resp.getheader("Retry-After", ""), resp.read()
+        except BaseException:
+            conn.close()  # a half-done exchange leaves the connection unusable
+            raise
 
     def _post_once(self, prompt: str) -> str:
         cfg = self.config
@@ -231,43 +337,39 @@ class _Client:
         }
         if cfg.provider_name:
             body["provider"] = {"order": [cfg.provider_name]}
-        resp = self._session().post(
-            cfg.api_url,
-            json=body,
-            headers={"Authorization": f"Bearer {self.api_key}"},
-            timeout=cfg.timeout_s,
-        )
-        if resp.status_code in (401, 403):
+        status, retry_after, data = self._exchange(json.dumps(body).encode("utf-8"))
+        if status in (401, 403):
             raise AuthenticationError(
-                f"endpoint rejected credentials (HTTP {resp.status_code}); "
+                f"endpoint rejected credentials (HTTP {status}); "
                 f"check the {cfg.api_key_env} environment variable"
             )
-        if resp.status_code == 429 or resp.status_code >= 500:
-            raise requests.RequestException(f"retryable HTTP {resp.status_code}")
-        resp.raise_for_status()
-        payload = resp.json()
+        if not 200 <= status < 300:
+            raise _RetryableReply(f"HTTP {status}", _retry_after_s(retry_after) if status == 429 else None)
         try:
-            content = payload["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError):
-            raise requests.RequestException("malformed chat-completions response body")
+            content = json.loads(data)["choices"][0]["message"]["content"]
+        except (ValueError, KeyError, IndexError, TypeError):
+            raise _RetryableReply("malformed chat-completions response body") from None
+        if not isinstance(content, str):
+            raise _RetryableReply("malformed chat-completions response body")
         self._audit({"request": body, "response": content})
         return content
 
-    def _post_with_retries(self, prompt: str, attempts: list[int]) -> Optional[str]:
+    def _post_with_retries(self, prompt: str) -> tuple[Optional[str], int]:
+        """Return (content or None after the last failed attempt, attempts made)."""
         cfg = self.config
         rng = random.Random()
         for attempt in range(cfg.max_retries + 1):
             try:
-                attempts[0] += 1
-                return self._post_once(prompt)
-            except AuthenticationError:
-                raise
-            except (requests.RequestException, ValueError):
+                return self._post_once(prompt), attempt + 1
+            except (OSError, http.client.HTTPException, _RetryableReply) as exc:
                 if attempt == cfg.max_retries:
-                    return None
+                    break
                 delay = cfg.retry_base_delay_s * (2**attempt) * (1 + rng.random())
+                retry_after = getattr(exc, "retry_after", None)
+                if retry_after is not None:
+                    delay = max(delay, min(retry_after, cfg.timeout_s))
                 time.sleep(delay)
-        return None
+        return None, cfg.max_retries + 1
 
     def fetch(self, prompt: str) -> tuple[str, int, bool]:
         """Return (raw content, attempts, from_cache); raw is "" on total failure."""
@@ -275,12 +377,32 @@ class _Client:
         cached = self.cache.get(key)
         if cached is not None:
             return cached.get("content", ""), int(cached.get("attempts", 1)), True
-        attempts = [0]
-        content = self._post_with_retries(prompt, attempts)
+        content, attempts = self._post_with_retries(prompt)
         if content is None:
-            return "", attempts[0], False
-        self.cache.put(key, {"content": content, "attempts": attempts[0]})
-        return content, attempts[0], False
+            return "", attempts, False
+        self.cache.put(key, {"content": content, "attempts": attempts})
+        return content, attempts, False
+
+
+def _split_url(url: str, what: str, schemes: tuple[str, ...]) -> tuple[urllib.parse.SplitResult, int]:
+    """Split a URL and work out its port; GatewayError unless it is one of `schemes`."""
+    try:
+        parts = urllib.parse.urlsplit(url)
+        port = parts.port or (443 if parts.scheme == "https" else 80)
+    except ValueError:  # unbalanced brackets or a bad port
+        parts = None
+    if parts is None or parts.scheme not in schemes or not parts.hostname:
+        raise GatewayError(f"{what} must be an {' or '.join(s + '://' for s in schemes)} URL, got {url!r}")
+    return parts, port
+
+
+def _retry_after_s(value: str) -> Optional[float]:
+    """Seconds from a Retry-After header in delta-seconds form; None for an HTTP date."""
+    try:
+        seconds = float(value)
+    except ValueError:
+        return None
+    return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 
 def build_work_items(corpus: Corpus, labels: Optional[list[str]] = None) -> list[_WorkItem]:
@@ -326,8 +448,6 @@ def run_generation(
     build_prompt("probe", template)  # validate template up front
 
     cache_dir = Path(cache_dir)
-    cache = _Cache(cache_dir)
-    client = _Client(config, cache, cache_dir / "audit.jsonl", api_key)
     items = build_work_items(corpus, labels)
     done = [0]
     done_lock = threading.Lock()
@@ -359,7 +479,9 @@ def run_generation(
                 progress(done[0], len(items))
         return record
 
-    with ThreadPoolExecutor(max_workers=config.max_concurrency) as pool:
+    with closing(_Cache(cache_dir)) as cache, \
+            closing(_Client(config, cache, cache_dir / "audit.jsonl", api_key)) as client, \
+            ThreadPoolExecutor(max_workers=config.max_concurrency) as pool:
         records = list(pool.map(process, items))
 
     records.sort(key=PredictionRecord.sort_key)
@@ -418,7 +540,7 @@ def iter_prediction_fields(path: str | Path) -> Iterator[tuple]:
             rec, end = decode(line)
             if end != len(line):
                 raise json.JSONDecodeError("Extra data", line, end)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer longer than int's digit limit
             raise PredictionFormatError(f"{path.name}:{lineno}: invalid JSON: {exc}") from None
         if not isinstance(rec, dict):
             raise PredictionFormatError(f"{path.name}:{lineno}: record is not an object")

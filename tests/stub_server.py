@@ -12,15 +12,16 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 class StubServer:
     """OpenAI-shape endpoint with per-test behavior hooks and traffic counters.
 
-    `responder(prompt) -> (status, content_str)` decides each reply;
-    counters track total requests and the concurrent in-flight high-water
-    mark.
+    `responder(prompt) -> (status, content_str[, headers])` decides each
+    reply; counters track total requests and the concurrent in-flight
+    high-water mark.
     """
 
     def __init__(self, responder=None, delay_s: float = 0.0):
         self.responder = responder or (lambda prompt: (200, json.dumps({"sentence_months": 36})))
         self.delay_s = delay_s
         self.request_count = 0
+        self.last_headers = {}
         self.in_flight = 0
         self.high_water = 0
         self.lock = threading.Lock()
@@ -30,6 +31,7 @@ class StubServer:
             def do_POST(self):
                 with outer.lock:
                     outer.request_count += 1
+                    outer.last_headers = dict(self.headers)
                     outer.in_flight += 1
                     outer.high_water = max(outer.high_water, outer.in_flight)
                 try:
@@ -38,7 +40,7 @@ class StubServer:
                     prompt = body["messages"][0]["content"]
                     if outer.delay_s:
                         time.sleep(outer.delay_s)
-                    status, content = outer.responder(prompt)
+                    status, content, *extra = outer.responder(prompt)
                     if status == 200:
                         payload = {"choices": [{"message": {"content": content}}]}
                         data = json.dumps(payload).encode()
@@ -47,6 +49,8 @@ class StubServer:
                     self.send_response(status)
                     self.send_header("Content-Type", "application/json")
                     self.send_header("Content-Length", str(len(data)))
+                    for name, value in (extra[0] if extra else {}).items():
+                        self.send_header(name, value)
                     self.end_headers()
                     self.wfile.write(data)
                 finally:

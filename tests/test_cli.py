@@ -341,3 +341,16 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     code = "import sys, fairjudge.cli; sys.exit('scipy.stats' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
     assert result.returncode == 0
+
+
+def test_cli_import_leaves_requests_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import fairjudge
+
+    src = os.path.dirname(os.path.dirname(fairjudge.__file__))
+    code = "import sys, fairjudge.cli; sys.exit('requests' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0

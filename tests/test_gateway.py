@@ -1,17 +1,29 @@
 """Gateway contract tests against a local stub server."""
 
 import json
+import select
+import shutil
+import socket
+import ssl
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
+from fairjudge import gateway
 from fairjudge.fixtures import default_label_specs, generate_fixture
 from fairjudge.gateway import (
+    DEFAULT_TEMPLATE,
     AuthenticationError,
     GatewayError,
     ModelConfig,
     PredictionFormatError,
     PredictionRecord,
+    _Cache,
     build_prompt,
+    build_work_items,
     iter_prediction_fields,
     parse_prediction,
     read_predictions,
@@ -77,6 +89,8 @@ def test_parse_failure_is_a_value():
     assert parse_prediction('{"sentence_months": "many"}') is None
     assert parse_prediction('{"sentence_months": -4}') is None
     assert parse_prediction("") is None
+    assert parse_prediction('{"sentence_months": 1' + "0" * 400 + "}") is None  # too large for a float
+    assert parse_prediction('{"sentence_months": 1' + "0" * 5000 + "}") is None  # too long for an int
 
 
 def test_parse_takes_first_matching_object():
@@ -190,6 +204,314 @@ def test_missing_api_key_env(tmp_path, monkeypatch):
         run_generation(corpus, make_config("http://127.0.0.1:1/x"), tmp_path)
 
 
+@pytest.mark.parametrize(
+    "retry_after,overrides,min_gap,max_gap",
+    [
+        ("0.3", {}, 0.3, 3.0),
+        ("100", {"timeout_s": 0.5}, 0.5, 5.0),  # capped at the timeout
+        ("Fri, 31 Dec 2100 23:59:59 GMT", {"timeout_s": 10.0}, 0.0, 5.0),  # HTTP date: ignored
+    ],
+)
+def test_retry_after_on_429(tmp_path, retry_after, overrides, min_gap, max_gap):
+    corpus = small_corpus(n_docs=1, n_labels=1)
+    times = []
+
+    def responder(prompt):
+        times.append(time.monotonic())
+        if len(times) == 1:
+            return 429, json.dumps({"error": "rate limited"}), {"Retry-After": retry_after}
+        return 200, json.dumps({"sentence_months": 7})
+
+    with StubServer(responder) as server:
+        records = run_generation(corpus, make_config(server.url, max_concurrency=1, **overrides), tmp_path)
+    assert min_gap <= times[1] - times[0] < max_gap
+    assert [r.predicted_months for r in records] == [7, 7]
+    assert sorted(r.attempt_count for r in records) == [1, 2]
+
+
+@pytest.mark.parametrize("status", [302, 400, 404, 500])
+def test_non_2xx_status_is_retried(tmp_path, status):
+    corpus = small_corpus(n_docs=1, n_labels=1)
+    calls = {"n": 0}
+
+    def responder(prompt):
+        calls["n"] += 1
+        if calls["n"] == 1:
+            return status, "{}"
+        return 200, json.dumps({"sentence_months": 7})
+
+    with StubServer(responder) as server:
+        records = run_generation(corpus, make_config(server.url, max_concurrency=1), tmp_path)
+    assert [r.predicted_months for r in records] == [7, 7]
+    assert sorted(r.attempt_count for r in records) == [1, 2]
+
+
+@pytest.mark.parametrize("status", [401, 403])
+def test_auth_abort_closes_audit_cache_and_connections(tmp_path, monkeypatch, status):
+    corpus = small_corpus(n_docs=2, n_labels=1)
+    closed = []
+    real_close = gateway._Client.close
+
+    def spy_close(client):
+        real_close(client)
+        closed.append(client)
+
+    monkeypatch.setattr(gateway._Client, "close", spy_close)
+    calls = {"n": 0}
+
+    def responder(prompt):
+        calls["n"] += 1
+        if calls["n"] == 1:
+            return 200, json.dumps({"sentence_months": 7})
+        return status, json.dumps({"error": "bad key"})
+
+    with StubServer(responder) as server:
+        with pytest.raises(AuthenticationError, match=KEY_ENV):
+            run_generation(corpus, make_config(server.url, max_concurrency=1), tmp_path)
+    (client,) = closed
+    assert client.audit_file.closed and client.cache.file.closed
+    assert client.connections and all(conn.sock is None for conn in client.connections)
+    assert len((tmp_path / "audit.jsonl").read_text().splitlines()) == 1
+
+
+@pytest.fixture
+def dialled(monkeypatch):
+    """Hosts the client connects to; only loopback is let through."""
+    hosts = []
+    create_connection = socket.create_connection
+
+    def loopback_only(address, *args, **kwargs):
+        hosts.append(address[0])
+        if address[0] != "127.0.0.1":
+            raise OSError(f"test refuses to connect to {address[0]}")
+        return create_connection(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", loopback_only)
+    for name in ("HTTP_PROXY", "http_proxy", "NO_PROXY", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+    return hosts
+
+
+UPSTREAM = "http://upstream.invalid/v1/chat/completions"
+
+
+@pytest.mark.parametrize("userinfo,proxy_auth", [("", None), ("u%40x:p@", "Basic dUB4OnA=")])
+def test_http_proxy_from_environment(tmp_path, monkeypatch, dialled, userinfo, proxy_auth):
+    corpus = small_corpus(n_docs=2, n_labels=1)
+    with StubServer() as server:
+        monkeypatch.setenv("HTTP_PROXY", server.url.rsplit("/v1/", 1)[0].replace("//", "//" + userinfo))
+        records = run_generation(corpus, make_config(UPSTREAM), tmp_path)
+        assert server.request_count == 4
+        assert server.last_headers["Host"] == "upstream.invalid"
+        assert server.last_headers.get("Proxy-Authorization") == proxy_auth
+    assert all(r.predicted_months == 36 for r in records)
+    assert set(dialled) == {"127.0.0.1"}
+
+
+class ConnectProxy:
+    """An HTTP CONNECT proxy on loopback that records each request head."""
+
+    def __init__(self):
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.heads = []
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    @property
+    def url(self):
+        return f"http://127.0.0.1:{self.sock.getsockname()[1]}"
+
+    def _serve(self):
+        while True:
+            try:
+                client, _ = self.sock.accept()
+            except OSError:
+                return
+            threading.Thread(target=self._tunnel, args=(client,), daemon=True).start()
+
+    def _tunnel(self, client):
+        with client, client.makefile("rb") as reader:
+            head = [reader.readline()]
+            while head[-1] not in (b"\r\n", b""):
+                head.append(reader.readline())
+            self.heads.append(b"".join(head).decode("latin-1"))
+            host, port = head[0].split()[1].decode().rsplit(":", 1)
+            with socket.create_connection((host, int(port))) as upstream:
+                client.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+                ends = [client, upstream]
+                while True:
+                    readable, _, _ = select.select(ends, [], [], 10)
+                    chunks = [(end, end.recv(65536)) for end in readable]
+                    if not chunks or not all(data for _, data in chunks):
+                        return
+                    for end, data in chunks:
+                        (upstream if end is client else client).sendall(data)
+
+    def close(self):
+        self.sock.shutdown(socket.SHUT_RDWR)
+        self.sock.close()
+
+
+@pytest.mark.skipif(shutil.which("openssl") is None, reason="needs the openssl command")
+def test_https_trusts_ssl_cert_file_directly_and_through_a_connect_proxy(tmp_path, monkeypatch):
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run(
+        ["openssl", "req", "-x509", "-newkey", "rsa:2048", "-nodes", "-days", "1", "-subj", "/CN=127.0.0.1",
+         "-addext", "subjectAltName=IP:127.0.0.1", "-keyout", str(key), "-out", str(cert)],
+        check=True, capture_output=True,
+    )
+    for name in ("HTTPS_PROXY", "https_proxy", "NO_PROXY", "no_proxy", "SSL_CERT_FILE", "SSL_CERT_DIR"):
+        monkeypatch.delenv(name, raising=False)
+    corpus = small_corpus(n_docs=2, n_labels=1)
+    with StubServer() as server:
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(cert, key)
+        server.server.socket = context.wrap_socket(server.server.socket, server_side=True)
+        config = make_config(server.url.replace("http://", "https://"), max_retries=0)
+        untrusted = run_generation(corpus, config, tmp_path / "untrusted")
+        assert server.request_count == 0
+        monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+        direct = run_generation(corpus, config, tmp_path / "direct")
+        assert server.request_count == 4
+        proxy = ConnectProxy()
+        try:
+            monkeypatch.setenv("HTTPS_PROXY", proxy.url.replace("//", "//u:p@"))
+            tunnelled = run_generation(corpus, config, tmp_path / "tunnelled")
+        finally:
+            proxy.close()
+        assert server.request_count == 8
+    assert all(r.predicted_months is None for r in untrusted)
+    assert all(r.predicted_months == 36 for r in direct + tunnelled)
+    assert proxy.heads and all(
+        head.startswith("CONNECT 127.0.0.1:") and "Proxy-Authorization: Basic dTpw" in head for head in proxy.heads
+    )
+
+
+@pytest.mark.parametrize("url", ["ftp://host/x", "host/x", "http://host:99999/x", "http://[::1/x"])
+def test_api_url_that_is_not_http_is_a_gateway_error(tmp_path, url):
+    with pytest.raises(GatewayError, match="api_url must be an http:// or https:// URL"):
+        run_generation(small_corpus(), make_config(url), tmp_path)
+
+
+def test_no_proxy_bypasses_the_proxy(tmp_path, monkeypatch, dialled):
+    corpus = small_corpus(n_docs=2, n_labels=1)
+    with StubServer() as server:
+        monkeypatch.setenv("HTTP_PROXY", server.url.rsplit("/v1/", 1)[0])
+        monkeypatch.setenv("NO_PROXY", "upstream.invalid")
+        records = run_generation(corpus, make_config(UPSTREAM, max_retries=0), tmp_path)
+        assert server.request_count == 0
+    assert all(r.predicted_months is None for r in records)
+    assert set(dialled) == {"upstream.invalid"}
+
+
+class OneRequestPerConnectionServer:
+    """Answers one request per connection with keep-alive headers, then closes it."""
+
+    def __init__(self):
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.requests = 0
+        self.connections = 0
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+
+    @property
+    def url(self):
+        return f"http://127.0.0.1:{self.sock.getsockname()[1]}/v1/chat/completions"
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self.sock.accept()
+            except OSError:
+                return
+            self.connections += 1
+            with conn, conn.makefile("rb") as reader:
+                length = 0
+                while (line := reader.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.decode("latin-1").partition(":")
+                    if name.lower() == "content-length":
+                        length = int(value)
+                reader.read(length)
+                self.requests += 1
+                content = json.dumps({"sentence_months": 36})
+                body = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+                conn.sendall(
+                    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nConnection: keep-alive\r\n"
+                    + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                    + body
+                )
+
+    def __enter__(self):
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.sock.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
+        self.thread.join(timeout=10)
+        assert not self.thread.is_alive()
+        self.sock.close()
+
+
+def test_closed_keep_alive_connection_reconnects_without_backoff(tmp_path):
+    corpus = small_corpus(n_docs=2, n_labels=1)  # 4 requests on one worker
+    with OneRequestPerConnectionServer() as server:
+        config = make_config(server.url, max_concurrency=1, retry_base_delay_s=5.0)
+        start = time.monotonic()
+        records = run_generation(corpus, config, tmp_path)
+        assert time.monotonic() - start < 5.0  # no backoff sleep
+    assert all(r.predicted_months == 36 and r.attempt_count == 1 for r in records)
+    assert server.requests == server.connections == 4
+
+
+def test_torn_cache_tail_is_asked_again(tmp_path):
+    corpus = small_corpus(n_docs=2, n_labels=1)
+    log = tmp_path / "cache.jsonl"
+    with StubServer() as server:
+        first = run_generation(corpus, make_config(server.url), tmp_path)
+        lines = log.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 4
+        torn = lines[-1][: len(lines[-1]) // 2]
+        log.write_bytes(b"".join(lines[:-1]) + torn)
+        second = run_generation(corpus, make_config(server.url), tmp_path)
+        assert server.request_count == 5  # only the torn entry is asked again
+        third = run_generation(corpus, make_config(server.url), tmp_path)
+        assert server.request_count == 5
+    assert first == second == third
+    lines = log.read_bytes().split(b"\n")
+    assert lines[3] == torn and lines[-1] == b""
+    assert all(len(json.loads(line)) == 2 for line in lines[:3] + lines[4:-1])
+
+
+def test_two_caches_appending_from_eight_threads(tmp_path):
+    corpus = small_corpus(n_docs=10, n_labels=2)  # 30 prompts
+    prompts = [build_prompt(item.facts, DEFAULT_TEMPLATE) for item in build_work_items(corpus)]
+    content = json.dumps({"sentence_months": 5, "note": "x" * 20000})  # lines longer than a pipe buffer
+    caches = [_Cache(tmp_path), _Cache(tmp_path)]
+
+    def fill(i):
+        for prompt in prompts[i::8]:
+            caches[i % 2].put(_Cache.key("stub-model", 0.0, prompt), {"content": content, "attempts": 1})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fill, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        for cache in caches:
+            cache.close()
+    lines = (tmp_path / "cache.jsonl").read_bytes().splitlines()
+    assert len(lines) == len(prompts)
+    assert all(json.loads(line)[1]["content"] == content for line in lines)
+    with StubServer() as server:
+        records = run_generation(corpus, make_config(server.url), tmp_path)
+        assert server.request_count == 0
+    assert [r.predicted_months for r in records] == [5] * len(prompts)
+
+
 def test_audit_log_appended(tmp_path):
     corpus = small_corpus(n_docs=2, n_labels=1)
     with StubServer() as server:
@@ -265,4 +587,11 @@ def test_read_rejects_bool_or_string_months_with_line_number(tmp_path, months):
     path = tmp_path / "p.jsonl"
     path.write_text(json.dumps(BASELINE) + "\n\n" + json.dumps(dict(BASELINE, predicted_months=months)) + "\n")
     with pytest.raises(PredictionFormatError, match=r"^p\.jsonl:3: predicted_months must be a number or null"):
+        read_predictions(path)
+
+
+def test_read_rejects_overlong_integer_with_line_number(tmp_path):
+    path = tmp_path / "p.jsonl"
+    path.write_text(json.dumps(BASELINE) + "\n" + json.dumps(BASELINE)[:-1] + ', "x": 1' + "0" * 5000 + "}\n")
+    with pytest.raises(PredictionFormatError, match=r"^p\.jsonl:2: invalid JSON"):
         read_predictions(path)
