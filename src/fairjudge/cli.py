@@ -26,7 +26,15 @@ from fairjudge.gateway import (
     write_predictions,
 )
 from fairjudge.metrics import MetricsError, PredictionTable, pooled_bernoulli, summarize_model
-from fairjudge.report import ReportBundle, bundle_from_dict, emit_html, emit_tables, load_summary_json
+from fairjudge.report import (
+    ReportBundle,
+    ReportError,
+    bundle_from_dict,
+    emit_html,
+    emit_tables,
+    load_findings_jsonl,
+    load_summary_json,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -250,7 +258,6 @@ def analyze(config_path, corpus_dir, prediction_paths, tau, labels, log1p, toler
     }
     bundle = ReportBundle(
         summaries=summaries,
-        findings=[f for fs in findings_by_model.values() for f in fs],
         inconsistency_rows=rows_by_model,
         pooled=pooled,
         run_metadata={
@@ -273,9 +280,10 @@ def analyze(config_path, corpus_dir, prediction_paths, tau, labels, log1p, toler
 @click.option("--summary", "summary_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--out", "out_dir", required=True)
 def report_cmd(summary_path, out_dir) -> None:
-    """Re-render CSV/HTML from an existing summary.json."""
+    """Re-render CSV/HTML from an existing summary.json and the findings.jsonl beside it."""
     bundle = bundle_from_dict(load_summary_json(summary_path))
-    emit_tables(bundle, out_dir)
+    findings_by_model = load_findings_jsonl(Path(summary_path).with_name("findings.jsonl"))
+    emit_tables(bundle, out_dir, findings_by_model=findings_by_model)
     emit_html(bundle, out_dir)
     click.echo(f"report written to {out_dir}", err=True)
 
@@ -297,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     except AuthenticationError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_AUTH
-    except (CorpusError, PredictionFormatError, MetricsError) as exc:
+    except (CorpusError, PredictionFormatError, MetricsError, ReportError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_DATA
     except GatewayError as exc:

@@ -10,12 +10,14 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
+import reprlib
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
+import orjson
 
 
 class CorpusError(Exception):
@@ -54,8 +56,12 @@ class CaseDocument:
 
     def __post_init__(self) -> None:
         s = self.true_sentence_months
-        if not (isinstance(s, (int, float)) and math.isfinite(s) and s > 0):
-            raise CorpusError(f"document {self.doc_id!r}: true_sentence_months must be a positive number, got {s!r}")
+        # The chained comparison also rejects NaN and integers too large for a float.
+        if isinstance(s, bool) or not isinstance(s, (int, float)) or not 0 < s <= sys.float_info.max:
+            raise CorpusError(
+                f"document {self.doc_id!r}: true_sentence_months must be a positive number, "
+                f"got {reprlib.repr(s)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -221,20 +227,45 @@ def _variant_key(v: CounterfactualVariant) -> tuple[str, str, str]:
     return (v.doc_id, v.label_id, v.variant_value)
 
 
-def _read_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
+# A line with more opening brackets than this may nest deeper than orjson's
+# parser can recurse on the C stack (it crashes past about 130k levels), so
+# it goes to json.loads, which raises RecursionError from about this depth.
+_MAX_DEPTH = 1000
+
+
+def read_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, record)`` for each non-blank line of a UTF-8 JSON Lines file.
+
+    Lines are split on ``\\n`` only. orjson decodes each line; ``json.loads``
+    decides the lines orjson rejects, so the accepted input and the error
+    messages are the standard library's. Errors are ``error("file:line: ...")``.
+    """
+    path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
+        raise error(f"cannot read {path}: {exc}") from exc
+    name = path.name
+    for lineno, line in enumerate(data.split(b"\n"), start=1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path.name}:{lineno}: invalid JSON: {exc}") from exc
+            if len(line) > _MAX_DEPTH and line.count(b"[") + line.count(b"{") > _MAX_DEPTH:
+                raise ValueError  # json.loads decides this line
+            record = orjson.loads(line)
+        except ValueError:  # orjson.JSONDecodeError is a ValueError
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{name}:{lineno}: not valid UTF-8: {exc}") from None
+            if not text.strip():  # e.g. a line of U+2028 or U+00A0
+                continue
+            try:
+                record = json.loads(text)
+            except (ValueError, RecursionError) as exc:  # ValueError: also an over-long integer
+                raise error(f"{name}:{lineno}: invalid JSON: {exc}") from None
         if not isinstance(record, dict):
-            raise CorpusError(f"{path.name}:{lineno}: record is not an object")
+            raise error(f"{name}:{lineno}: record is not an object")
         yield lineno, record
 
 
@@ -244,6 +275,13 @@ def _require(record: dict, fields: list[str], where: str) -> None:
         raise CorpusError(f"{where}: missing fields {missing}")
 
 
+def _require_strings(record: dict, fields: list[str], where: str) -> None:
+    for name in fields:
+        value = record.get(name, "")  # presence is _require's check
+        if not isinstance(value, str):
+            raise CorpusError(f"{where}: {name} must be a string, got {reprlib.repr(value)}")
+
+
 def load_corpus(path: str | Path) -> Corpus:
     """Load and validate a corpus bundle directory."""
     root = Path(path)
@@ -251,15 +289,19 @@ def load_corpus(path: str | Path) -> Corpus:
         raise CorpusError(f"corpus directory not found: {root}")
 
     labels: list[LabelDefinition] = []
-    for lineno, rec in _read_jsonl(root / "labels.jsonl"):
+    for lineno, rec in read_jsonl(root / "labels.jsonl", CorpusError):
         where = f"labels.jsonl:{lineno}"
         _require(rec, ["label_id", "kind", "values", "reference_value"], where)
+        _require_strings(rec, ["label_id", "kind", "reference_value", "description"], where)
+        values = rec["values"]
+        if not (isinstance(values, list) and all(isinstance(v, str) for v in values)):
+            raise CorpusError(f"{where}: values must be a list of strings, got {reprlib.repr(values)}")
         try:
             labels.append(
                 LabelDefinition(
                     label_id=rec["label_id"],
                     kind=rec["kind"],
-                    values=tuple(rec["values"]),
+                    values=tuple(values),
                     reference_value=rec["reference_value"],
                     description=rec.get("description", ""),
                 )
@@ -268,25 +310,33 @@ def load_corpus(path: str | Path) -> Corpus:
             raise CorpusError(f"{where}: {exc}") from None
 
     documents: list[CaseDocument] = []
-    for lineno, rec in _read_jsonl(root / "documents.jsonl"):
+    for lineno, rec in read_jsonl(root / "documents.jsonl", CorpusError):
         where = f"documents.jsonl:{lineno}"
         _require(rec, ["doc_id", "facts", "true_sentence_months"], where)
+        _require_strings(rec, ["doc_id", "facts"], where)
+        label_values = rec.get("label_values", {})
+        if not (isinstance(label_values, dict) and all(isinstance(v, str) for v in label_values.values())):
+            raise CorpusError(
+                f"{where}: label_values must be an object of strings, got {reprlib.repr(label_values)}"
+            )
         try:
             documents.append(
                 CaseDocument(
                     doc_id=rec["doc_id"],
                     facts=rec["facts"],
                     true_sentence_months=rec["true_sentence_months"],
-                    label_values=dict(rec.get("label_values", {})),
+                    label_values=dict(label_values),
                 )
             )
         except CorpusError as exc:
             raise CorpusError(f"{where}: {exc}") from None
 
     variants: list[CounterfactualVariant] = []
-    for lineno, rec in _read_jsonl(root / "variants.jsonl"):
+    fields = ["doc_id", "label_id", "variant_value", "facts"]
+    for lineno, rec in read_jsonl(root / "variants.jsonl", CorpusError):
         where = f"variants.jsonl:{lineno}"
-        _require(rec, ["doc_id", "label_id", "variant_value", "facts"], where)
+        _require(rec, fields, where)
+        _require_strings(rec, fields, where)
         variants.append(
             CounterfactualVariant(
                 doc_id=rec["doc_id"],

@@ -18,6 +18,7 @@ import math
 import os
 import random
 import re
+import reprlib
 import ssl
 import sys
 import threading
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
 
-from fairjudge.corpus import Corpus
+from fairjudge.corpus import Corpus, read_jsonl
 
 DEFAULT_TEMPLATE = (
     "You are an experienced criminal court judge. Read the case facts below and "
@@ -93,22 +94,25 @@ def check_prediction_fields(
 ) -> None:
     """The one validator of a prediction's fields; raises GatewayError."""
     if not (isinstance(model_name, str) and isinstance(doc_id, str)):
-        raise GatewayError(f"model_name and doc_id must be strings, got {model_name!r}, {doc_id!r}")
+        raise GatewayError(
+            f"model_name and doc_id must be strings, got {reprlib.repr(model_name)}, {reprlib.repr(doc_id)}"
+        )
     if label_id is None or variant_value is None:
         if label_id is not variant_value:
             raise GatewayError("label_id and variant_value must be both present or both absent")
     elif not (isinstance(label_id, str) and isinstance(variant_value, str)):
         raise GatewayError(
-            f"label_id and variant_value must be strings or null, got {label_id!r}, {variant_value!r}"
+            "label_id and variant_value must be strings or null, got "
+            f"{reprlib.repr(label_id)}, {reprlib.repr(variant_value)}"
         )
     p = predicted_months
     if p is None:
         return
     if isinstance(p, bool) or not isinstance(p, (int, float)):
-        raise GatewayError(f"predicted_months must be a number or null, got {p!r}")
+        raise GatewayError(f"predicted_months must be a number or null, got {reprlib.repr(p)}")
     # The chained comparison also rejects NaN and integers too large for a float.
     if not 0 <= p <= sys.float_info.max:
-        raise GatewayError(f"predicted_months must be finite and >= 0, got {p!r}")
+        raise GatewayError(f"predicted_months must be finite and >= 0, got {reprlib.repr(p)}")
 
 
 @dataclass(frozen=True)
@@ -513,53 +517,32 @@ class PredictionFormatError(Exception):
     """predictions.jsonl record violates the schema; message carries the line number."""
 
 
-_JSON_SPACE = " \t\n\r"
-
-
 def iter_prediction_fields(path: str | Path) -> Iterator[tuple]:
     """Yield each record of a predictions.jsonl file as a validated tuple in
     ``PredictionRecord`` field order.
 
-    Every non-blank line must hold exactly one JSON object; a record split
-    over several lines is an error at its first line. Errors are
-    PredictionFormatError naming ``file:line``.
+    Every non-blank line must hold exactly one JSON object (see
+    ``corpus.read_jsonl``); a record split over several lines is an error
+    at its first line. Errors are PredictionFormatError naming ``file:line``.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise PredictionFormatError(f"cannot read {path}: {exc}") from exc
-    # json.loads semantics without its per-call whitespace scans, which cost
-    # about a third of the decode on short lines.
-    decode = json.JSONDecoder().raw_decode
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        line = line.strip(_JSON_SPACE)  # only JSON whitespace may surround a record
-        try:
-            rec, end = decode(line)
-            if end != len(line):
-                raise json.JSONDecodeError("Extra data", line, end)
-        except ValueError as exc:  # also an integer longer than int's digit limit
-            raise PredictionFormatError(f"{path.name}:{lineno}: invalid JSON: {exc}") from None
-        if not isinstance(rec, dict):
-            raise PredictionFormatError(f"{path.name}:{lineno}: record is not an object")
+    name = Path(path).name
+    for lineno, rec in read_jsonl(path, PredictionFormatError):
         try:
             model_name, doc_id = rec["model_name"], rec["doc_id"]
         except KeyError:
             missing = [f for f in ("model_name", "doc_id") if f not in rec]
-            raise PredictionFormatError(f"{path.name}:{lineno}: missing fields {missing}") from None
+            raise PredictionFormatError(f"{name}:{lineno}: missing fields {missing}") from None
         label_id, variant_value = rec.get("label_id"), rec.get("variant_value")
         months, attempts = rec.get("predicted_months"), rec.get("attempt_count", 0)
         try:
             check_prediction_fields(model_name, doc_id, label_id, variant_value, months)
         except GatewayError as exc:
-            raise PredictionFormatError(f"{path.name}:{lineno}: {exc}") from None
+            raise PredictionFormatError(f"{name}:{lineno}: {exc}") from None
         try:
             attempts = int(attempts)
         except (TypeError, ValueError, OverflowError):
             raise PredictionFormatError(
-                f"{path.name}:{lineno}: attempt_count must be an integer, got {attempts!r}"
+                f"{name}:{lineno}: attempt_count must be an integer, got {reprlib.repr(attempts)}"
             ) from None
         yield model_name, doc_id, label_id, variant_value, months, rec.get("raw_response", ""), attempts
 

@@ -11,10 +11,12 @@ import csv
 import html
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from fairjudge.corpus import read_jsonl
 from fairjudge.metrics import (
     InconsistencyRow,
     LabelFinding,
@@ -34,12 +36,18 @@ SUMMARY_CSV_COLUMNS = [
 ]
 
 
+class ReportError(Exception):
+    """summary.json or findings.jsonl cannot be read back for a re-render."""
+
+
 @dataclass
 class ReportBundle:
-    """Everything the emitters need for one audit run."""
+    """Everything summary.json and report.html hold for one audit run.
+
+    Per-label findings travel separately, as findings.jsonl.
+    """
 
     summaries: list[ModelFairnessSummary]
-    findings: list[LabelFinding]
     inconsistency_rows: dict[str, list[InconsistencyRow]]  # model -> rows
     pooled: dict[str, BernoulliTestResult]  # metric -> pooled test
     run_metadata: dict = field(default_factory=dict)
@@ -124,7 +132,7 @@ def _finding_dict(model: str, f: LabelFinding) -> dict:
 
 
 def emit_tables(
-    bundle: ReportBundle, out_dir: str | Path, findings_by_model: Optional[dict] = None
+    bundle: ReportBundle, out_dir: str | Path, findings_by_model: dict[str, list[LabelFinding]]
 ) -> list[Path]:
     """Write summary.csv, summary.json, findings.jsonl, and per-label CSVs."""
     out = Path(out_dir)
@@ -155,7 +163,6 @@ def emit_tables(
     )
     written.append(summary_json)
 
-    findings_by_model = findings_by_model or {}
     findings_jsonl = out / "findings.jsonl"
     with findings_jsonl.open("w", encoding="utf-8") as fh:
         for model in sorted(findings_by_model):
@@ -331,7 +338,29 @@ def emit_html(bundle: ReportBundle, out_dir: str | Path) -> Path:
 
 
 def load_summary_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ReportError(f"cannot read {path}: {exc}") from None
+
+
+def load_findings_jsonl(path: str | Path) -> dict[str, list[LabelFinding]]:
+    """Inverse of the findings.jsonl that ``emit_tables`` writes: model -> findings."""
+    findings: dict[str, list[LabelFinding]] = {}
+    for lineno, rec in read_jsonl(path, ReportError):
+        try:
+            finding = LabelFinding(
+                label_id=rec["label_id"],
+                metric=rec["metric"],
+                joint_p=math.nan if rec["joint_p"] is None else rec["joint_p"],
+                min_coef_p=rec["min_coef_p"],
+                significant=rec["significant"],
+                direction_summary=tuple((v, c) for v, c in rec["direction_summary"]),
+            )
+            findings.setdefault(rec["model_name"], []).append(finding)
+        except (KeyError, TypeError, ValueError):
+            raise ReportError(f"{Path(path).name}:{lineno}: not a finding: {reprlib.repr(rec)}") from None
+    return findings
 
 
 def bundle_from_dict(data: dict) -> ReportBundle:
@@ -364,7 +393,6 @@ def bundle_from_dict(data: dict) -> ReportBundle:
     pooled = {m: _bern_from_dict(b) for m, b in data.get("pooled", {}).items()}
     return ReportBundle(
         summaries=summaries,
-        findings=[],
         inconsistency_rows=rows,
         pooled=pooled,
         run_metadata=data.get("run_metadata", {}),

@@ -354,3 +354,85 @@ def test_cli_import_leaves_requests_unloaded():
     code = "import sys, fairjudge.cli; sys.exit('requests' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
     assert result.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "name, fields, reason",
+    [
+        ("labels.jsonl", {"values": [["v0"], ["v1"]]},
+         "values must be a list of strings, got [['v0'], ['v1']]"),
+        ("labels.jsonl", {"label_id": ["L01"]}, "label_id must be a string, got ['L01']"),
+        ("labels.jsonl", {"description": 3}, "description must be a string, got 3"),
+        ("documents.jsonl", {"doc_id": ["D1"]}, "doc_id must be a string, got ['D1']"),
+        ("documents.jsonl", {"label_values": [1, 2]}, "label_values must be an object of strings, got [1, 2]"),
+        ("documents.jsonl", {"label_values": {"gender": 1}},
+         "label_values must be an object of strings, got {'gender': 1}"),
+        ("documents.jsonl", {"facts": 5}, "facts must be a string, got 5"),
+        ("documents.jsonl", {"true_sentence_months": True},
+         "true_sentence_months must be a positive number, got True"),
+        ("documents.jsonl", {"true_sentence_months": 10**400},
+         "true_sentence_months must be a positive number, got 100000000000000000...0000000000000000000"),
+        ("variants.jsonl", {"doc_id": ["D1"]}, "doc_id must be a string, got ['D1']"),
+        ("variants.jsonl", {"label_id": {"a": 1}}, "label_id must be a string, got {'a': 1}"),
+        ("variants.jsonl", {"facts": None}, "facts must be a string, got None"),
+        ("variants.jsonl", {"doc_id": "<deep>"}, "doc_id must be a string, got [[[[[[[...]]]]]]]"),
+    ],
+)
+def test_corpus_field_of_wrong_type_exits_2(fixture_dir, tmp_path, capsys, name, fields, reason):
+    path = fixture_dir / name
+    first, *rest = path.read_text().splitlines()
+    first = json.dumps(dict(json.loads(first), **fields)).replace('"<deep>"', "[" * 900 + "]" * 900)
+    path.write_text("\n".join([first] + rest) + "\n")
+    assert run_analyze(fixture_dir, tmp_path / "r") == EXIT_DATA
+    message = one_line_error(capsys)
+    assert message.startswith(f"error: {name}:1: ") and message.endswith(reason)
+
+
+def test_invalid_utf8_exits_2(fixture_dir, tmp_path, capsys):
+    path = with_extra_record(fixture_dir, tmp_path)
+    n = len(path.read_bytes().splitlines())
+    path.write_bytes(path.read_bytes() + b'{"model_name": "stub-a", "doc_id": "\xff"}\n')
+    for code in analyze_and_ingest(fixture_dir, tmp_path, path):
+        assert code == EXIT_DATA
+        assert one_line_error(capsys).startswith(f"error: extra.jsonl:{n + 1}: not valid UTF-8: ")
+
+    documents = fixture_dir / "documents.jsonl"
+    documents.write_bytes(documents.read_bytes().replace(b"Synthetic", b"Synth\xe9tic", 1))
+    assert run_analyze(fixture_dir, tmp_path / "r") == EXIT_DATA
+    assert one_line_error(capsys).startswith("error: documents.jsonl:1: not valid UTF-8: ")
+
+
+@pytest.mark.parametrize(
+    "depth, reason",
+    [
+        (100_000, "invalid JSON: maximum recursion depth exceeded"),
+        (900, "model_name and doc_id must be strings"),
+    ],
+)
+def test_deeply_nested_key_field_exits_2(fixture_dir, tmp_path, capsys, depth, reason):
+    path = with_extra_record(fixture_dir, tmp_path, doc_id="@")
+    path.write_text(path.read_text().replace('"@"', "[" * depth + "]" * depth))
+    for code in analyze_and_ingest(fixture_dir, tmp_path, path):
+        assert code == EXIT_DATA
+        message = one_line_error(capsys)
+        assert message.startswith("error: " + extra_line(fixture_dir) + reason) and len(message) < 300
+
+
+def test_report_rerender_in_place_keeps_every_byte(fixture_dir, tmp_path):
+    out = tmp_path / "report"
+    assert run_analyze(fixture_dir, out) == EXIT_OK
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert before["findings.jsonl"] and len(before["labels_bias.csv"].splitlines()) > 1
+    assert main(["report", "--summary", str(out / "summary.json"), "--out", str(out)]) == EXIT_OK
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+
+def test_report_without_findings_exits_2(fixture_dir, tmp_path, capsys):
+    out = tmp_path / "report"
+    assert run_analyze(fixture_dir, out) == EXIT_OK
+    (out / "findings.jsonl").unlink()
+    capsys.readouterr()
+    argv = ["report", "--summary", str(out / "summary.json"), "--out", str(tmp_path / "again")]
+    assert main(argv) == EXIT_DATA
+    assert one_line_error(capsys).startswith("error: cannot read ")
+    assert not (tmp_path / "again").exists()

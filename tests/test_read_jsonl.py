@@ -1,0 +1,134 @@
+"""The one JSON Lines reader: orjson first, json.loads for the lines orjson rejects."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fairjudge
+from fairjudge.corpus import CorpusError, load_corpus, read_jsonl, save_corpus
+from fairjudge.fixtures import default_label_specs, generate_fixture
+from fairjudge.gateway import PredictionFormatError, iter_prediction_fields, read_predictions
+
+# Line separators other than "\n" that str.splitlines() also splits on.
+OTHER_BREAKS = "\u2028\u2029\x85\x0b\x0c\x1c\r"
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**63), max_value=2**64 - 1),  # orjson reads wider integers as floats
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(st.one_of(st.characters(), st.sampled_from(OTHER_BREAKS))),
+)
+values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+records = st.dictionaries(st.text(max_size=6), values, max_size=4)
+blank_lines = st.sampled_from(["", " ", "\t  ", "\r", " \r", "\u2028", "\xa0"])
+
+
+def canonical(value):
+    """Equal for equal JSON values; tells 1 from 1.0 and NaN equal to itself."""
+    return json.dumps(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lines=st.lists(st.one_of(records, blank_lines), max_size=12),
+    ensure_ascii=st.booleans(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    final_newline=st.booleans(),
+)
+def test_reader_yields_json_loads_of_each_line(tmp_path_factory, lines, ensure_ascii, newline, final_newline):
+    texts = [line if isinstance(line, str) else json.dumps(line, ensure_ascii=ensure_ascii) for line in lines]
+    path = tmp_path_factory.mktemp("jsonl") / "r.jsonl"
+    path.write_bytes((newline.join(texts) + (newline if final_newline else "")).encode("utf-8"))
+    expected = [
+        (lineno, canonical(json.loads(text))) for lineno, text in enumerate(texts, start=1) if text.strip()
+    ]
+    got = [(lineno, canonical(record)) for lineno, record in read_jsonl(path, CorpusError)]
+    assert got == expected
+
+
+BASELINE = {"model_name": "m", "doc_id": "d", "predicted_months": 12, "attempt_count": 1}
+LINE = json.dumps(BASELINE)
+
+
+@pytest.mark.parametrize(
+    "second_line, outcome",
+    [
+        (LINE + " x", r"invalid JSON: Extra data: line 1 column 80 \(char 79\)$"),
+        (LINE.split(", ", 1)[0] + ",", r"invalid JSON: Expecting property name enclosed in double quotes: "),
+        (LINE + LINE, r"invalid JSON: Extra data: line 1 column 79 \(char 78\)$"),
+        (LINE.replace("12", "NaN"), r"predicted_months must be finite and >= 0, got nan$"),
+        (LINE[:-1] + ', "raw_response": "\\ud800"}', {"raw_response": "\ud800"}),
+        (LINE.replace("12", "1" + "0" * 399), r"predicted_months must be finite and >= 0, got 1000"),
+        (LINE.replace("12", "1" + "0" * 4999), r"invalid JSON: Exceeds the limit \(4300 digits\)"),
+        ("\ufeff" + LINE, r"invalid JSON: Unexpected UTF-8 BOM \(decode using utf-8-sig\): line 1 column 1"),
+        ("[" + LINE + "]", r"record is not an object$"),
+    ],
+    ids=["extra data", "split record", "two objects", "NaN", "lone surrogate", "400 digits",
+         "5000 digits", "BOM", "non-object"],
+)
+def test_line_outcomes_keep_their_messages(tmp_path, second_line, outcome):
+    path = tmp_path / "p.jsonl"
+    path.write_text(LINE + "\n" + second_line + "\n", encoding="utf-8")
+    if isinstance(outcome, dict):
+        rows = list(iter_prediction_fields(path))
+        assert len(rows) == 2 and rows[1][5] == outcome["raw_response"]
+    else:
+        with pytest.raises(PredictionFormatError, match=r"^p\.jsonl:2: " + outcome):
+            list(iter_prediction_fields(path))
+
+
+def test_raw_line_separators_stay_inside_strings(tmp_path):
+    """U+2028 and U+0085 written unescaped are text, not line breaks."""
+    corpus, _ = generate_fixture(seed=3, n_docs=4, label_specs=default_label_specs(2, 2))
+    save_corpus(corpus, tmp_path)
+    for name in ("documents.jsonl", "variants.jsonl"):
+        path = tmp_path / name
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        path.write_text(
+            "".join(json.dumps(dict(r, facts=r["facts"] + " \u2028 \x85 end"), ensure_ascii=False) + "\n"
+                    for r in rows),
+            encoding="utf-8",
+        )
+    loaded = load_corpus(tmp_path)
+    assert all(d.facts.endswith(" \u2028 \x85 end") for d in loaded.documents)
+    assert all(v.facts.endswith(" \u2028 \x85 end") for v in loaded.variants)
+
+    path = tmp_path / "p.jsonl"
+    path.write_text(json.dumps(dict(BASELINE, raw_response="a\u2028b\u2029c"), ensure_ascii=False) + "\n",
+                    encoding="utf-8")
+    assert [r.raw_response for r in read_predictions(path)] == ["a\u2028b\u2029c"]
+
+
+def test_deep_nesting_is_a_decode_error_not_a_crash(tmp_path):
+    """orjson would overflow the C stack on this line; json.loads raises RecursionError.
+
+    Run in a child process, so a crash fails this test instead of the whole run.
+    """
+    path = tmp_path / "r.jsonl"
+    depth = 1_000_000
+    path.write_text('{"a": ' + "[" * depth + "]" * depth + "}\n")
+    code = (
+        "import sys; from fairjudge.corpus import CorpusError, read_jsonl\n"
+        "try:\n    list(read_jsonl(sys.argv[1], CorpusError))\n"
+        "except CorpusError as exc:\n    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(fairjudge.__file__))
+    result = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert result.returncode == 0
+    assert result.stdout.startswith("r.jsonl:1: invalid JSON: maximum recursion depth exceeded")
+
+
+def test_unreadable_file_names_the_path(tmp_path):
+    with pytest.raises(CorpusError, match="cannot read .*missing.jsonl"):
+        list(read_jsonl(tmp_path / "missing.jsonl", CorpusError))

@@ -44,7 +44,6 @@ def make_bundle(models=("glm", "qwen", "gemini")):
     }
     return ReportBundle(
         summaries=summaries,
-        findings=[],
         inconsistency_rows=rows,
         pooled=pooled,
         run_metadata={"tool_version": "test", "timestamp": ""},
@@ -134,7 +133,6 @@ def test_bundle_rejects_unknown_models():
     with pytest.raises(ValueError):
         ReportBundle(
             summaries=[make_summary("a")],
-            findings=[],
             inconsistency_rows={"ghost": []},
             pooled={},
         )
