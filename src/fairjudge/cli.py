@@ -7,6 +7,7 @@ data only to files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 import click
 
 from fairjudge import __version__
-from fairjudge.corpus import CorpusError, corpus_digest, load_corpus
+from fairjudge.corpus import CorpusError, load_corpus
 from fairjudge.fixtures import FixtureSpec, default_spec, write_fixture
 from fairjudge.gateway import (
     AuthenticationError,
@@ -101,16 +102,7 @@ def fixture(seed: int, spec_path: str | None, out_dir: str, n_docs: int | None, 
     """Generate a synthetic corpus (and stub predictions) for offline runs."""
     spec = FixtureSpec.from_json(spec_path) if spec_path else default_spec()
     if n_docs is not None:
-        spec = FixtureSpec(
-            n_docs=n_docs,
-            labels=spec.labels,
-            bias_effects=spec.bias_effects,
-            error_multipliers=spec.error_multipliers,
-            noise_sigma=spec.noise_sigma,
-            sentence_log_mean=spec.sentence_log_mean,
-            sentence_log_sigma=spec.sentence_log_sigma,
-            stub_models=spec.stub_models,
-        )
+        spec = dataclasses.replace(spec, n_docs=n_docs)
     meta = write_fixture(spec, seed=seed, out_dir=out_dir, with_predictions=with_predictions)
     click.echo(f"fixture written to {out_dir} ({meta['n_docs']} docs, {len(meta['labels'])} labels)", err=True)
 
@@ -265,7 +257,7 @@ def analyze(config_path, corpus_dir, prediction_paths, tau, labels, log1p, toler
             "tau": tau,
             "log1p": log1p,
             "tolerance": tolerance,
-            "corpus_digest": corpus_digest(corpus_dir),
+            "corpus_digest": corpus.digest,
             "label_filter": label_filter,
             "timestamp": timestamp or "",
             "diagnostics": diagnostics,

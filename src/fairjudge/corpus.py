@@ -14,7 +14,7 @@ import reprlib
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 import orjson
@@ -75,7 +75,13 @@ class CounterfactualVariant:
 
 
 class Corpus:
-    """Validated, indexed collection of labels, documents, and variants."""
+    """Validated, indexed collection of labels, documents, and variants.
+
+    Variants are held as columns of doc, label and value codes (see
+    ``codes``) plus their facts, sorted by label in declared order, then by
+    (doc_id, variant_value) as strings; ``variants`` builds the objects
+    from them on first use.
+    """
 
     def __init__(
         self,
@@ -83,16 +89,33 @@ class Corpus:
         documents: list[CaseDocument],
         variants: list[CounterfactualVariant],
     ) -> None:
+        self._index(labels, documents)
+        self._encode_variants("variants", enumerate(map(vars, variants), start=1))
+
+    @classmethod
+    def _from_lines(
+        cls, labels: list[LabelDefinition], documents: list[CaseDocument], name: str,
+        lines: Iterable[tuple[int, dict]],
+    ) -> Corpus:
+        """A corpus whose variants are encoded straight from (line number, record) pairs of file ``name``."""
+        corpus = cls.__new__(cls)
+        corpus._index(labels, documents)
+        corpus._encode_variants(name, lines)
+        return corpus
+
+    def _index(self, labels: list[LabelDefinition], documents: list[CaseDocument]) -> None:
+        """Validate labels and documents and assign the integer codes of the prediction table.
+
+        A doc code is the rank of its doc_id in sorted order, so codes sort
+        like the ids, and indexes ``doc_ids`` and ``true_months``; a label
+        code is its position in ``labels``; a value code is its position in
+        the label's declared values.
+        """
         self.labels = list(labels)
         self.documents = list(documents)
-        self.variants = list(variants)
+        self.digest: Optional[str] = None  # SHA-256 of the bundle files, set by load_corpus
         self._labels_by_id: dict[str, LabelDefinition] = {}
         self._docs_by_id: dict[str, CaseDocument] = {}
-        self._variants_by_label: dict[str, list[CounterfactualVariant]] = {}
-        self._validate()
-        self._index()
-
-    def _validate(self) -> None:
         if not self.documents:
             raise CorpusError("corpus contains no documents")
         for lab in self.labels:
@@ -111,56 +134,90 @@ class Corpus:
                         f"document {doc.doc_id!r}: value {value!r} not admissible for label {label_id!r}"
                     )
             self._docs_by_id[doc.doc_id] = doc
-        seen: set[tuple[str, str, str]] = set()
-        for var in self.variants:
-            doc = self._docs_by_id.get(var.doc_id)
-            if doc is None:
-                raise CorpusError(f"variant references unknown doc_id {var.doc_id!r}")
-            lab = self._labels_by_id.get(var.label_id)
-            if lab is None:
-                raise CorpusError(f"variant for {var.doc_id!r} references undeclared label {var.label_id!r}")
-            if var.variant_value not in lab.values:
-                raise CorpusError(
-                    f"variant for {var.doc_id!r}: value {var.variant_value!r} not admissible for label {var.label_id!r}"
-                )
-            baseline = doc.label_values.get(var.label_id)
-            if baseline is not None and var.variant_value == baseline:
-                raise CorpusError(
-                    f"variant for {var.doc_id!r}/{var.label_id!r} repeats the document's baseline value {baseline!r}"
-                )
-            key = (var.doc_id, var.label_id, var.variant_value)
-            if key in seen:
-                raise CorpusError(f"duplicate variant {key!r}")
-            seen.add(key)
-            self._variants_by_label.setdefault(var.label_id, []).append(var)
-
-    def _index(self) -> None:
-        """Integer codes for the prediction table.
-
-        A doc code is the rank of its doc_id in sorted order, so codes sort
-        like the ids, and indexes ``doc_ids`` and ``true_months``; a label
-        code is its position in ``labels``; a value code is its position in
-        the label's declared values.
-        """
         self.doc_ids = tuple(sorted(self._docs_by_id))
-        self._doc_codes = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}
+        self.doc_codes = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}  # doc_id -> doc code
         self.true_months = np.array([self._docs_by_id[d].true_sentence_months for d in self.doc_ids])
         self._label_codes = {lab.label_id: i for i, lab in enumerate(self.labels)}
         self._value_codes = [{v: i for i, v in enumerate(lab.values)} for lab in self.labels]
-        for variants in self._variants_by_label.values():
-            variants.sort(key=lambda v: (v.doc_id, v.variant_value))
+        # (label_id, variant_value) -> (label, value) codes; (None, None) is a baseline.
+        self.key_codes = {
+            (lab.label_id, v): (label, i) for label, lab in enumerate(self.labels) for i, v in enumerate(lab.values)
+        }
+        self.key_codes[None, None] = (-1, -1)
+
+    def _encode_variants(self, name: str, lines: Iterable[tuple[int, dict]]) -> None:
+        """Validate variant records (``file:line`` of ``name`` for field errors) and store them as columns.
+
+        A record with string fields whose doc and (label, value) are known is
+        encoded with two dict lookups; any other goes through the field and
+        reference checks, which raise.
+        """
+        doc_codes, key_codes = self.doc_codes, self.key_codes
+        taken = {  # baseline keys, then each variant key as it is seen
+            (doc_codes[doc.doc_id], *key_codes[label_id, value])
+            for doc in self.documents
+            for label_id, value in doc.label_values.items()
+        }
+        codes: list[int] = []  # flat (doc, label, value) triples
+        facts: list[str] = []
+        for lineno, rec in lines:
+            try:
+                doc = doc_codes[rec["doc_id"]]
+                label, value = key_codes[rec["label_id"], rec["variant_value"]]
+                text = rec["facts"]
+                checked = label >= 0 and type(text) is str
+            except (KeyError, TypeError):
+                checked = False
+            if not checked:
+                doc, label, value, text = self._check_variant(rec, f"{name}:{lineno}")
+            key = (doc, label, value)
+            if key in taken:
+                lab = self.labels[label]
+                doc_id, label_id, value_id = self.doc_ids[doc], lab.label_id, lab.values[value]
+                if self._docs_by_id[doc_id].label_values.get(label_id) == value_id:
+                    raise CorpusError(
+                        f"variant for {doc_id!r}/{label_id!r} repeats the document's baseline value {value_id!r}"
+                    )
+                raise CorpusError(f"duplicate variant {(doc_id, label_id, value_id)!r}")
+            taken.add(key)
+            codes += key
+            facts.append(text)
+        columns = np.array(codes, dtype=np.intp).reshape(-1, 3)
+        # Within a label, variants sort by variant_value as a string, which may differ from declared order.
+        rank = np.zeros((len(self.labels), max((len(lab.values) for lab in self.labels), default=0)), np.intp)
+        for label, lab in enumerate(self.labels):
+            rank[label, sorted(range(len(lab.values)), key=lab.values.__getitem__)] = np.arange(len(lab.values))
+        order = np.lexsort((rank[columns[:, 1], columns[:, 2]], columns[:, 0], columns[:, 1]))
+        self._variant_columns = columns[order].T.copy()  # rows: doc, label and value codes
+        self._variant_columns.flags.writeable = False
+        self._variant_facts = [facts[i] for i in order.tolist()]
+        self._variant_bounds = np.searchsorted(self._variant_columns[1], np.arange(len(self.labels) + 1)).tolist()
+
+    def _check_variant(self, rec: dict, where: str) -> tuple[int, int, int, str]:
+        """The codes and facts of a variant record, or the CorpusError that names its first fault."""
+        fields = ["doc_id", "label_id", "variant_value", "facts"]
+        _require(rec, fields, where)
+        _require_strings(rec, fields, where)
+        doc_id, label_id, value = rec["doc_id"], rec["label_id"], rec["variant_value"]
+        doc = self.doc_codes.get(doc_id)
+        if doc is None:
+            raise CorpusError(f"variant references unknown doc_id {doc_id!r}")
+        label = self._label_codes.get(label_id)
+        if label is None:
+            raise CorpusError(f"variant for {doc_id!r} references undeclared label {label_id!r}")
+        code = self._value_codes[label].get(value)
+        if code is None:
+            raise CorpusError(f"variant for {doc_id!r}: value {value!r} not admissible for label {label_id!r}")
+        return doc, label, code, rec["facts"]
 
     @functools.cached_property
-    def _variant_codes(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        # Built on first use, so the arrays are not resident while predictions are read.
-        codes = {}
-        for lab, values in zip(self.labels, self._value_codes):
-            variants = self._variants_by_label.get(lab.label_id, [])
-            codes[lab.label_id] = (
-                np.fromiter((self._doc_codes[v.doc_id] for v in variants), np.intp, len(variants)),
-                np.fromiter((values[v.variant_value] for v in variants), np.intp, len(variants)),
-            )
-        return codes
+    def variants(self) -> list[CounterfactualVariant]:
+        """The variants as objects, facts included, in column order; built on first use."""
+        labels = self.labels
+        return [
+            CounterfactualVariant(self.doc_ids[d], labels[l].label_id, labels[l].values[v], facts)
+            for d, l, v, facts in zip(*self._variant_columns.tolist(), self._variant_facts)
+        ]
 
     @property
     def label_ids(self) -> list[str]:
@@ -184,7 +241,7 @@ class Corpus:
 
     def codes(self, doc_id: str, label_id: str | None, value: str | None) -> tuple[int, int, int]:
         """(doc, label, value) codes of a prediction key; label and value are -1 for a baseline."""
-        doc = self._doc_codes.get(doc_id)
+        doc = self.doc_codes.get(doc_id)
         if doc is None:
             raise CorpusError(f"unknown doc_id {doc_id!r}")
         if label_id is None:
@@ -197,29 +254,34 @@ class Corpus:
             raise CorpusError(f"value {value!r} not admissible for label {label_id!r}")
         return doc, label, code
 
+    def _variant_slice(self, label_id: str) -> slice:
+        label = self.label_code(label_id)  # raises on unknown label
+        return slice(self._variant_bounds[label], self._variant_bounds[label + 1])
+
     def variant_codes(self, label_id: str) -> tuple[np.ndarray, np.ndarray]:
-        """(doc codes, value codes) of one label's variants, in (doc_id, variant_value) order."""
-        self.label(label_id)  # raises on unknown label
-        return self._variant_codes[label_id]
+        """(doc codes, value codes) of one label's variants, in (doc_id, variant_value) order (read-only)."""
+        rows = self._variant_slice(label_id)
+        return self._variant_columns[0, rows], self._variant_columns[2, rows]
 
     def enumerate_variants(self, label_id: str) -> list[tuple[CaseDocument, CounterfactualVariant]]:
         """All (baseline document, variant) pairs for one label, in (doc_id, variant_value) order."""
-        self.label(label_id)  # raises on unknown label
-        return [(self._docs_by_id[v.doc_id], v) for v in self._variants_by_label.get(label_id, [])]
+        return [(self._docs_by_id[v.doc_id], v) for v in self.variants[self._variant_slice(label_id)]]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):
             return NotImplemented
+        # Equal labels and documents give equal codes, and the columns are sorted by code.
         return (
             self.labels == other.labels
             and self.documents == other.documents
-            and sorted(self.variants, key=_variant_key) == sorted(other.variants, key=_variant_key)
+            and np.array_equal(self._variant_columns, other._variant_columns)
+            and self._variant_facts == other._variant_facts
         )
 
     def __repr__(self) -> str:
         return (
             f"Corpus(labels={len(self.labels)}, documents={len(self.documents)}, "
-            f"variants={len(self.variants)})"
+            f"variants={len(self._variant_facts)})"
         )
 
 
@@ -233,12 +295,13 @@ def _variant_key(v: CounterfactualVariant) -> tuple[str, str, str]:
 _MAX_DEPTH = 1000
 
 
-def read_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, dict]]:
+def read_jsonl(path: str | Path, error: type[Exception], digest=None) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, record)`` for each non-blank line of a UTF-8 JSON Lines file.
 
     Lines are split on ``\\n`` only. orjson decodes each line; ``json.loads``
     decides the lines orjson rejects, so the accepted input and the error
     messages are the standard library's. Errors are ``error("file:line: ...")``.
+    A hashlib ``digest`` is updated with the file name and bytes.
     """
     path = Path(path)
     try:
@@ -246,6 +309,9 @@ def read_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, 
     except OSError as exc:
         raise error(f"cannot read {path}: {exc}") from exc
     name = path.name
+    if digest is not None:
+        digest.update(name.encode())
+        digest.update(data)
     for lineno, line in enumerate(data.split(b"\n"), start=1):
         if not line.strip():
             continue
@@ -283,13 +349,14 @@ def _require_strings(record: dict, fields: list[str], where: str) -> None:
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    """Load and validate a corpus bundle directory."""
+    """Load and validate a corpus bundle directory; ``digest`` is the SHA-256 of its files, for provenance."""
     root = Path(path)
     if not root.is_dir():
         raise CorpusError(f"corpus directory not found: {root}")
+    digest = hashlib.sha256()
 
     labels: list[LabelDefinition] = []
-    for lineno, rec in read_jsonl(root / "labels.jsonl", CorpusError):
+    for lineno, rec in read_jsonl(root / "labels.jsonl", CorpusError, digest):
         where = f"labels.jsonl:{lineno}"
         _require(rec, ["label_id", "kind", "values", "reference_value"], where)
         _require_strings(rec, ["label_id", "kind", "reference_value", "description"], where)
@@ -310,7 +377,7 @@ def load_corpus(path: str | Path) -> Corpus:
             raise CorpusError(f"{where}: {exc}") from None
 
     documents: list[CaseDocument] = []
-    for lineno, rec in read_jsonl(root / "documents.jsonl", CorpusError):
+    for lineno, rec in read_jsonl(root / "documents.jsonl", CorpusError, digest):
         where = f"documents.jsonl:{lineno}"
         _require(rec, ["doc_id", "facts", "true_sentence_months"], where)
         _require_strings(rec, ["doc_id", "facts"], where)
@@ -331,22 +398,10 @@ def load_corpus(path: str | Path) -> Corpus:
         except CorpusError as exc:
             raise CorpusError(f"{where}: {exc}") from None
 
-    variants: list[CounterfactualVariant] = []
-    fields = ["doc_id", "label_id", "variant_value", "facts"]
-    for lineno, rec in read_jsonl(root / "variants.jsonl", CorpusError):
-        where = f"variants.jsonl:{lineno}"
-        _require(rec, fields, where)
-        _require_strings(rec, fields, where)
-        variants.append(
-            CounterfactualVariant(
-                doc_id=rec["doc_id"],
-                label_id=rec["label_id"],
-                variant_value=rec["variant_value"],
-                facts=rec["facts"],
-            )
-        )
-
-    return Corpus(labels, documents, variants)
+    variants = read_jsonl(root / "variants.jsonl", CorpusError, digest)
+    corpus = Corpus._from_lines(labels, documents, "variants.jsonl", variants)
+    corpus.digest = digest.hexdigest()
+    return corpus
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -396,15 +451,3 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
                 )
                 + "\n"
             )
-
-
-def corpus_digest(path: str | Path) -> str:
-    """SHA-256 over the three bundle files, for run provenance."""
-    h = hashlib.sha256()
-    root = Path(path)
-    for name in ("labels.jsonl", "documents.jsonl", "variants.jsonl"):
-        f = root / name
-        if f.exists():
-            h.update(name.encode())
-            h.update(f.read_bytes())
-    return h.hexdigest()

@@ -517,9 +517,35 @@ class PredictionFormatError(Exception):
     """predictions.jsonl record violates the schema; message carries the line number."""
 
 
+def prediction_fields(rec: dict, where: str) -> tuple:
+    """One predictions.jsonl record's fields, validated, in ``PredictionRecord`` field order.
+
+    Errors are PredictionFormatError prefixed with ``where`` (``file:line``).
+    """
+    try:
+        model_name, doc_id = rec["model_name"], rec["doc_id"]
+    except KeyError:
+        missing = [f for f in ("model_name", "doc_id") if f not in rec]
+        raise PredictionFormatError(f"{where}: missing fields {missing}") from None
+    label_id, variant_value = rec.get("label_id"), rec.get("variant_value")
+    months, raw, attempts = rec.get("predicted_months"), rec.get("raw_response", ""), rec.get("attempt_count", 0)
+    try:
+        check_prediction_fields(model_name, doc_id, label_id, variant_value, months)
+    except GatewayError as exc:
+        raise PredictionFormatError(f"{where}: {exc}") from None
+    if not isinstance(raw, str):
+        raise PredictionFormatError(f"{where}: raw_response must be a string, got {reprlib.repr(raw)}")
+    try:
+        count = None if isinstance(attempts, bool) else int(attempts)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None:
+        raise PredictionFormatError(f"{where}: attempt_count must be an integer, got {reprlib.repr(attempts)}")
+    return model_name, doc_id, label_id, variant_value, months, raw, count
+
+
 def iter_prediction_fields(path: str | Path) -> Iterator[tuple]:
-    """Yield each record of a predictions.jsonl file as a validated tuple in
-    ``PredictionRecord`` field order.
+    """Yield each record of a predictions.jsonl file as a validated tuple (see ``prediction_fields``).
 
     Every non-blank line must hold exactly one JSON object (see
     ``corpus.read_jsonl``); a record split over several lines is an error
@@ -527,24 +553,7 @@ def iter_prediction_fields(path: str | Path) -> Iterator[tuple]:
     """
     name = Path(path).name
     for lineno, rec in read_jsonl(path, PredictionFormatError):
-        try:
-            model_name, doc_id = rec["model_name"], rec["doc_id"]
-        except KeyError:
-            missing = [f for f in ("model_name", "doc_id") if f not in rec]
-            raise PredictionFormatError(f"{name}:{lineno}: missing fields {missing}") from None
-        label_id, variant_value = rec.get("label_id"), rec.get("variant_value")
-        months, attempts = rec.get("predicted_months"), rec.get("attempt_count", 0)
-        try:
-            check_prediction_fields(model_name, doc_id, label_id, variant_value, months)
-        except GatewayError as exc:
-            raise PredictionFormatError(f"{name}:{lineno}: {exc}") from None
-        try:
-            attempts = int(attempts)
-        except (TypeError, ValueError, OverflowError):
-            raise PredictionFormatError(
-                f"{name}:{lineno}: attempt_count must be an integer, got {reprlib.repr(attempts)}"
-            ) from None
-        yield model_name, doc_id, label_id, variant_value, months, rec.get("raw_response", ""), attempts
+        yield prediction_fields(rec, f"{name}:{lineno}")
 
 
 def read_predictions(path: str | Path) -> list[PredictionRecord]:

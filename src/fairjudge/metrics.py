@@ -10,14 +10,15 @@ bias and imbalance regressions share one frame; only the outcome differs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from fairjudge.corpus import Corpus, CorpusError
-from fairjudge.gateway import PredictionFormatError, PredictionRecord, iter_prediction_fields
+from fairjudge.corpus import Corpus, CorpusError, read_jsonl
+from fairjudge.gateway import PredictionFormatError, PredictionRecord, prediction_fields
 from fairjudge.statcore import BernoulliTestResult, RegressionFrame, StatError, bernoulli_test
 from fairjudge import statcore
 
@@ -93,40 +94,63 @@ class PredictionTable:
         cls, records: list[PredictionRecord], corpus: Corpus, labels: Optional[list[str]] = None
     ) -> PredictionTable:
         """The table of in-memory records (see ``_encode``)."""
-        fields = ((r.model_name, r.doc_id, r.label_id, r.variant_value, r.predicted_months) for r in records)
-        return cls._encode(fields, corpus, labels)
+        return cls._encode([("records", enumerate(map(vars, records), start=1))], corpus, labels)
 
     @classmethod
     def read(
         cls, paths: Iterable[str | Path], corpus: Corpus, labels: Optional[list[str]] = None
     ) -> PredictionTable:
         """The table of predictions.jsonl files, streamed line by line (see ``_encode``)."""
-        fields = (f[:5] for path in paths for f in iter_prediction_fields(path))
-        return cls._encode(fields, corpus, labels)
+        sources = ((Path(path).name, read_jsonl(path, PredictionFormatError)) for path in paths)
+        return cls._encode(sources, corpus, labels)
 
     @classmethod
     def _encode(
-        cls, fields: Iterable[tuple], corpus: Corpus, labels: Optional[list[str]] = None
+        cls, sources: Iterable[tuple[str, Iterable[tuple[int, dict]]]], corpus: Corpus,
+        labels: Optional[list[str]] = None,
     ) -> PredictionTable:
-        """Validate (model, doc, label, value, months) tuples against the corpus and encode them.
+        """Validate prediction records against the corpus and encode them.
 
-        Model codes follow sorted model names. An unknown doc_id, an
-        undeclared label or an inadmissible value is a PredictionFormatError
-        naming the prediction.
+        ``sources`` yields (file name, (line number, record) pairs). A record
+        the inline checks accept is encoded with two dict lookups; any other
+        goes to the full validator, ``prediction_fields`` then
+        ``Corpus.codes``, which raises or accepts it. The inline checks must
+        accept nothing the full validator rejects. Model codes follow sorted
+        model names. An unknown doc_id, an undeclared label or an
+        inadmissible value is a PredictionFormatError naming the prediction.
         """
         seen: dict[str, int] = {}  # model name -> code in first-seen order
+        doc_codes, key_codes, max_months = corpus.doc_codes, corpus.key_codes, sys.float_info.max
         codes: list[int] = []  # flat (model, doc, label, value) quadruples
         months: list[Optional[float]] = []
-        for model_name, doc_id, label_id, value, predicted in fields:
-            model = seen.get(model_name)
-            if model is None:
-                model = seen[model_name] = len(seen)
-            try:
-                codes += (model, *corpus.codes(doc_id, label_id, value))
-            except CorpusError as exc:
-                key = (model_name, doc_id, label_id, value)
-                raise PredictionFormatError(f"prediction {key!r}: {exc}") from None
-            months.append(predicted)
+        for name, lines in sources:
+            for lineno, rec in lines:
+                try:
+                    model_name = rec["model_name"]
+                    model = seen.get(model_name)
+                    if model is None and type(model_name) is str:
+                        model = seen[model_name] = len(seen)
+                    doc = doc_codes[rec["doc_id"]]
+                    label, value = key_codes[rec.get("label_id"), rec.get("variant_value")]
+                    p = rec.get("predicted_months")
+                    checked = (
+                        model is not None
+                        and (p is None or (type(p) is float or type(p) is int) and 0 <= p <= max_months)
+                        and type(rec.get("attempt_count", 0)) is int
+                        and type(rec.get("raw_response", "")) is str
+                    )
+                except (KeyError, TypeError):  # a missing field, or an unhashable key
+                    checked = False
+                if not checked:
+                    model_name, doc_id, label_id, value_id, p, _, _ = prediction_fields(rec, f"{name}:{lineno}")
+                    try:
+                        doc, label, value = corpus.codes(doc_id, label_id, value_id)
+                    except CorpusError as exc:
+                        key = (model_name, doc_id, label_id, value_id)
+                        raise PredictionFormatError(f"prediction {key!r}: {exc}") from None
+                    model = seen.setdefault(model_name, len(seen))
+                codes += (model, doc, label, value)
+                months.append(p)
         models = tuple(sorted(seen))
         rank = np.array([models.index(m) for m in seen], dtype=np.intp)  # first-seen code -> sorted code
         label_ids = tuple(sorted(set(labels or corpus.label_ids)))

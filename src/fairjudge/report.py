@@ -364,7 +364,19 @@ def load_findings_jsonl(path: str | Path) -> dict[str, list[LabelFinding]]:
 
 
 def bundle_from_dict(data: dict) -> ReportBundle:
-    """Inverse of bundle_to_dict (findings travel separately in findings.jsonl)."""
+    """Inverse of bundle_to_dict (findings travel separately in findings.jsonl).
+
+    A missing field is a ReportError naming it.
+    """
+    try:
+        return _bundle_from_dict(data)
+    except KeyError as exc:
+        raise ReportError(f"summary.json: missing field {exc.args[0]!r}") from None
+    except (TypeError, AttributeError) as exc:  # a field of the wrong JSON type
+        raise ReportError(f"summary.json: malformed: {exc}") from None
+
+
+def _bundle_from_dict(data: dict) -> ReportBundle:
     summaries = [
         ModelFairnessSummary(
             model_name=s["model_name"],

@@ -136,12 +136,15 @@ def test_config_file_with_flag_override(fixture_dir, tmp_path):
 
 
 def test_analyze_streams_without_prediction_records(fixture_dir, tmp_path, monkeypatch):
+    """analyze builds no PredictionRecord and no CounterfactualVariant."""
+    import fairjudge.corpus
     from fairjudge.gateway import PredictionRecord
 
-    def refuse(self):
-        raise AssertionError("analyze built a PredictionRecord")
+    def refuse(*args):
+        raise AssertionError("analyze built a PredictionRecord or a CounterfactualVariant")
 
     monkeypatch.setattr(PredictionRecord, "__post_init__", refuse)
+    monkeypatch.setattr(fairjudge.corpus, "CounterfactualVariant", refuse)
     assert run_analyze(fixture_dir, tmp_path / "r") == EXIT_OK
 
 
@@ -309,6 +312,22 @@ def test_non_integer_attempt_count_exits_2(fixture_dir, tmp_path, capsys):
         )
 
 
+@pytest.mark.parametrize(
+    "fields, reason",
+    [
+        ({"raw_response": [1, 2]}, "raw_response must be a string, got [1, 2]"),
+        ({"attempt_count": True}, "attempt_count must be an integer, got True"),
+    ],
+    ids=["raw_response", "attempt_count"],
+)
+def test_ingest_rejects_list_raw_response_and_bool_attempt_count(fixture_dir, tmp_path, capsys, fields, reason):
+    path = with_extra_record(fixture_dir, tmp_path, **fields)
+    for code in analyze_and_ingest(fixture_dir, tmp_path, path):
+        assert code == EXIT_DATA
+        assert one_line_error(capsys) == "error: " + extra_line(fixture_dir) + reason
+    assert not (tmp_path / "r").exists() and not (tmp_path / "norm.jsonl").exists()
+
+
 @pytest.mark.parametrize("key", ["tau", "tolerance", "temperature", "concurrency", "retries"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_non_numeric_config_value_exits_1(fixture_dir, tmp_path, capsys, key, source):
@@ -435,4 +454,17 @@ def test_report_without_findings_exits_2(fixture_dir, tmp_path, capsys):
     argv = ["report", "--summary", str(out / "summary.json"), "--out", str(tmp_path / "again")]
     assert main(argv) == EXIT_DATA
     assert one_line_error(capsys).startswith("error: cannot read ")
+    assert not (tmp_path / "again").exists()
+
+
+def test_report_on_summary_missing_a_field_exits_2(fixture_dir, tmp_path, capsys):
+    out = tmp_path / "report"
+    assert run_analyze(fixture_dir, out) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    del summary["summaries"][0]["bias_count"]
+    (out / "summary.json").write_text(json.dumps(summary))
+    capsys.readouterr()
+    argv = ["report", "--summary", str(out / "summary.json"), "--out", str(tmp_path / "again")]
+    assert main(argv) == EXIT_DATA
+    assert one_line_error(capsys) == "error: summary.json: missing field 'bias_count'"
     assert not (tmp_path / "again").exists()

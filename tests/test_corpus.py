@@ -1,6 +1,8 @@
 """Corpus loading, validation, enumeration, and fixture determinism."""
 
+import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ from fairjudge.corpus import (
     CaseDocument,
     Corpus,
     CorpusError,
+    CounterfactualVariant,
     LabelDefinition,
     load_corpus,
     save_corpus,
@@ -109,6 +112,72 @@ def test_round_trip_serialization(bundle, tmp_path):
     out = tmp_path / "copy"
     save_corpus(corpus, out)
     assert load_corpus(out) == corpus
+
+
+@pytest.mark.parametrize(
+    "variant, message",
+    [
+        ({"doc_id": "ghost"}, "variant references unknown doc_id 'ghost'"),
+        ({"label_id": "age"}, "variant for 'd1' references undeclared label 'age'"),
+        ({"variant_value": "other"}, "variant for 'd1': value 'other' not admissible for label 'gender'"),
+        ({"variant_value": "female"}, "variant for 'd1'/'gender' repeats the document's baseline value 'female'"),
+        ({}, "duplicate variant ('d1', 'gender', 'male')"),
+        ({"label_id": None, "variant_value": None}, "variants.jsonl:5: label_id must be a string, got None"),
+    ],
+    ids=["unknown doc", "undeclared label", "inadmissible value", "baseline value", "duplicate", "null label"],
+)
+def test_variant_faults_keep_their_messages(tmp_path, variant, message):
+    root = tmp_path / "corpus"
+    write_bundle(root, LABELS, DOCS, VARIANTS + [dict(VARIANTS[0], **variant)])
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(root)
+    assert str(exc.value) == message
+
+
+def shuffled_corpus(seed=0):
+    """Documents and variants in no sorted order, and declared value orders unlike string order.
+
+    Returns the corpus and the variants it was built from.
+    """
+    rng = random.Random(seed)
+    labels = [
+        LabelDefinition("Z", "categorical", ("v2", "v10", "v1"), "v2"),
+        LabelDefinition("A", "binary", ("yes", "no"), "no"),
+    ]
+    docs, variants = [], []
+    for i in rng.sample(range(12), 12):
+        doc_id = f"d{i}"  # "d10" sorts before "d2"
+        base = {"Z": ("v2", "v10")[i % 2], "A": "no"}
+        docs.append(CaseDocument(doc_id, f"case {i}", 6.0 + i, base))
+        variants += [CounterfactualVariant(doc_id, "Z", v, f"case {i}, Z={v}") for v in ("v2", "v10", "v1")
+                     if v != base["Z"]]
+        if i % 3:
+            variants.append(CounterfactualVariant(doc_id, "A", "yes", f"case {i}, A=yes"))
+    rng.shuffle(variants)
+    return Corpus(labels, docs, variants), variants
+
+
+def test_columnar_variants_round_trip_in_string_order(tmp_path):
+    corpus, variants = shuffled_corpus()
+    save_corpus(corpus, tmp_path)
+    loaded = load_corpus(tmp_path)
+    assert loaded == corpus
+    key = lambda v: (v.doc_id, v.label_id, v.variant_value)
+    assert sorted(loaded.variants, key=key) == sorted(corpus.variants, key=key) == sorted(variants, key=key)
+    for label_id in corpus.label_ids:
+        label = corpus.label(label_id)
+        expected = sorted((v.doc_id, v.variant_value) for v in variants if v.label_id == label_id)
+        for c in (corpus, loaded):
+            docs, values = c.variant_codes(label_id)
+            assert [(c.doc_ids[d], label.values[v]) for d, v in zip(docs, values)] == expected
+    assert corpus.variant_codes("Z")[1][:3].tolist() == [2, 1, 2]  # d0: v1, v10; d1: v1
+    assert Corpus(corpus.labels, corpus.documents, variants[1:]) != corpus
+
+    digest = hashlib.sha256()
+    for name in ("labels.jsonl", "documents.jsonl", "variants.jsonl"):
+        digest.update(name.encode())
+        digest.update((tmp_path / name).read_bytes())
+    assert loaded.digest == digest.hexdigest() and corpus.digest is None
 
 
 def test_enumerate_variants_order_and_coverage(bundle):

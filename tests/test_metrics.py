@@ -10,7 +10,7 @@ import pytest
 
 from fairjudge.corpus import CaseDocument, Corpus, CounterfactualVariant, LabelDefinition, load_corpus
 from fairjudge.fixtures import default_label_specs, default_spec, generate_fixture, simulate_predictions, write_fixture
-from fairjudge.gateway import PredictionFormatError, PredictionRecord, read_predictions
+from fairjudge.gateway import PredictionFormatError, PredictionRecord, read_predictions, write_predictions
 from fairjudge.metrics import (
     MetricsError,
     PredictionTable,
@@ -22,6 +22,7 @@ from fairjudge.metrics import (
     summarize_model,
 )
 from fairjudge.statcore import RegressionFrame, fe_regress
+from test_corpus import shuffled_corpus
 
 MODEL = "m"
 
@@ -335,6 +336,38 @@ def test_streamed_table_equals_table_of_records(tmp_path, labels):
     assert streamed.label_ids == built.label_ids
     for column in ("model", "doc", "label", "value", "months"):
         np.testing.assert_array_equal(getattr(streamed, column), getattr(built, column), err_msg=column)
+
+
+@pytest.mark.parametrize("labels", [None, ["A"]])
+def test_read_equals_build_and_a_codes_reference(tmp_path, labels):
+    """Shuffled lines over three files, integer, float and null months, value orders unlike string order."""
+    corpus, variants = shuffled_corpus()
+    rng = random.Random(5)
+    keys = [(d.doc_id, None, None) for d in corpus.documents] + [
+        (v.doc_id, v.label_id, v.variant_value) for v in variants
+    ]
+    records = [
+        record(doc_id, rng.choice([None, rng.randint(0, 60), rng.uniform(0, 60)]), label_id, value, model=model)
+        for model in ("m-b", "m-a") for doc_id, label_id, value in keys
+    ]
+    rng.shuffle(records)
+    paths = [tmp_path / f"p{i}.jsonl" for i in range(3)]
+    for i, path in enumerate(paths):
+        write_predictions(records[i::3], path)
+    in_file_order = [r for p in paths for r in read_predictions(p)]
+    streamed = PredictionTable.read(paths, corpus, labels=labels)
+    built = PredictionTable.build(in_file_order, corpus, labels=labels)
+    models = ("m-a", "m-b")
+    kept = [r for r in in_file_order if r.label_id in (None, *(labels or corpus.label_ids))]
+    codes = [(models.index(r.model_name), *corpus.codes(r.doc_id, r.label_id, r.variant_value)) for r in kept]
+    reference = dict(zip(("model", "doc", "label", "value"), zip(*codes)))
+    reference["months"] = [math.nan if r.predicted_months is None else r.predicted_months for r in kept]
+    assert streamed.models == built.models == models
+    assert streamed.label_ids == built.label_ids == tuple(sorted(labels or corpus.label_ids))
+    assert any(isinstance(r.predicted_months, int) for r in kept) and any(r.predicted_months is None for r in kept)
+    for column, expected in reference.items():
+        np.testing.assert_array_equal(getattr(streamed, column), getattr(built, column), err_msg=column)
+        np.testing.assert_array_equal(getattr(streamed, column), expected, err_msg=column)
 
 
 def loop_reference(records, corpus, model):

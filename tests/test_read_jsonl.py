@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairjudge
-from fairjudge.corpus import CorpusError, load_corpus, read_jsonl, save_corpus
+from fairjudge.corpus import CaseDocument, Corpus, CorpusError, load_corpus, read_jsonl, save_corpus
 from fairjudge.fixtures import default_label_specs, generate_fixture
 from fairjudge.gateway import PredictionFormatError, iter_prediction_fields, read_predictions
+from fairjudge.metrics import PredictionTable
 
 # Line separators other than "\n" that str.splitlines() also splits on.
 OTHER_BREAKS = "\u2028\u2029\x85\x0b\x0c\x1c\r"
@@ -72,19 +73,26 @@ LINE = json.dumps(BASELINE)
         (LINE.replace("12", "1" + "0" * 4999), r"invalid JSON: Exceeds the limit \(4300 digits\)"),
         ("\ufeff" + LINE, r"invalid JSON: Unexpected UTF-8 BOM \(decode using utf-8-sig\): line 1 column 1"),
         ("[" + LINE + "]", r"record is not an object$"),
+        (LINE[:-1] + ', "raw_response": [1, 2]}', r"raw_response must be a string, got \[1, 2\]$"),
+        (LINE.replace('"attempt_count": 1', '"attempt_count": true'), r"attempt_count must be an integer, got True$"),
     ],
     ids=["extra data", "split record", "two objects", "NaN", "lone surrogate", "400 digits",
-         "5000 digits", "BOM", "non-object"],
+         "5000 digits", "BOM", "non-object", "list raw_response", "bool attempt_count"],
 )
 def test_line_outcomes_keep_their_messages(tmp_path, second_line, outcome):
+    """Both readers, ``ingest``'s and ``analyze``'s, accept or reject each line alike."""
     path = tmp_path / "p.jsonl"
     path.write_text(LINE + "\n" + second_line + "\n", encoding="utf-8")
+    corpus = Corpus([], [CaseDocument("d", "facts", 12.0)], [])
     if isinstance(outcome, dict):
         rows = list(iter_prediction_fields(path))
         assert len(rows) == 2 and rows[1][5] == outcome["raw_response"]
+        assert PredictionTable.read([path], corpus).doc.tolist() == [0, 0]
     else:
         with pytest.raises(PredictionFormatError, match=r"^p\.jsonl:2: " + outcome):
             list(iter_prediction_fields(path))
+        with pytest.raises(PredictionFormatError, match=r"^p\.jsonl:2: " + outcome):
+            PredictionTable.read([path], corpus)
 
 
 def test_raw_line_separators_stay_inside_strings(tmp_path):
