@@ -1,58 +1,3 @@
 """Batch audit engine for measuring judicial fairness of LLM sentencing predictions."""
 
 __version__ = "0.1.0"
-
-from fairjudge.corpus import (
-    CaseDocument,
-    Corpus,
-    CorpusError,
-    CounterfactualVariant,
-    LabelDefinition,
-    load_corpus,
-    save_corpus,
-)
-from fairjudge.statcore import (
-    BernoulliTestResult,
-    RegressionFrame,
-    RegressionResult,
-    UnidentifiedLabelError,
-    binomial_tail,
-    fe_regress,
-)
-from fairjudge.gateway import ModelConfig, PredictionRecord, build_prompt, parse_prediction
-from fairjudge.metrics import (
-    InconsistencyRow,
-    LabelFinding,
-    ModelFairnessSummary,
-    bias_analysis,
-    imbalance_analysis,
-    inconsistency,
-    pooled_bernoulli,
-)
-
-__all__ = [
-    "BernoulliTestResult",
-    "CaseDocument",
-    "Corpus",
-    "CorpusError",
-    "CounterfactualVariant",
-    "InconsistencyRow",
-    "LabelDefinition",
-    "LabelFinding",
-    "ModelConfig",
-    "ModelFairnessSummary",
-    "PredictionRecord",
-    "RegressionFrame",
-    "RegressionResult",
-    "UnidentifiedLabelError",
-    "bias_analysis",
-    "binomial_tail",
-    "build_prompt",
-    "fe_regress",
-    "imbalance_analysis",
-    "inconsistency",
-    "load_corpus",
-    "parse_prediction",
-    "pooled_bernoulli",
-    "save_corpus",
-]

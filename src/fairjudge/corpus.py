@@ -12,7 +12,7 @@ import hashlib
 import json
 import reprlib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -263,6 +263,17 @@ class Corpus:
         rows = self._variant_slice(label_id)
         return self._variant_columns[0, rows], self._variant_columns[2, rows]
 
+    def in_corpus(self, doc: np.ndarray, label: np.ndarray, value: np.ndarray) -> np.ndarray:
+        """Whether each key of codes (see ``codes``) names a document's baseline or one of its variants.
+
+        As in ``metrics._model_grid``, one extra label and value slot at the end holds the baselines.
+        """
+        n_values = max((len(lab.values) for lab in self.labels), default=0)
+        known = np.zeros((len(self.doc_ids), len(self.labels) + 1, n_values + 1), dtype=bool)
+        known[tuple(self._variant_columns)] = True
+        known[:, -1, -1] = True
+        return known[doc, label, value]
+
     def enumerate_variants(self, label_id: str) -> list[tuple[CaseDocument, CounterfactualVariant]]:
         """All (baseline document, variant) pairs for one label, in (doc_id, variant_value) order."""
         return [(self._docs_by_id[v.doc_id], v) for v in self.variants[self._variant_slice(label_id)]]
@@ -283,10 +294,6 @@ class Corpus:
             f"Corpus(labels={len(self.labels)}, documents={len(self.documents)}, "
             f"variants={len(self._variant_facts)})"
         )
-
-
-def _variant_key(v: CounterfactualVariant) -> tuple[str, str, str]:
-    return (v.doc_id, v.label_id, v.variant_value)
 
 
 # A line with more opening brackets than this may nest deeper than orjson's
@@ -405,49 +412,10 @@ def load_corpus(path: str | Path) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus bundle; output is deterministic for equal corpora."""
+    """Write a corpus bundle, one record per line with its dataclass fields; deterministic for equal corpora."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    with (root / "labels.jsonl").open("w", encoding="utf-8") as fh:
-        for lab in corpus.labels:
-            fh.write(
-                json.dumps(
-                    {
-                        "label_id": lab.label_id,
-                        "kind": lab.kind,
-                        "values": list(lab.values),
-                        "reference_value": lab.reference_value,
-                        "description": lab.description,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    with (root / "documents.jsonl").open("w", encoding="utf-8") as fh:
-        for doc in corpus.documents:
-            fh.write(
-                json.dumps(
-                    {
-                        "doc_id": doc.doc_id,
-                        "facts": doc.facts,
-                        "true_sentence_months": doc.true_sentence_months,
-                        "label_values": doc.label_values,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    with (root / "variants.jsonl").open("w", encoding="utf-8") as fh:
-        for var in sorted(corpus.variants, key=_variant_key):
-            fh.write(
-                json.dumps(
-                    {
-                        "doc_id": var.doc_id,
-                        "label_id": var.label_id,
-                        "variant_value": var.variant_value,
-                        "facts": var.facts,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    variants = sorted(corpus.variants, key=lambda v: (v.doc_id, v.label_id, v.variant_value))
+    for name, records in (("labels", corpus.labels), ("documents", corpus.documents), ("variants", variants)):
+        with (root / f"{name}.jsonl").open("w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(asdict(r), sort_keys=True) + "\n" for r in records)

@@ -18,7 +18,7 @@ from fairjudge.corpus import (
     LabelDefinition,
     save_corpus,
 )
-from fairjudge.gateway import PredictionRecord
+from fairjudge.gateway import PredictionRecord, write_predictions
 
 
 @dataclass(frozen=True)
@@ -238,8 +238,6 @@ def write_fixture(spec: FixtureSpec, seed: int, out_dir: str | Path, with_predic
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     if with_predictions:
-        from fairjudge.gateway import write_predictions
-
         for m, model in enumerate(spec.stub_models):
             records = simulate_predictions(
                 corpus,

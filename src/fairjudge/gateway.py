@@ -27,7 +27,7 @@ import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -375,17 +375,17 @@ class _Client:
                 time.sleep(delay)
         return None, cfg.max_retries + 1
 
-    def fetch(self, prompt: str) -> tuple[str, int, bool]:
-        """Return (raw content, attempts, from_cache); raw is "" on total failure."""
+    def fetch(self, prompt: str) -> tuple[str, int]:
+        """Return (raw content, attempts); raw is "" on total failure."""
         key = _Cache.key(self.config.model_name, self.config.temperature, prompt)
         cached = self.cache.get(key)
         if cached is not None:
-            return cached.get("content", ""), int(cached.get("attempts", 1)), True
+            return cached.get("content", ""), int(cached.get("attempts", 1))
         content, attempts = self._post_with_retries(prompt)
         if content is None:
-            return "", attempts, False
+            return "", attempts
         self.cache.put(key, {"content": content, "attempts": attempts})
-        return content, attempts, False
+        return content, attempts
 
 
 def _split_url(url: str, what: str, schemes: tuple[str, ...]) -> tuple[urllib.parse.SplitResult, int]:
@@ -458,11 +458,11 @@ def run_generation(
 
     def process(item: _WorkItem) -> PredictionRecord:
         prompt = build_prompt(item.facts, template)
-        raw, attempts, _ = client.fetch(prompt)
+        raw, attempts = client.fetch(prompt)
         months = parse_prediction(raw)
         if months is None and raw != "":
             # Parse failure on a live response: re-ask once, JSON only.
-            raw2, attempts2, _ = client.fetch(prompt + STRICT_SUFFIX)
+            raw2, attempts2 = client.fetch(prompt + STRICT_SUFFIX)
             attempts += attempts2
             months2 = parse_prediction(raw2)
             if months2 is not None:
@@ -493,24 +493,9 @@ def run_generation(
 
 
 def write_predictions(records: list[PredictionRecord], path: str | Path) -> None:
-    """Write predictions.jsonl (also the manual-upload ingestion format)."""
+    """Write predictions.jsonl (also the manual-upload ingestion format), one record per line."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "model_name": r.model_name,
-                        "doc_id": r.doc_id,
-                        "label_id": r.label_id,
-                        "variant_value": r.variant_value,
-                        "predicted_months": r.predicted_months,
-                        "raw_response": r.raw_response,
-                        "attempt_count": r.attempt_count,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        fh.writelines(json.dumps(asdict(r), sort_keys=True) + "\n" for r in records)
 
 
 class PredictionFormatError(Exception):

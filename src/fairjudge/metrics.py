@@ -116,8 +116,9 @@ class PredictionTable:
         goes to the full validator, ``prediction_fields`` then
         ``Corpus.codes``, which raises or accepts it. The inline checks must
         accept nothing the full validator rejects. Model codes follow sorted
-        model names. An unknown doc_id, an undeclared label or an
-        inadmissible value is a PredictionFormatError naming the prediction.
+        model names. An unknown doc_id, an undeclared label, an inadmissible
+        value or a key that names no variant of the corpus is a
+        PredictionFormatError naming the prediction.
         """
         seen: dict[str, int] = {}  # model name -> code in first-seen order
         doc_codes, key_codes, max_months = corpus.doc_codes, corpus.key_codes, sys.float_info.max
@@ -155,6 +156,12 @@ class PredictionTable:
         rank = np.array([models.index(m) for m in seen], dtype=np.intp)  # first-seen code -> sorted code
         label_ids = tuple(sorted(set(labels or corpus.label_ids)))
         columns = np.array(codes, dtype=np.intp).reshape(-1, 4)
+        stray = np.flatnonzero(~corpus.in_corpus(*columns[:, 1:].T))
+        if stray.size:  # e.g. a variant key that repeats the document's baseline value
+            model, doc, label, value = columns[stray[0]].tolist()
+            lab = corpus.labels[label]
+            key = (list(seen)[model], corpus.doc_ids[doc], lab.label_id, lab.values[value])
+            raise PredictionFormatError(f"prediction {key!r}: no such variant in the corpus")
         keep = np.isin(columns[:, 2], [-1] + [corpus.label_code(l) for l in label_ids])
         model, doc, label, value = columns[keep].T
         return cls(models, label_ids, rank[model], doc, label, value, np.array(months, dtype=float)[keep])

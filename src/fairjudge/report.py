@@ -12,7 +12,7 @@ import html
 import json
 import math
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -68,67 +68,22 @@ def _fmt_p(x: Optional[float]) -> str:
     return "" if x is None else f"{x:.2f}"
 
 
-def _bern_dict(b: BernoulliTestResult) -> dict:
-    return {
-        "n_trials": b.n_trials,
-        "n_significant": b.n_significant,
-        "threshold": b.threshold,
-        "p_value": b.p_value,
-    }
-
-
-def _bern_from_dict(d: dict) -> BernoulliTestResult:
-    return BernoulliTestResult(
-        n_trials=d["n_trials"],
-        n_significant=d["n_significant"],
-        threshold=d["threshold"],
-        p_value=d["p_value"],
-    )
-
-
 def bundle_to_dict(bundle: ReportBundle) -> dict:
+    """summary.json's content: each record is its dataclass's fields."""
     return {
-        "summaries": [
-            {
-                "model_name": s.model_name,
-                "inconsistency": s.inconsistency,
-                "bias_count": s.bias_count,
-                "imbalance_count": s.imbalance_count,
-                "bias_bernoulli": _bern_dict(s.bias_bernoulli),
-                "imbalance_bernoulli": _bern_dict(s.imbalance_bernoulli),
-                "n_labels_tested": s.n_labels_tested,
-            }
-            for s in sorted(bundle.summaries, key=lambda s: s.model_name)
-        ],
+        "summaries": [asdict(s) for s in sorted(bundle.summaries, key=lambda s: s.model_name)],
         "mean_inconsistency": mean_inconsistency(bundle.summaries),
-        "pooled": {m: _bern_dict(b) for m, b in sorted(bundle.pooled.items())},
+        "pooled": {m: asdict(b) for m, b in sorted(bundle.pooled.items())},
         "inconsistency_rows": {
-            model: [
-                {
-                    "label_id": r.label_id,
-                    "p_l": r.p_l,
-                    "w_l": r.w_l,
-                    "n_missing": r.n_missing,
-                    "n_changed": r.n_changed,
-                }
-                for r in rows
-            ]
-            for model, rows in sorted(bundle.inconsistency_rows.items())
+            model: [asdict(r) for r in rows] for model, rows in sorted(bundle.inconsistency_rows.items())
         },
         "run_metadata": bundle.run_metadata,
     }
 
 
 def _finding_dict(model: str, f: LabelFinding) -> dict:
-    return {
-        "model_name": model,
-        "label_id": f.label_id,
-        "metric": f.metric,
-        "joint_p": None if math.isnan(f.joint_p) else f.joint_p,
-        "min_coef_p": f.min_coef_p,
-        "significant": f.significant,
-        "direction_summary": [[v, c] for v, c in f.direction_summary],
-    }
+    """One findings.jsonl line: the finding's fields plus its model; a NaN joint_p is written as null."""
+    return {**asdict(f), "model_name": model, "joint_p": None if math.isnan(f.joint_p) else f.joint_p}
 
 
 def emit_tables(
@@ -344,20 +299,33 @@ def load_summary_json(path: str | Path) -> dict:
         raise ReportError(f"cannot read {path}: {exc}") from None
 
 
+# The JSON types of a field read back; json.loads yields exactly these types, so a bool is no integer here.
+_JSON_TYPES = {"a string": (str,), "an integer": (int,), "a number": (int, float), "a boolean": (bool,)}
+
+
+def _field(record: dict, name: str, what: str, nullable: bool = False):
+    """record[name]; a TypeError naming the field unless it is ``what`` (or null, where ``nullable``)."""
+    value = record[name]
+    if not (value is None and nullable or type(value) in _JSON_TYPES[what]):
+        raise TypeError(f"{name} must be {what}{' or null' if nullable else ''}, got {reprlib.repr(value)}")
+    return value
+
+
 def load_findings_jsonl(path: str | Path) -> dict[str, list[LabelFinding]]:
     """Inverse of the findings.jsonl that ``emit_tables`` writes: model -> findings."""
     findings: dict[str, list[LabelFinding]] = {}
     for lineno, rec in read_jsonl(path, ReportError):
         try:
+            joint_p = _field(rec, "joint_p", "a number", nullable=True)
             finding = LabelFinding(
-                label_id=rec["label_id"],
-                metric=rec["metric"],
-                joint_p=math.nan if rec["joint_p"] is None else rec["joint_p"],
-                min_coef_p=rec["min_coef_p"],
-                significant=rec["significant"],
+                label_id=_field(rec, "label_id", "a string"),
+                metric=_field(rec, "metric", "a string"),
+                joint_p=math.nan if joint_p is None else joint_p,
+                min_coef_p=_field(rec, "min_coef_p", "a number"),
+                significant=_field(rec, "significant", "a boolean"),
                 direction_summary=tuple((v, c) for v, c in rec["direction_summary"]),
             )
-            findings.setdefault(rec["model_name"], []).append(finding)
+            findings.setdefault(_field(rec, "model_name", "a string"), []).append(finding)
         except (KeyError, TypeError, ValueError):
             raise ReportError(f"{Path(path).name}:{lineno}: not a finding: {reprlib.repr(rec)}") from None
     return findings
@@ -366,37 +334,46 @@ def load_findings_jsonl(path: str | Path) -> dict[str, list[LabelFinding]]:
 def bundle_from_dict(data: dict) -> ReportBundle:
     """Inverse of bundle_to_dict (findings travel separately in findings.jsonl).
 
-    A missing field is a ReportError naming it.
+    A missing field is a ReportError naming it; so is a field of the wrong type.
     """
     try:
         return _bundle_from_dict(data)
     except KeyError as exc:
         raise ReportError(f"summary.json: missing field {exc.args[0]!r}") from None
-    except (TypeError, AttributeError) as exc:  # a field of the wrong JSON type
+    except (TypeError, AttributeError, ValueError) as exc:  # a field of the wrong JSON type or shape
         raise ReportError(f"summary.json: malformed: {exc}") from None
+
+
+def _bern_from_dict(d: dict) -> BernoulliTestResult:
+    return BernoulliTestResult(
+        n_trials=_field(d, "n_trials", "an integer"),
+        n_significant=_field(d, "n_significant", "an integer"),
+        threshold=_field(d, "threshold", "a number"),
+        p_value=_field(d, "p_value", "a number"),
+    )
 
 
 def _bundle_from_dict(data: dict) -> ReportBundle:
     summaries = [
         ModelFairnessSummary(
-            model_name=s["model_name"],
-            inconsistency=s["inconsistency"],
-            bias_count=s["bias_count"],
-            imbalance_count=s["imbalance_count"],
+            model_name=_field(s, "model_name", "a string"),
+            inconsistency=_field(s, "inconsistency", "a number", nullable=True),
+            bias_count=_field(s, "bias_count", "an integer"),
+            imbalance_count=_field(s, "imbalance_count", "an integer"),
             bias_bernoulli=_bern_from_dict(s["bias_bernoulli"]),
             imbalance_bernoulli=_bern_from_dict(s["imbalance_bernoulli"]),
-            n_labels_tested=s["n_labels_tested"],
+            n_labels_tested=_field(s, "n_labels_tested", "an integer"),
         )
         for s in data["summaries"]
     ]
     rows = {
         model: [
             InconsistencyRow(
-                label_id=r["label_id"],
-                p_l=r["p_l"],
-                w_l=r["w_l"],
-                n_missing=r["n_missing"],
-                n_changed=r.get("n_changed", 0),
+                label_id=_field(r, "label_id", "a string"),
+                p_l=_field(r, "p_l", "a number", nullable=True),
+                w_l=_field(r, "w_l", "an integer"),
+                n_missing=_field(r, "n_missing", "an integer"),
+                n_changed=_field({"n_changed": 0, **r}, "n_changed", "an integer"),  # absent in older files
             )
             for r in rlist
         ]

@@ -2,13 +2,12 @@
 
 One-way fixed-effects OLS via within-group demeaning, cluster-robust
 covariance with the conventional small-sample correction, t / Wald
-inference, and exact log-space binomial tail probabilities. All functions
+inference, and binomial tail probabilities. All functions
 are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -79,26 +78,6 @@ class RegressionResult:
 
     def std_errors(self) -> np.ndarray:
         return np.sqrt(np.diag(self.covariance))
-
-    def to_json(self) -> str:
-        """Diagnostic dump, NaN-safe."""
-        def clean(x):
-            return [None if (isinstance(v, float) and math.isnan(v)) else v for v in x]
-
-        return json.dumps(
-            {
-                "coefficients": clean(self.coefficients.tolist()),
-                "covariance": [clean(row) for row in self.covariance.tolist()],
-                "per_coef_p": clean(self.per_coef_p.tolist()),
-                "joint_p": self.joint_p,
-                "residual_dof": self.residual_dof,
-                "n_obs": self.n_obs,
-                "n_groups": self.n_groups,
-                "n_dropped_singletons": self.n_dropped_singletons,
-                "column_names": list(self.column_names),
-                "identified": list(self.identified),
-            }
-        )
 
 
 @dataclass(frozen=True)
@@ -306,31 +285,14 @@ def _wald_joint_p(beta: np.ndarray, cov: np.ndarray, n_identified: int, dof: int
 
 
 def binomial_tail(n_trials: int, k: int, tau: float) -> float:
-    """Upper binomial tail P[K >= k], K ~ Binomial(n_trials, tau).
-
-    Computed in log space with smallest-terms-first summation, so it stays
-    exact far below double underflow of individual naive products.
-    """
+    """Upper binomial tail P[K >= k], K ~ Binomial(n_trials, tau), via the regularized incomplete beta."""
     if n_trials < 0 or not (0 <= k <= n_trials):
         raise StatError(f"need 0 <= k <= N, got k={k}, N={n_trials}")
     if not (0 < tau < 1):
         raise StatError(f"tau must be in (0, 1), got {tau}")
     if k == 0:
         return 1.0
-
-    log_tau = math.log(tau)
-    log_1m = math.log1p(-tau)
-    lg_n1 = math.lgamma(n_trials + 1)
-    terms = [
-        lg_n1 - math.lgamma(l + 1) - math.lgamma(n_trials - l + 1) + l * log_tau + (n_trials - l) * log_1m
-        for l in range(k, n_trials + 1)
-    ]
-    terms.sort()
-    peak = terms[-1]
-    total = 0.0
-    for t in terms:
-        total += math.exp(t - peak)
-    return min(1.0, math.exp(peak + math.log(total)))
+    return float(special.bdtrc(k - 1, n_trials, tau))
 
 
 def bernoulli_test(n_trials: int, n_significant: int, tau: float) -> BernoulliTestResult:

@@ -267,6 +267,8 @@ def test_non_numeric_predicted_months_exits_2(fixture_dir, tmp_path, capsys, mon
         ({"doc_id": "D99999"}, "unknown doc_id 'D99999'"),
         ({"label_id": "age", "variant_value": "old"}, "undeclared label 'age'"),
         ({"label_id": "gender", "variant_value": "other"}, "value 'other' not admissible for label 'gender'"),
+        ({"label_id": "gender", "variant_value": "female"},  # the document's baseline value
+         "'D00001', 'gender', 'female'): no such variant in the corpus"),
     ],
 )
 def test_record_the_corpus_does_not_know_exits_2(fixture_dir, tmp_path, capsys, fields, reason):
@@ -358,6 +360,20 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
     src = os.path.dirname(os.path.dirname(fairjudge.__file__))
     code = "import sys, fairjudge.cli; sys.exit('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0
+
+
+@pytest.mark.parametrize("module", ["fairjudge.gateway", "fairjudge.corpus"])
+def test_generate_side_imports_leave_scipy_unloaded(module):
+    import os
+    import subprocess
+    import sys
+
+    import fairjudge
+
+    src = os.path.dirname(os.path.dirname(fairjudge.__file__))
+    code = f"import sys, {module}; sys.exit('scipy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
     assert result.returncode == 0
 
@@ -468,3 +484,48 @@ def test_report_on_summary_missing_a_field_exits_2(fixture_dir, tmp_path, capsys
     assert main(argv) == EXIT_DATA
     assert one_line_error(capsys) == "error: summary.json: missing field 'bias_count'"
     assert not (tmp_path / "again").exists()
+
+
+@pytest.mark.parametrize(
+    "path, value, reason",
+    [
+        (("summaries", 0, "inconsistency"), "abc", "inconsistency must be a number or null, got 'abc'"),
+        (("summaries", 0, "bias_count"), 1.5, "bias_count must be an integer, got 1.5"),
+        (("summaries", 0, "imbalance_bernoulli", "n_trials"), True, "n_trials must be an integer, got True"),
+        (("summaries", 0, "model_name"), 7, "model_name must be a string, got 7"),
+        (("pooled", "bias", "p_value"), None, "p_value must be a number, got None"),
+        (("inconsistency_rows", "stub-a", 0, "n_missing"), "0", "n_missing must be an integer, got '0'"),
+        (("inconsistency_rows", "nobody"), [], "inconsistency rows for unknown models: ['nobody']"),
+    ],
+    ids=["inconsistency", "bias_count", "n_trials", "model_name", "pooled-p_value", "n_missing", "rows-of-no-model"],
+)
+def test_report_on_summary_field_of_wrong_type_exits_2(fixture_dir, tmp_path, capsys, path, value, reason):
+    out = tmp_path / "report"
+    assert run_analyze(fixture_dir, out) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    parent = summary
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    (out / "summary.json").write_text(json.dumps(summary))
+    capsys.readouterr()
+    argv = ["report", "--summary", str(out / "summary.json"), "--out", str(tmp_path / "again")]
+    assert main(argv) == EXIT_DATA
+    assert one_line_error(capsys) == "error: summary.json: malformed: " + reason
+    assert not (tmp_path / "again").exists()
+
+
+@pytest.mark.parametrize(
+    "fields", [{"joint_p": "0.5"}, {"min_coef_p": None}, {"significant": 1}, {"model_name": 3}]
+)
+def test_report_in_place_on_finding_of_wrong_type_keeps_every_byte(fixture_dir, tmp_path, capsys, fields):
+    out = tmp_path / "report"
+    assert run_analyze(fixture_dir, out) == EXIT_OK
+    findings = out / "findings.jsonl"
+    first, *rest = findings.read_text().splitlines()
+    findings.write_text("\n".join([json.dumps(dict(json.loads(first), **fields))] + rest) + "\n")
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    capsys.readouterr()
+    assert main(["report", "--summary", str(out / "summary.json"), "--out", str(out)]) == EXIT_DATA
+    assert one_line_error(capsys).startswith("error: findings.jsonl:1: not a finding: ")
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before

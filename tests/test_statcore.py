@@ -268,8 +268,6 @@ def test_fe_regress_result_shape_and_bounds():
     for p in res.per_coef_p:
         assert math.isnan(p) or 0 <= p <= 1
     assert res.residual_dof == res.n_obs - res.n_groups - sum(res.identified)
-    json_dump = res.to_json()
-    assert '"joint_p"' in json_dump
 
 
 # --- binomial_tail ---------------------------------------------------------
