@@ -16,6 +16,7 @@ import click
 
 from fairjudge import __version__
 from fairjudge.corpus import CorpusError, load_corpus
+from fairjudge.fanout import fan_out
 from fairjudge.fixtures import FixtureSpec, default_spec, write_fixture
 from fairjudge.gateway import (
     AuthenticationError,
@@ -230,11 +231,13 @@ def analyze(config_path, corpus_dir, prediction_paths, tau, labels, log1p, toler
 
     summaries, findings_by_model, rows_by_model = [], {}, {}
     diagnostics = {}
+    fits = fan_out(
+        lambda model: summarize_model(table, corpus, model, tau=tau, log1p=log1p, tolerance=tolerance),
+        table.models,
+    )
     for model in table.models:
         click.echo(f"analyzing {model} ...", err=True)
-        summary, findings, rows, diag = summarize_model(
-            table, corpus, model, tau=tau, log1p=log1p, tolerance=tolerance
-        )
+        summary, findings, rows, diag = next(fits)
         summaries.append(summary)
         findings_by_model[model] = findings
         rows_by_model[model] = rows

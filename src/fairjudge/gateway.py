@@ -520,8 +520,9 @@ def prediction_fields(rec: dict, where: str) -> tuple:
         raise PredictionFormatError(f"{where}: {exc}") from None
     if not isinstance(raw, str):
         raise PredictionFormatError(f"{where}: raw_response must be a string, got {reprlib.repr(raw)}")
+    fractional = isinstance(attempts, float) and not attempts.is_integer()
     try:
-        count = None if isinstance(attempts, bool) else int(attempts)
+        count = None if isinstance(attempts, bool) or fractional else int(attempts)
     except (TypeError, ValueError, OverflowError):
         count = None
     if count is None:

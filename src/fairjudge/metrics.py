@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from fairjudge.corpus import Corpus, CorpusError, read_jsonl
+from fairjudge.fanout import fan_out
 from fairjudge.gateway import PredictionFormatError, PredictionRecord, prediction_fields
 from fairjudge.statcore import BernoulliTestResult, RegressionFrame, StatError, bernoulli_test
 from fairjudge import statcore
@@ -93,69 +94,41 @@ class PredictionTable:
     def build(
         cls, records: list[PredictionRecord], corpus: Corpus, labels: Optional[list[str]] = None
     ) -> PredictionTable:
-        """The table of in-memory records (see ``_encode``)."""
-        return cls._encode([("records", enumerate(map(vars, records), start=1))], corpus, labels)
+        """The table of in-memory records (see ``_encode_source``)."""
+        return cls._merge([_encode_source("records", enumerate(map(vars, records), start=1), corpus)], corpus, labels)
 
     @classmethod
     def read(
         cls, paths: Iterable[str | Path], corpus: Corpus, labels: Optional[list[str]] = None
     ) -> PredictionTable:
-        """The table of predictions.jsonl files, streamed line by line (see ``_encode``)."""
-        sources = ((Path(path).name, read_jsonl(path, PredictionFormatError)) for path in paths)
-        return cls._encode(sources, corpus, labels)
+        """The table of predictions.jsonl files, each streamed line by line in its own task (see ``fan_out``)."""
+
+        def encode(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray]:
+            return _encode_source(Path(path).name, read_jsonl(path, PredictionFormatError), corpus)
+
+        return cls._merge(fan_out(encode, list(paths)), corpus, labels)
 
     @classmethod
-    def _encode(
-        cls, sources: Iterable[tuple[str, Iterable[tuple[int, dict]]]], corpus: Corpus,
+    def _merge(
+        cls, sources: Iterable[tuple[list[str], np.ndarray, np.ndarray]], corpus: Corpus,
         labels: Optional[list[str]] = None,
     ) -> PredictionTable:
-        """Validate prediction records against the corpus and encode them.
+        """One table of ``_encode_source`` outputs, in source order.
 
-        ``sources`` yields (file name, (line number, record) pairs). A record
-        the inline checks accept is encoded with two dict lookups; any other
-        goes to the full validator, ``prediction_fields`` then
-        ``Corpus.codes``, which raises or accepts it. The inline checks must
-        accept nothing the full validator rejects. Model codes follow sorted
-        model names. An unknown doc_id, an undeclared label, an inadmissible
-        value or a key that names no variant of the corpus is a
-        PredictionFormatError naming the prediction.
+        Model codes follow sorted model names. A key that names no variant of
+        the corpus is a PredictionFormatError naming the first such prediction.
         """
         seen: dict[str, int] = {}  # model name -> code in first-seen order
-        doc_codes, key_codes, max_months = corpus.doc_codes, corpus.key_codes, sys.float_info.max
-        codes: list[int] = []  # flat (model, doc, label, value) quadruples
-        months: list[Optional[float]] = []
-        for name, lines in sources:
-            for lineno, rec in lines:
-                try:
-                    model_name = rec["model_name"]
-                    model = seen.get(model_name)
-                    if model is None and type(model_name) is str:
-                        model = seen[model_name] = len(seen)
-                    doc = doc_codes[rec["doc_id"]]
-                    label, value = key_codes[rec.get("label_id"), rec.get("variant_value")]
-                    p = rec.get("predicted_months")
-                    checked = (
-                        model is not None
-                        and (p is None or (type(p) is float or type(p) is int) and 0 <= p <= max_months)
-                        and type(rec.get("attempt_count", 0)) is int
-                        and type(rec.get("raw_response", "")) is str
-                    )
-                except (KeyError, TypeError):  # a missing field, or an unhashable key
-                    checked = False
-                if not checked:
-                    model_name, doc_id, label_id, value_id, p, _, _ = prediction_fields(rec, f"{name}:{lineno}")
-                    try:
-                        doc, label, value = corpus.codes(doc_id, label_id, value_id)
-                    except CorpusError as exc:
-                        key = (model_name, doc_id, label_id, value_id)
-                        raise PredictionFormatError(f"prediction {key!r}: {exc}") from None
-                    model = seen.setdefault(model_name, len(seen))
-                codes += (model, doc, label, value)
-                months.append(p)
+        columns, months = [np.empty((0, 4), dtype=np.intp)], [np.empty(0)]
+        for names, codes, source_months in sources:
+            to_seen = np.array([seen.setdefault(m, len(seen)) for m in names], dtype=np.intp)
+            codes[:, 0] = to_seen[codes[:, 0]]
+            columns.append(codes)
+            months.append(source_months)
         models = tuple(sorted(seen))
         rank = np.array([models.index(m) for m in seen], dtype=np.intp)  # first-seen code -> sorted code
         label_ids = tuple(sorted(set(labels or corpus.label_ids)))
-        columns = np.array(codes, dtype=np.intp).reshape(-1, 4)
+        columns = np.concatenate(columns)
         stray = np.flatnonzero(~corpus.in_corpus(*columns[:, 1:].T))
         if stray.size:  # e.g. a variant key that repeats the document's baseline value
             model, doc, label, value = columns[stray[0]].tolist()
@@ -164,7 +137,56 @@ class PredictionTable:
             raise PredictionFormatError(f"prediction {key!r}: no such variant in the corpus")
         keep = np.isin(columns[:, 2], [-1] + [corpus.label_code(l) for l in label_ids])
         model, doc, label, value = columns[keep].T
-        return cls(models, label_ids, rank[model], doc, label, value, np.array(months, dtype=float)[keep])
+        return cls(models, label_ids, rank[model], doc, label, value, np.concatenate(months)[keep])
+
+
+def _encode_source(
+    name: str, lines: Iterable[tuple[int, dict]], corpus: Corpus
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Validate one source's prediction records against the corpus and encode them.
+
+    ``lines`` yields (line number, record) pairs of the source ``name``. A
+    record the inline checks accept is encoded with two dict lookups; any
+    other goes to the full validator, ``prediction_fields`` then
+    ``Corpus.codes``, which raises or accepts it. The inline checks must
+    accept nothing the full validator rejects. An unknown doc_id, an
+    undeclared label or an inadmissible value is a PredictionFormatError
+    naming the prediction. Returns the source's model names in first-seen
+    order, an (n, 4) array of (model, doc, label, value) codes whose model
+    codes index those names, and the n predicted months, NaN where missing.
+    """
+    seen: dict[str, int] = {}  # model name -> code in first-seen order
+    doc_codes, key_codes, max_months = corpus.doc_codes, corpus.key_codes, sys.float_info.max
+    codes: list[int] = []  # flat (model, doc, label, value) quadruples
+    months: list[Optional[float]] = []
+    for lineno, rec in lines:
+        try:
+            model_name = rec["model_name"]
+            model = seen.get(model_name)
+            if model is None and type(model_name) is str:
+                model = seen[model_name] = len(seen)
+            doc = doc_codes[rec["doc_id"]]
+            label, value = key_codes[rec.get("label_id"), rec.get("variant_value")]
+            p = rec.get("predicted_months")
+            checked = (
+                model is not None
+                and (p is None or (type(p) is float or type(p) is int) and 0 <= p <= max_months)
+                and type(rec.get("attempt_count", 0)) is int
+                and type(rec.get("raw_response", "")) is str
+            )
+        except (KeyError, TypeError):  # a missing field, or an unhashable key
+            checked = False
+        if not checked:
+            model_name, doc_id, label_id, value_id, p, _, _ = prediction_fields(rec, f"{name}:{lineno}")
+            try:
+                doc, label, value = corpus.codes(doc_id, label_id, value_id)
+            except CorpusError as exc:
+                key = (model_name, doc_id, label_id, value_id)
+                raise PredictionFormatError(f"prediction {key!r}: {exc}") from None
+            model = seen.setdefault(model_name, len(seen))
+        codes += (model, doc, label, value)
+        months.append(p)
+    return list(seen), np.array(codes, dtype=np.intp).reshape(-1, 4), np.array(months, dtype=float)
 
 
 Predictions = Union[PredictionTable, list[PredictionRecord]]

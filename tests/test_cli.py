@@ -314,13 +314,22 @@ def test_non_integer_attempt_count_exits_2(fixture_dir, tmp_path, capsys):
         )
 
 
+def test_integral_float_attempt_count_is_ingested_as_an_integer(fixture_dir, tmp_path):
+    path = with_extra_record(fixture_dir, tmp_path, attempt_count=2.0)
+    assert main(["ingest", "--corpus", str(fixture_dir), "--predictions", str(path),
+                 "--out", str(tmp_path / "norm.jsonl")]) == EXIT_OK
+    counts = [json.loads(line)["attempt_count"] for line in (tmp_path / "norm.jsonl").read_text().splitlines()]
+    assert 2 in counts and all(type(c) is int for c in counts)
+
+
 @pytest.mark.parametrize(
     "fields, reason",
     [
         ({"raw_response": [1, 2]}, "raw_response must be a string, got [1, 2]"),
         ({"attempt_count": True}, "attempt_count must be an integer, got True"),
+        ({"attempt_count": 1.5}, "attempt_count must be an integer, got 1.5"),
     ],
-    ids=["raw_response", "attempt_count"],
+    ids=["raw_response", "attempt_count", "fractional attempt_count"],
 )
 def test_ingest_rejects_list_raw_response_and_bool_attempt_count(fixture_dir, tmp_path, capsys, fields, reason):
     path = with_extra_record(fixture_dir, tmp_path, **fields)

@@ -1,6 +1,8 @@
-"""`analyze` outputs do not depend on record order or on the order of --predictions files."""
+"""`analyze` outputs do not depend on record order, on the order of --predictions files,
+or on the number of worker processes."""
 
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -66,3 +68,15 @@ def test_analyze_bytes_independent_of_record_and_file_order(bundle, data):
         file_order = data.draw(st.permutations(sorted(files)))
         shuffled = [(model, data.draw(st.permutations(files[model]))) for model in file_order]
         assert analyze(corpus, shuffled, Path(work_dir)) == reference
+
+
+def test_analyze_bytes_independent_of_worker_count(bundle, tmp_path, monkeypatch):
+    """One CPU runs every file's read and every model's fit in-process; two fan them out."""
+    corpus, files, reference = bundle
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+        work = tmp_path / f"cpus{cpus}"
+        work.mkdir()
+        outputs.append(analyze(corpus, list(files.items()), work))
+    assert outputs[0] == outputs[1] == reference
