@@ -7,6 +7,7 @@ data only to files.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 import click
 
 from fairjudge import __version__
-from fairjudge.corpus import CorpusError, load_corpus
+from fairjudge.corpus import CorpusError, index_corpus, load_corpus
 from fairjudge.fanout import fan_out
 from fairjudge.fixtures import FixtureSpec, default_spec, write_fixture
 from fairjudge.gateway import (
@@ -68,6 +69,16 @@ def _read_config(path: str | None) -> dict[str, str]:
     return config
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report an OSError of the block, which writes the output ``path``, as one usage error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        where = "" if exc.filename is None or str(exc.filename) == str(path) else f" ({exc.filename})"
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}{where}") from None
+
+
 def _merged(config: dict, key: str, flag_value, default=None):
     if flag_value is not None:
         return flag_value
@@ -104,7 +115,8 @@ def fixture(seed: int, spec_path: str | None, out_dir: str, n_docs: int | None, 
     spec = FixtureSpec.from_json(spec_path) if spec_path else default_spec()
     if n_docs is not None:
         spec = dataclasses.replace(spec, n_docs=n_docs)
-    meta = write_fixture(spec, seed=seed, out_dir=out_dir, with_predictions=with_predictions)
+    with _writing(out_dir):
+        meta = write_fixture(spec, seed=seed, out_dir=out_dir, with_predictions=with_predictions)
     click.echo(f"fixture written to {out_dir} ({meta['n_docs']} docs, {len(meta['labels'])} labels)", err=True)
 
 
@@ -143,6 +155,8 @@ def generate(config_path, corpus_dir, api_url, model_name, temperature, provider
         max_retries=_number(config, "retries", retries, 3, int),
     )
     corpus = load_corpus(corpus_dir)
+    with _writing(out_path):  # before any request, and before the default cache beside it is made
+        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     cache = _merged(config, "cache_dir", cache_dir, str(Path(out_path).parent / "cache"))
     template_path = _merged(config, "template_file", template_file)
     kwargs = {}
@@ -160,8 +174,8 @@ def generate(config_path, corpus_dir, api_url, model_name, temperature, provider
         raise GatewayError(
             "no record produced a usable prediction; endpoint unreachable or misconfigured"
         )
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    write_predictions(records, out_path)
+    with _writing(out_path):
+        write_predictions(records, out_path)
     n_missing = sum(1 for r in records if r.predicted_months is None)
     click.echo(f"wrote {len(records)} records ({n_missing} missing) to {out_path}", err=True)
 
@@ -182,8 +196,9 @@ def ingest(corpus_dir, predictions_path, out_path) -> None:
     records = read_predictions(predictions_path)
     PredictionTable.build(records, corpus)  # validates every record against the corpus
     records.sort(key=lambda r: r.sort_key())
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    write_predictions(records, out_path)
+    with _writing(out_path):
+        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
+        write_predictions(records, out_path)
     click.echo(f"ingested {len(records)} records to {out_path}", err=True)
 
 
@@ -215,13 +230,15 @@ def analyze(config_path, corpus_dir, prediction_paths, tau, labels, log1p, toler
     if not prediction_paths:
         raise ConfigError("analyze requires at least one --predictions file")
 
-    corpus = load_corpus(corpus_dir)
+    # The prediction files are read while the variants are decoded: encoding
+    # needs only the labels and documents, the merge needs the variants.
+    corpus, load_variants = index_corpus(corpus_dir)
     label_filter = _split_labels(_merged(config, "labels", labels))
     if label_filter:
         for label_id in label_filter:
             corpus.label(label_id)
 
-    table = PredictionTable.read(prediction_paths, corpus, labels=label_filter)
+    table = PredictionTable.read(prediction_paths, corpus, labels=label_filter, meanwhile=load_variants)
     if not table.models:
         raise MetricsError("nothing to analyze: prediction files contain no records")
     if not (table.label >= 0).any():
@@ -231,21 +248,21 @@ def analyze(config_path, corpus_dir, prediction_paths, tau, labels, log1p, toler
 
     summaries, findings_by_model, rows_by_model = [], {}, {}
     diagnostics = {}
-    fits = fan_out(
+    with fan_out(
         lambda model: summarize_model(table, corpus, model, tau=tau, log1p=log1p, tolerance=tolerance),
         table.models,
-    )
-    for model in table.models:
-        click.echo(f"analyzing {model} ...", err=True)
-        summary, findings, rows, diag = next(fits)
-        summaries.append(summary)
-        findings_by_model[model] = findings
-        rows_by_model[model] = rows
-        diagnostics[model] = {
-            "unidentified_labels": diag.unidentified_labels,
-            "n_zero_predictions_dropped": diag.n_zero_predictions_dropped,
-            "n_missing_predictions": diag.n_missing_predictions,
-        }
+    ) as fits:
+        for model in table.models:
+            click.echo(f"analyzing {model} ...", err=True)
+            summary, findings, rows, diag = next(fits)
+            summaries.append(summary)
+            findings_by_model[model] = findings
+            rows_by_model[model] = rows
+            diagnostics[model] = {
+                "unidentified_labels": diag.unidentified_labels,
+                "n_zero_predictions_dropped": diag.n_zero_predictions_dropped,
+                "n_missing_predictions": diag.n_missing_predictions,
+            }
 
     pooled = {
         "bias": pooled_bernoulli(summaries, "bias", tau),
@@ -266,8 +283,9 @@ def analyze(config_path, corpus_dir, prediction_paths, tau, labels, log1p, toler
             "diagnostics": diagnostics,
         },
     )
-    emit_tables(bundle, out_dir, findings_by_model=findings_by_model)
-    emit_html(bundle, out_dir)
+    with _writing(out_dir):
+        emit_tables(bundle, out_dir, findings_by_model=findings_by_model)
+        emit_html(bundle, out_dir)
     click.echo(f"report written to {out_dir}", err=True)
 
 
@@ -278,8 +296,9 @@ def report_cmd(summary_path, out_dir) -> None:
     """Re-render CSV/HTML from an existing summary.json and the findings.jsonl beside it."""
     bundle = bundle_from_dict(load_summary_json(summary_path))
     findings_by_model = load_findings_jsonl(Path(summary_path).with_name("findings.jsonl"))
-    emit_tables(bundle, out_dir, findings_by_model=findings_by_model)
-    emit_html(bundle, out_dir)
+    with _writing(out_dir):
+        emit_tables(bundle, out_dir, findings_by_model=findings_by_model)
+        emit_html(bundle, out_dir)
     click.echo(f"report written to {out_dir}", err=True)
 
 

@@ -14,7 +14,7 @@ import reprlib
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 import orjson
@@ -92,17 +92,6 @@ class Corpus:
         self._index(labels, documents)
         self._encode_variants("variants", enumerate(map(vars, variants), start=1))
 
-    @classmethod
-    def _from_lines(
-        cls, labels: list[LabelDefinition], documents: list[CaseDocument], name: str,
-        lines: Iterable[tuple[int, dict]],
-    ) -> Corpus:
-        """A corpus whose variants are encoded straight from (line number, record) pairs of file ``name``."""
-        corpus = cls.__new__(cls)
-        corpus._index(labels, documents)
-        corpus._encode_variants(name, lines)
-        return corpus
-
     def _index(self, labels: list[LabelDefinition], documents: list[CaseDocument]) -> None:
         """Validate labels and documents and assign the integer codes of the prediction table.
 
@@ -113,7 +102,7 @@ class Corpus:
         """
         self.labels = list(labels)
         self.documents = list(documents)
-        self.digest: Optional[str] = None  # SHA-256 of the bundle files, set by load_corpus
+        self.digest: Optional[str] = None  # SHA-256 of the bundle files, set by index_corpus's second step
         self._labels_by_id: dict[str, LabelDefinition] = {}
         self._docs_by_id: dict[str, CaseDocument] = {}
         if not self.documents:
@@ -357,6 +346,20 @@ def _require_strings(record: dict, fields: list[str], where: str) -> None:
 
 def load_corpus(path: str | Path) -> Corpus:
     """Load and validate a corpus bundle directory; ``digest`` is the SHA-256 of its files, for provenance."""
+    corpus, load_variants = index_corpus(path)
+    load_variants()
+    return corpus
+
+
+def index_corpus(path: str | Path) -> tuple[Corpus, Callable[[], None]]:
+    """The two steps of ``load_corpus``: the corpus of its labels and documents, and the call that adds its variants.
+
+    The first step validates ``labels.jsonl`` and ``documents.jsonl`` and
+    assigns the codes, which is all that encoding predictions needs
+    (``Corpus.codes``, ``doc_codes``, ``key_codes``). The second decodes
+    ``variants.jsonl`` into the corpus and sets ``digest``; until it has
+    returned, nothing that reads the variants may be called.
+    """
     root = Path(path)
     if not root.is_dir():
         raise CorpusError(f"corpus directory not found: {root}")
@@ -405,10 +408,14 @@ def load_corpus(path: str | Path) -> Corpus:
         except CorpusError as exc:
             raise CorpusError(f"{where}: {exc}") from None
 
-    variants = read_jsonl(root / "variants.jsonl", CorpusError, digest)
-    corpus = Corpus._from_lines(labels, documents, "variants.jsonl", variants)
-    corpus.digest = digest.hexdigest()
-    return corpus
+    corpus = Corpus.__new__(Corpus)
+    corpus._index(labels, documents)
+
+    def load_variants() -> None:
+        corpus._encode_variants("variants.jsonl", read_jsonl(root / "variants.jsonl", CorpusError, digest))
+        corpus.digest = digest.hexdigest()
+
+    return corpus, load_variants
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:

@@ -9,6 +9,7 @@ handler) and starts them again on use.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 from typing import Callable, Iterator, Sequence, TypeVar
@@ -24,17 +25,24 @@ def _call(i: int):
     return fn(items[i])
 
 
-def fan_out(fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
-    """Yield ``fn(item)`` for each item in order, computed on forked worker processes.
+@contextlib.contextmanager
+def fan_out(fn: Callable[[T], R], items: Sequence[T]) -> Iterator[Iterator[R]]:
+    """Start computing ``fn(item)`` for each item on forked worker processes; the block gets the results in order.
+
+    ``with fan_out(fn, items) as results:`` forks the workers and submits
+    every item on entry, so the block may do other work before it takes the
+    results. The pool is shut down when the block exits, however it exits
+    (an exception or an interrupt included), after the running items finish;
+    items not yet started are cancelled.
 
     There is one worker per usable CPU, capped by the number of items. ``fn``
     and ``items`` reach the workers through fork, not pickling, so ``fn`` may
     be a closure over a corpus or a table; only the results travel back. With
-    one worker, or where fork is unavailable, every call runs in this process.
-    Items are yielded in order, and the first failing item's exception is
-    raised after the items before it, so results, messages and exit codes do
-    not depend on the worker count. A worker that dies raises
-    ``BrokenProcessPool`` instead of hanging.
+    one worker, or where fork is unavailable, each call runs in this process
+    as its result is taken. Items are yielded in order, and the first failing
+    item's exception is raised after the items before it, so results,
+    messages and exit codes do not depend on the worker count. A worker that
+    dies raises ``BrokenProcessPool`` instead of hanging.
     """
     global _task
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -46,7 +54,7 @@ def fan_out(fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
         if "fork" not in multiprocessing.get_all_start_methods():
             workers = 1
     if workers <= 1:
-        yield from map(fn, items)
+        yield map(fn, items)
         return
     _task = fn, items
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
@@ -61,7 +69,7 @@ def fan_out(fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
             results = pool.map(_call, range(len(items)))
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        yield from results
+        yield results
     finally:
         _task = ()
         pool.shutdown(cancel_futures=True)

@@ -4,7 +4,8 @@ Predictions enter as one columnar ``PredictionTable`` of corpus codes,
 built once per run. Each model's predictions are scattered into a dense
 [doc, label, value] months grid, and every metric gathers from that grid
 in corpus order, so outputs are independent of record order. A label's
-bias and imbalance regressions share one frame; only the outcome differs.
+bias and imbalance regressions share one frame; only the outcome differs,
+and when both keep the same rows they share one fit of the design.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -99,14 +100,23 @@ class PredictionTable:
 
     @classmethod
     def read(
-        cls, paths: Iterable[str | Path], corpus: Corpus, labels: Optional[list[str]] = None
+        cls, paths: Iterable[str | Path], corpus: Corpus, labels: Optional[list[str]] = None,
+        meanwhile: Callable[[], object] = lambda: None,
     ) -> PredictionTable:
-        """The table of predictions.jsonl files, each streamed line by line in its own task (see ``fan_out``)."""
+        """The table of predictions.jsonl files, each streamed line by line in its own task (see ``fan_out``).
+
+        ``meanwhile`` runs in this process while the tasks read, before any
+        of their results is taken, so its errors come first: ``analyze``
+        passes the step that adds the variants to ``corpus`` (see
+        ``index_corpus``), which encoding does not need but the merge does.
+        """
 
         def encode(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray]:
             return _encode_source(Path(path).name, read_jsonl(path, PredictionFormatError), corpus)
 
-        return cls._merge(fan_out(encode, list(paths)), corpus, labels)
+        with fan_out(encode, list(paths)) as sources:
+            meanwhile()
+            return cls._merge(sources, corpus, labels)
 
     @classmethod
     def _merge(
@@ -152,8 +162,9 @@ def _encode_source(
     accept nothing the full validator rejects. An unknown doc_id, an
     undeclared label or an inadmissible value is a PredictionFormatError
     naming the prediction. Returns the source's model names in first-seen
-    order, an (n, 4) array of (model, doc, label, value) codes whose model
-    codes index those names, and the n predicted months, NaN where missing.
+    order, an (n, 4) int32 array of (model, doc, label, value) codes whose
+    model codes index those names (int32 halves what a read task sends
+    back), and the n predicted months, NaN where missing.
     """
     seen: dict[str, int] = {}  # model name -> code in first-seen order
     doc_codes, key_codes, max_months = corpus.doc_codes, corpus.key_codes, sys.float_info.max
@@ -186,7 +197,7 @@ def _encode_source(
             model = seen.setdefault(model_name, len(seen))
         codes += (model, doc, label, value)
         months.append(p)
-    return list(seen), np.array(codes, dtype=np.intp).reshape(-1, 4), np.array(months, dtype=float)
+    return list(seen), np.array(codes, dtype=np.int32).reshape(-1, 4), np.array(months, dtype=float)
 
 
 Predictions = Union[PredictionTable, list[PredictionRecord]]
@@ -279,28 +290,58 @@ def _label_frame(
     )
 
 
+def _log_each(months: np.ndarray, log) -> np.ndarray:
+    """``log`` of each value, called once per distinct value.
+
+    math, not numpy: numpy's vectorised log may differ in the last bit
+    across builds, and the outputs are compared byte for byte. Values are
+    told apart by their bits, so 0.0 and -0.0 each get their own call.
+    """
+    bits, inverse = np.unique(months.view(np.int64), return_inverse=True)
+    return np.array([log(m) for m in bits.view(np.float64).tolist()])[inverse]
+
+
 def _fit(
-    frame: RegressionFrame, corpus: Corpus, label_id: str, metric: str, tau: float, log1p: bool,
+    frame: RegressionFrame, corpus: Corpus, label_id: str, metrics: tuple[str, ...], tau: float, log1p: bool,
     diag: AnalysisDiagnostics,
-) -> Optional[LabelFinding]:
-    """One label's regression for one metric; None when the label is unidentified.
+) -> list[Optional[LabelFinding]]:
+    """One label's finding per metric, None where the label is unidentified.
 
     bias      -> ln(predicted months), zero predictions dropped unless log1p;
     imbalance -> |predicted - true| months, every row.
+    Metrics that keep the same rows share one ``fe_regress`` call, so the
+    design is factored once; each result is the one a call of its own gives.
     """
-    keep = frame.y > 0 if metric == "bias" and not log1p else np.ones(frame.n_obs, dtype=bool)
-    diag.n_zero_predictions_dropped += int((~keep).sum())
-    if metric == "bias":
-        # math, not numpy: numpy's vectorised log may differ in the last bit
-        # across builds, and the outputs are compared byte for byte.
-        log = math.log1p if log1p else math.log
-        y = np.array([log(m) for m in frame.y[keep].tolist()])
+    keep = frame.y > 0 if "bias" in metrics and not log1p else None  # the rows bias keeps
+    outcomes = []
+    for metric in metrics:
+        if metric == "bias":
+            months = frame.y if keep is None else frame.y[keep]
+            diag.n_zero_predictions_dropped += frame.n_obs - len(months)
+            outcomes.append(_log_each(months, math.log1p if log1p else math.log))
+        else:
+            outcomes.append(np.abs(frame.y - corpus.true_months[frame.group_ids]))
+    if keep is None or keep.all():
+        results = _regress(frame, outcomes)
     else:
-        y = np.abs(frame.y - corpus.true_months[frame.group_ids])
+        bias_frame = RegressionFrame(frame.y[keep], frame.X[keep], frame.group_ids[keep], frame.column_names)
+        results = [
+            _regress(bias_frame if metric == "bias" else frame, [y])[0] for metric, y in zip(metrics, outcomes)
+        ]
+    return [
+        None if result is None else _finding(result, label_id, metric, tau)
+        for metric, result in zip(metrics, results)
+    ]
+
+
+def _regress(frame: RegressionFrame, outcomes: list[np.ndarray]) -> list[Optional[statcore.RegressionResult]]:
     try:
-        result = statcore.fe_regress(RegressionFrame(y, frame.X[keep], frame.group_ids[keep], frame.column_names))
+        return statcore.fe_regress(frame, outcomes)
     except StatError:
-        return None
+        return [None] * len(outcomes)
+
+
+def _finding(result: statcore.RegressionResult, label_id: str, metric: str, tau: float) -> Optional[LabelFinding]:
     identified_ps = [p for p in result.per_coef_p if not math.isnan(p)]
     if not identified_ps:
         return None
@@ -334,8 +375,8 @@ def _label_analysis(
     unidentified: set[str] = set()
     for label_id in table.label_ids:
         frame = _label_frame(corpus, label_id, grid, diag)
-        for metric in metrics:
-            finding = None if frame is None else _fit(frame, corpus, label_id, metric, tau, log1p, diag)
+        fits = [None] * len(metrics) if frame is None else _fit(frame, corpus, label_id, metrics, tau, log1p, diag)
+        for metric, finding in zip(metrics, fits):
             if finding is None:
                 unidentified.add(label_id)
             else:

@@ -4,12 +4,21 @@ One-way fixed-effects OLS via within-group demeaning, cluster-robust
 covariance with the conventional small-sample correction, t / Wald
 inference, and binomial tail probabilities. All functions
 are pure and safe to call concurrently.
+
+``fe_regress`` fits one design for several outcomes at once: the group
+index, singleton drop, demeaning of X, pivoted QR and (X'X)^-1 are
+computed once, and each outcome gets only its own demeaning, solve,
+sandwich and p-values, through the same calls as a fit of its own, so
+its result is the same bit for bit. ``drop_singletons``,
+``within_demean``, ``ols`` and ``cluster_robust_cov`` are the steps of
+that pipeline, one design and one outcome at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence, overload
 
 import numpy as np
 import scipy.linalg
@@ -96,6 +105,11 @@ def _group_index(group_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return uniq, inverse, counts
 
 
+def _demean(col: np.ndarray, inverse: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    means = np.bincount(inverse, weights=col) / counts
+    return col - means[inverse]
+
+
 def drop_singletons(frame: RegressionFrame) -> tuple[RegressionFrame, int]:
     """Remove rows whose group has a single observation.
 
@@ -123,15 +137,39 @@ def within_demean(frame: RegressionFrame) -> RegressionFrame:
     _, inverse, counts = _group_index(frame.group_ids)
     if np.any(counts == 1):
         raise StatError("singleton groups present; call drop_singletons first")
-
-    def demean(col: np.ndarray) -> np.ndarray:
-        means = np.bincount(inverse, weights=col) / counts
-        return col - means[inverse]
-
-    y = demean(frame.y)
-    X = np.column_stack([demean(frame.X[:, j]) for j in range(frame.X.shape[1])]) \
-        if frame.X.shape[1] else frame.X.copy()
+    y = _demean(frame.y, inverse, counts)
+    X = _demean_columns(frame.X, inverse, counts)
     return RegressionFrame(y=y, X=X, group_ids=frame.group_ids, column_names=frame.column_names)
+
+
+def _demean_columns(X: np.ndarray, inverse: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    if not X.shape[1]:
+        return X.copy()
+    return np.column_stack([_demean(X[:, j], inverse, counts) for j in range(X.shape[1])])
+
+
+def _factor(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank-revealing (pivoted) QR of X: Q and R cut to the numerical rank, and the kept columns in pivot order."""
+    if X.shape[1] == 0:
+        raise StatError("no columns to regress on")
+    Q, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    pivot0 = diag[0] if diag.size else 0.0
+    rank = int(np.sum(diag > RANK_TOL * pivot0)) if pivot0 > 0 else 0
+    if rank == 0:
+        raise StatError("zero usable columns after rank filtering")
+    return Q[:, :rank], R[:rank, :rank], piv[:rank]
+
+
+def _solve(
+    X: np.ndarray, factor: tuple[np.ndarray, np.ndarray, np.ndarray], y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (NaN where collinear) and residuals of y on X, given X's ``_factor``."""
+    Q, R, kept = factor
+    beta_kept = scipy.linalg.solve_triangular(R, Q.T @ y)
+    coefficients = np.full(X.shape[1], np.nan)
+    coefficients[kept] = beta_kept
+    return coefficients, y - X[:, kept] @ beta_kept
 
 
 def ols(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -145,25 +183,33 @@ def ols(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != len(y):
         raise StatError("X and y are not row-aligned")
-    n, k = X.shape
-    if k == 0:
-        raise StatError("no columns to regress on")
-
-    Q, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    pivot0 = diag[0] if diag.size else 0.0
-    rank = int(np.sum(diag > RANK_TOL * pivot0)) if pivot0 > 0 else 0
-    if rank == 0:
-        raise StatError("zero usable columns after rank filtering")
-
-    kept = piv[:rank]
-    dropped = sorted(int(j) for j in piv[rank:])
-    z = Q[:, :rank].T @ y
-    beta_kept = scipy.linalg.solve_triangular(R[:rank, :rank], z)
-    coefficients = np.full(k, np.nan)
-    coefficients[kept] = beta_kept
-    residuals = y - X[:, kept] @ beta_kept
+    factor = _factor(X)
+    coefficients, residuals = _solve(X, factor, y)
+    dropped = sorted(set(range(X.shape[1])).difference(factor[2].tolist()))
     return coefficients, residuals, dropped
+
+
+def _bread(X: np.ndarray) -> np.ndarray:
+    """(X'X)^-1, the outer factors of the sandwich."""
+    try:
+        return scipy.linalg.inv(X.T @ X)
+    except scipy.linalg.LinAlgError as exc:
+        raise StatError("X'X is singular") from exc
+
+
+def _sandwich(
+    X: np.ndarray, bread: np.ndarray, residuals: np.ndarray, inverse: np.ndarray, n_groups: int
+) -> np.ndarray:
+    n, k = X.shape
+    scores = X * residuals[:, None]
+    group_sums = np.column_stack(
+        [np.bincount(inverse, weights=scores[:, j], minlength=n_groups) for j in range(k)]
+    )
+    meat = group_sums.T @ group_sums
+
+    c = (n_groups / (n_groups - 1)) * ((n - 1) / (n - k))
+    cov = c * bread @ meat @ bread
+    return (cov + cov.T) / 2
 
 
 def cluster_robust_cov(
@@ -177,93 +223,108 @@ def cluster_robust_cov(
     X = np.asarray(X, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
     clusters = np.asarray(clusters)
-    n, k = X.shape
-    if not (n == len(residuals) == len(clusters)):
+    if not (X.shape[0] == len(residuals) == len(clusters)):
         raise StatError("X, residuals, clusters are not row-aligned")
     uniq, inverse, _ = _group_index(clusters)
     n_groups = len(uniq)
     if n_groups < 2:
         raise StatError(f"need >= 2 clusters, got {n_groups}")
-
-    xtx = X.T @ X
-    try:
-        bread = scipy.linalg.inv(xtx)
-    except scipy.linalg.LinAlgError as exc:
-        raise StatError("X'X is singular") from exc
-
-    scores = X * residuals[:, None]
-    group_sums = np.column_stack(
-        [np.bincount(inverse, weights=scores[:, j], minlength=n_groups) for j in range(k)]
-    )
-    meat = group_sums.T @ group_sums
-
-    c = (n_groups / (n_groups - 1)) * ((n - 1) / (n - k))
-    cov = c * bread @ meat @ bread
-    return (cov + cov.T) / 2
+    return _sandwich(X, _bread(X), residuals, inverse, n_groups)
 
 
-def fe_regress(frame: RegressionFrame) -> RegressionResult:
+@overload
+def fe_regress(frame: RegressionFrame) -> RegressionResult: ...
+@overload
+def fe_regress(frame: RegressionFrame, outcomes: Sequence[np.ndarray]) -> list[RegressionResult]: ...
+
+
+def fe_regress(frame, outcomes=None):
     """Fixed-effects regression with document-clustered inference.
 
     Pipeline: drop singletons, demean within groups, pivoted-QR OLS,
     sandwich covariance. Per-coefficient p-values use t(G-1); the joint
     null (all treated coefficients zero) uses an F(J_identified, G-1)
     Wald statistic.
+
+    With ``outcomes`` (vectors row-aligned with the frame, used in place of
+    ``frame.y``) it returns one result per outcome, in order. The design
+    work (group index, singleton drop, demeaning X, the QR and (X'X)^-1)
+    runs once; per outcome only y is demeaned and solved and the sandwich
+    and p-values are built, with the same calls on the same shapes, so each
+    result equals ``fe_regress`` of the frame with that outcome bit for bit.
+    A design error (StatError) is raised for all outcomes at once; a
+    non-finite outcome on a kept row is a StatError too.
     """
     if frame.n_obs == 0:
         raise StatError("empty regression frame")
-    kept_frame, n_singletons = drop_singletons(frame)
-    if kept_frame.n_obs == 0:
-        raise UnidentifiedLabelError("all groups are singletons; nothing identifies the effect")
+    ys = [frame.y] if outcomes is None else [np.asarray(y, dtype=float) for y in outcomes]
+    if any(y.shape != frame.y.shape for y in ys):
+        raise StatError("outcomes are not row-aligned with the frame")
 
-    demeaned = within_demean(kept_frame)
+    # The group index of the rows kept, in sorted group order, as
+    # np.unique of their group ids would give it.
+    _, inverse, counts = _group_index(frame.group_ids)
+    multi = counts > 1
+    keep = multi[inverse]
+    n = int(keep.sum())
+    if n == 0:
+        raise UnidentifiedLabelError("all groups are singletons; nothing identifies the effect")
+    inverse, counts = (np.cumsum(multi) - 1)[inverse[keep]], counts[multi]
+    ys = [y[keep] for y in ys]
+    if not all(np.isfinite(y).all() for y in ys):
+        raise StatError("outcome has non-finite values")
+
+    X = _demean_columns(frame.X[keep], inverse, counts)
     try:
-        coefficients, residuals, dropped = ols(demeaned.X, demeaned.y)
+        factor = _factor(X)
     except StatError as exc:
         raise UnidentifiedLabelError(
             f"no within-document variation in treated indicators: {exc}"
         ) from None
 
-    identified = tuple(not math.isnan(c) for c in coefficients)
-    kept_idx = [j for j, ok in enumerate(identified) if ok]
-    n = kept_frame.n_obs
-    _, _, counts = _group_index(kept_frame.group_ids)
+    kept_idx = sorted(factor[2].tolist())
+    identified = tuple(j in kept_idx for j in range(X.shape[1]))
     n_groups = len(counts)
-    n_identified = len(kept_idx)
-
-    cov_kept = cluster_robust_cov(demeaned.X[:, kept_idx], residuals, kept_frame.group_ids)
+    if n_groups < 2:
+        raise StatError(f"need >= 2 clusters, got {n_groups}")
+    X_kept = X[:, kept_idx]
+    bread = _bread(X_kept)
 
     j_total = len(frame.column_names)
-    covariance = np.full((j_total, j_total), np.nan)
-    covariance[np.ix_(kept_idx, kept_idx)] = cov_kept
-
-    beta = coefficients[kept_idx]
-    se = np.sqrt(np.maximum(np.diag(cov_kept), 0.0))
+    n_identified = len(kept_idx)
     dof_t = n_groups - 1
-    per_coef_p = np.full(j_total, np.nan)
-    for pos, j in enumerate(kept_idx):
-        if se[pos] > 0:
-            t = beta[pos] / se[pos]
-            per_coef_p[j] = 2 * special.stdtr(dof_t, -abs(t))
-        else:
-            # Degenerate exact fit: zero coefficient is trivially null.
-            per_coef_p[j] = 1.0 if beta[pos] == 0 else 0.0
+    results = []
+    for y in ys:
+        coefficients, residuals = _solve(X, factor, _demean(y, inverse, counts))
+        cov_kept = _sandwich(X_kept, bread, residuals, inverse, n_groups)
 
-    joint_p = _wald_joint_p(beta, cov_kept, n_identified, dof_t)
-    residual_dof = n - n_groups - n_identified
+        covariance = np.full((j_total, j_total), np.nan)
+        covariance[np.ix_(kept_idx, kept_idx)] = cov_kept
 
-    return RegressionResult(
-        coefficients=coefficients,
-        covariance=covariance,
-        per_coef_p=per_coef_p,
-        joint_p=joint_p,
-        residual_dof=residual_dof,
-        n_obs=n,
-        n_groups=n_groups,
-        n_dropped_singletons=n_singletons,
-        column_names=frame.column_names,
-        identified=identified,
-    )
+        beta = coefficients[kept_idx]
+        se = np.sqrt(np.maximum(np.diag(cov_kept), 0.0))
+        per_coef_p = np.full(j_total, np.nan)
+        for pos, j in enumerate(kept_idx):
+            if se[pos] > 0:
+                t = beta[pos] / se[pos]
+                per_coef_p[j] = 2 * special.stdtr(dof_t, -abs(t))
+            else:
+                # Degenerate exact fit: zero coefficient is trivially null.
+                per_coef_p[j] = 1.0 if beta[pos] == 0 else 0.0
+
+        results.append(RegressionResult(
+            coefficients=coefficients,
+            covariance=covariance,
+            per_coef_p=per_coef_p,
+            joint_p=_wald_joint_p(beta, cov_kept, n_identified, dof_t),
+            residual_dof=n - n_groups - n_identified,
+            n_obs=n,
+            n_groups=n_groups,
+            n_dropped_singletons=frame.n_obs - n,
+            column_names=frame.column_names,
+            identified=identified,
+        ))
+    return results[0] if outcomes is None else results
 
 
 def _wald_joint_p(beta: np.ndarray, cov: np.ndarray, n_identified: int, dof: int) -> float:

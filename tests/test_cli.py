@@ -538,3 +538,37 @@ def test_report_in_place_on_finding_of_wrong_type_keeps_every_byte(fixture_dir, 
     assert main(["report", "--summary", str(out / "summary.json"), "--out", str(out)]) == EXIT_DATA
     assert one_line_error(capsys).startswith("error: findings.jsonl:1: not a finding: ")
     assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "command, out, reason",
+    [
+        ("fixture", "blocker/x", "Not a directory"),
+        ("generate", "blocker/p.jsonl", "File exists"),
+        ("ingest", "blocker/p.jsonl", "File exists"),
+        ("ingest", ".", "Is a directory"),
+        ("analyze", "blocker/x", "Not a directory"),
+        ("analyze", "blocker", "File exists"),
+        ("report", "blocker/x", "Not a directory"),
+        ("report", "blocker", "File exists"),
+    ],
+)
+def test_unwritable_out_exits_1_with_one_line(fixture_dir, tmp_path, capsys, command, out, reason):
+    assert run_analyze(fixture_dir, tmp_path / "r") == EXIT_OK
+    (tmp_path / "blocker").write_text("a regular file\n")
+    out = str(tmp_path / out)
+    preds = str(fixture_dir / "predictions_stub-a.jsonl")
+    argv = {
+        "fixture": ["fixture", "--out", out],
+        "generate": ["generate", "--corpus", str(fixture_dir), "--api-url", "http://127.0.0.1:9/v1",
+                     "--model", "m", "--out", out],
+        "ingest": ["ingest", "--corpus", str(fixture_dir), "--predictions", preds, "--out", out],
+        "analyze": ["analyze", "--corpus", str(fixture_dir), "--predictions", preds, "--out", out],
+        "report": ["report", "--summary", str(tmp_path / "r" / "summary.json"), "--out", out],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error: ")] == [err[-1]]
+    assert err[-1].startswith(f"error: cannot write {out}: {reason}")
+    assert not any("Traceback" in line for line in err)

@@ -73,11 +73,13 @@ def serial_and_fanned(corpus_dir, tmp_path, monkeypatch, capsys, files):
 def test_fan_out_keeps_item_order_and_runs_on_workers(monkeypatch):
     cpus(monkeypatch, 2)
     parent = os.getpid()
-    results = list(fan_out(lambda i: (i, os.getpid()), range(4)))
+    with fan_out(lambda i: (i, os.getpid()), range(4)) as results:
+        results = list(results)
     assert [i for i, _ in results] == [0, 1, 2, 3]
     assert parent not in {pid for _, pid in results}
     cpus(monkeypatch, 1)
-    assert list(fan_out(lambda i: (i, os.getpid()), range(4))) == [(i, parent) for i in range(4)]
+    with fan_out(lambda i: (i, os.getpid()), range(4)) as results:
+        assert list(results) == [(i, parent) for i in range(4)]
 
 
 def test_fan_out_raises_the_first_failing_item(monkeypatch):
@@ -89,10 +91,10 @@ def test_fan_out_raises_the_first_failing_item(monkeypatch):
 
     for n in (1, 2):
         cpus(monkeypatch, n)
-        results = fan_out(fail_odd, range(4))
-        assert next(results) == 0
-        with pytest.raises(MetricsError, match="^item 1$"):
-            next(results)
+        with fan_out(fail_odd, range(4)) as results:
+            assert next(results) == 0
+            with pytest.raises(MetricsError, match="^item 1$"):
+                next(results)
 
 
 def test_bad_lines_in_files_1_and_3_report_file_1(corpus_dir, tmp_path, monkeypatch, capsys):
@@ -116,6 +118,24 @@ def test_line_error_in_file_2_beats_stray_key_in_file_1(corpus_dir, tmp_path, mo
     files[1][1].pop()  # the stray key alone
     message = serial_and_fanned(corpus_dir, tmp_path, monkeypatch, capsys, files)
     assert message.endswith("no such variant in the corpus")
+
+
+def test_bad_variant_line_beats_bad_prediction_line_and_leaves_no_worker(corpus_dir, tmp_path, monkeypatch, capsys):
+    """The files are read while variants.jsonl is decoded; its error still comes first."""
+    import multiprocessing
+
+    bad_corpus = tmp_path / "corpus"
+    bad_corpus.mkdir()
+    for name in ("labels.jsonl", "documents.jsonl", "variants.jsonl"):
+        (bad_corpus / name).write_bytes((corpus_dir / name).read_bytes())
+    n = len((bad_corpus / "variants.jsonl").read_text().splitlines())
+    with (bad_corpus / "variants.jsonl").open("a") as fh:
+        fh.write("{not json\n")
+    files = [(m, lines_of(corpus_dir, m)) for m in FILES]
+    files[0][1].insert(0, "[]")
+    message = serial_and_fanned(bad_corpus, tmp_path, monkeypatch, capsys, files)
+    assert message.startswith(f"error: variants.jsonl:{n + 1}: invalid JSON")
+    assert multiprocessing.active_children() == []
 
 
 def test_metrics_error_in_two_fits_reports_the_sorted_first_model(corpus_dir, tmp_path, monkeypatch, capsys):
@@ -173,7 +193,8 @@ def test_interrupt_while_workers_start_leaves_no_worker_behind(monkeypatch):
     previous = signal.signal(signal.SIGINT, interrupt)
     try:
         with pytest.raises(Interrupted):
-            list(fan_out(lambda i: i, range(4)))
+            with fan_out(lambda i: i, range(4)) as results:
+                list(results)
         assert multiprocessing.active_children() == []
     finally:
         signal.signal(signal.SIGINT, previous)
@@ -183,6 +204,7 @@ def test_interrupt_while_workers_start_leaves_no_worker_behind(monkeypatch):
 
 def test_workers_do_not_take_interrupts(monkeypatch):
     cpus(monkeypatch, 2)
-    masks = list(fan_out(lambda i: signal.pthread_sigmask(signal.SIG_BLOCK, ()), range(2)))
+    with fan_out(lambda i: signal.pthread_sigmask(signal.SIG_BLOCK, ()), range(2)) as results:
+        masks = list(results)
     assert all(signal.SIGINT in mask for mask in masks)
     assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, ())

@@ -21,6 +21,7 @@ from fairjudge.metrics import (
     pooled_bernoulli,
     summarize_model,
 )
+from fairjudge import statcore
 from fairjudge.statcore import RegressionFrame, fe_regress
 from test_corpus import shuffled_corpus
 
@@ -372,8 +373,8 @@ def test_read_equals_build_and_a_codes_reference(tmp_path, labels):
         np.testing.assert_array_equal(getattr(streamed, column), expected, err_msg=column)
 
 
-def loop_reference(records, corpus, model):
-    """Row-by-row frames built from dict indexes: the reference for the vectorised table path.
+def loop_reference(records, corpus, model, log1p=False):
+    """Row-by-row frames built from dict indexes, one fe_regress call per metric: the reference for the vectorised table path.
 
     Returns {(label, metric): RegressionResult} and the missing-prediction count.
     """
@@ -395,8 +396,9 @@ def loop_reference(records, corpus, model):
                 rows.append((doc_id, None, baseline[doc_id]))
         columns = [c for c in corpus.label(label_id).values if any(v == c for _, v, _ in rows)]
         for metric in ("bias", "imbalance"):
-            kept = [r for r in rows if metric == "imbalance" or r[2] > 0]
-            y = [math.log(m) if metric == "bias" else abs(m - true[d]) for d, _, m in kept]
+            kept = [r for r in rows if metric == "imbalance" or log1p or r[2] > 0]
+            log = math.log1p if log1p else math.log
+            y = [log(m) if metric == "bias" else abs(m - true[d]) for d, _, m in kept]
             X = [[float(v == c) for c in columns] for _, v, _ in kept]
             groups = np.array([d for d, _, _ in kept])
             results[(label_id, metric)] = fe_regress(RegressionFrame(np.array(y), np.array(X), groups, tuple(columns)))
@@ -413,6 +415,32 @@ def test_table_path_equals_loop_reference_exactly():
     reference, n_missing = loop_reference(records, corpus, MODEL)
     assert diag.n_missing_predictions == n_missing > 0
     assert diag.n_zero_predictions_dropped > 0
+    assert len(findings) == len(reference)
+    for f in findings:
+        ref = reference[(f.label_id, f.metric)]
+        assert f.direction_summary == tuple(zip(ref.column_names, ref.coefficients.tolist()))
+        assert f.joint_p == ref.joint_p and f.min_coef_p == min(ref.per_coef_p)
+
+
+@pytest.mark.parametrize("zeros, log1p", [(False, False), (True, False), (True, True)])
+def test_metrics_share_a_fit_only_when_they_keep_the_same_rows(monkeypatch, zeros, log1p):
+    corpus, records = planted_fixture(n_docs=60)
+    if zeros:  # a zero baseline is in every label's frame
+        records = [dataclasses.replace(r, predicted_months=0.0) if r.doc_id == corpus.doc_ids[0] and r.label_id is None else r
+                   for r in records]
+    fit, calls = statcore.fe_regress, []
+
+    def counted(frame, outcomes):
+        calls.append(len(outcomes))
+        return fit(frame, outcomes)
+
+    monkeypatch.setattr(statcore, "fe_regress", counted)
+    _, findings, _, diag = summarize_model(records, corpus, MODEL, log1p=log1p)
+    monkeypatch.undo()
+    # bias drops the zero rows unless log1p, and then each metric is fitted on its own
+    assert calls == ([1, 1] if zeros and not log1p else [2]) * len(corpus.labels)
+    assert diag.n_zero_predictions_dropped == (len(corpus.labels) if zeros and not log1p else 0)
+    reference, _ = loop_reference(records, corpus, MODEL, log1p)
     assert len(findings) == len(reference)
     for f in findings:
         ref = reference[(f.label_id, f.metric)]

@@ -250,6 +250,16 @@ def test_fe_regress_no_variation_unidentified():
     groups = ["A", "A", "B", "B"]
     with pytest.raises(UnidentifiedLabelError):
         fe_regress(make_frame(y, X, groups))
+    with pytest.raises(UnidentifiedLabelError):
+        fe_regress(make_frame(y, X, groups), [np.array(y), np.ones(4)])
+
+
+def test_fe_regress_non_finite_outcome_is_a_stat_error():
+    frame = make_frame([1.0, math.nan, 3.0, 4.0], [[0], [1], [0], [1]], ["A", "A", "B", "B"])
+    with pytest.raises(StatError, match="non-finite"):
+        fe_regress(frame)
+    with pytest.raises(StatError, match="non-finite"):
+        fe_regress(frame, [np.ones(4), frame.y])
 
 
 def test_fe_regress_all_singletons_unidentified():
@@ -268,6 +278,31 @@ def test_fe_regress_result_shape_and_bounds():
     for p in res.per_coef_p:
         assert math.isnan(p) or 0 <= p <= 1
     assert res.residual_dof == res.n_obs - res.n_groups - sum(res.identified)
+
+
+@pytest.mark.parametrize("case", ["singleton", "collinear", "exact"])
+def test_fe_regress_of_several_outcomes_equals_one_call_each_bit_for_bit(case):
+    rng = np.random.default_rng(31)
+    frame = random_panel_frame(rng, n_docs=15, n_cols=3)
+    y, X, groups = frame.y, frame.X, frame.group_ids
+    if case == "singleton":
+        y, X, groups = np.append(y, 9.0), np.vstack([X, [1.0, 0.0, 0.0]]), np.append(groups, "lonely")
+    elif case == "collinear":
+        X = np.column_stack([X, X[:, 0]])
+    else:  # a document effect plus the treated effects, no noise
+        y = X @ np.array([0.5, -1.0, 2.0]) + np.unique(groups, return_inverse=True)[1]
+    outcomes = [y, np.abs(y - 3.0), np.log1p(np.abs(y))]
+    shared = fe_regress(make_frame(np.zeros(len(y)), X, groups), outcomes)
+    assert len(shared) == len(outcomes)
+    for outcome, res in zip(outcomes, shared):
+        alone = fe_regress(make_frame(outcome, X, groups))
+        for field in ("coefficients", "covariance", "per_coef_p"):
+            assert np.array_equal(getattr(res, field), getattr(alone, field), equal_nan=True), field
+        assert res.joint_p == alone.joint_p
+        assert (res.identified, res.n_obs, res.n_groups, res.n_dropped_singletons, res.residual_dof) == (
+            alone.identified, alone.n_obs, alone.n_groups, alone.n_dropped_singletons, alone.residual_dof)
+    assert shared[0].n_dropped_singletons == (case == "singleton")
+    assert all(shared[0].identified) == (case != "collinear")
 
 
 # --- binomial_tail ---------------------------------------------------------
