@@ -248,21 +248,21 @@ def analyze(config_path, corpus_dir, prediction_paths, tau, labels, log1p, toler
 
     summaries, findings_by_model, rows_by_model = [], {}, {}
     diagnostics = {}
-    with fan_out(
+    fits = fan_out(
         lambda model: summarize_model(table, corpus, model, tau=tau, log1p=log1p, tolerance=tolerance),
         table.models,
-    ) as fits:
-        for model in table.models:
-            click.echo(f"analyzing {model} ...", err=True)
-            summary, findings, rows, diag = next(fits)
-            summaries.append(summary)
-            findings_by_model[model] = findings
-            rows_by_model[model] = rows
-            diagnostics[model] = {
-                "unidentified_labels": diag.unidentified_labels,
-                "n_zero_predictions_dropped": diag.n_zero_predictions_dropped,
-                "n_missing_predictions": diag.n_missing_predictions,
-            }
+    )
+    for model in table.models:
+        click.echo(f"analyzing {model} ...", err=True)
+        summary, findings, rows, diag = next(fits)
+        summaries.append(summary)
+        findings_by_model[model] = findings
+        rows_by_model[model] = rows
+        diagnostics[model] = {
+            "unidentified_labels": diag.unidentified_labels,
+            "n_zero_predictions_dropped": diag.n_zero_predictions_dropped,
+            "n_missing_predictions": diag.n_missing_predictions,
+        }
 
     pooled = {
         "bias": pooled_bernoulli(summaries, "bias", tau),

@@ -9,7 +9,6 @@ handler) and starts them again on use.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import signal
 from typing import Callable, Iterator, Sequence, TypeVar
@@ -25,24 +24,26 @@ def _call(i: int):
     return fn(items[i])
 
 
-@contextlib.contextmanager
-def fan_out(fn: Callable[[T], R], items: Sequence[T]) -> Iterator[Iterator[R]]:
-    """Start computing ``fn(item)`` for each item on forked worker processes; the block gets the results in order.
-
-    ``with fan_out(fn, items) as results:`` forks the workers and submits
-    every item on entry, so the block may do other work before it takes the
-    results. The pool is shut down when the block exits, however it exits
-    (an exception or an interrupt included), after the running items finish;
-    items not yet started are cancelled.
+def fan_out(
+    fn: Callable[[T], R], items: Sequence[T], meanwhile: Callable[[], object] = lambda: None
+) -> Iterator[R]:
+    """Yield ``fn(item)`` for each item in order, computed on forked worker processes.
 
     There is one worker per usable CPU, capped by the number of items. ``fn``
     and ``items`` reach the workers through fork, not pickling, so ``fn`` may
     be a closure over a corpus or a table; only the results travel back. With
-    one worker, or where fork is unavailable, each call runs in this process
-    as its result is taken. Items are yielded in order, and the first failing
-    item's exception is raised after the items before it, so results,
-    messages and exit codes do not depend on the worker count. A worker that
-    dies raises ``BrokenProcessPool`` instead of hanging.
+    one worker, or where fork is unavailable, every call runs in this process.
+    Items are yielded in order, and the first failing item's exception is
+    raised after the items before it, so results, messages and exit codes do
+    not depend on the worker count. A worker that dies raises
+    ``BrokenProcessPool`` instead of hanging. Call it from the main thread,
+    which takes SIGINT.
+
+    ``meanwhile`` runs in this process while the workers compute: after
+    every item is submitted and before the first result is taken (first of
+    all, with one worker). Its error is raised before any item's, and a
+    SIGINT is held while it runs, so an interrupt is taken only where it
+    would be taken without it.
     """
     global _task
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -54,22 +55,34 @@ def fan_out(fn: Callable[[T], R], items: Sequence[T]) -> Iterator[Iterator[R]]:
         if "fork" not in multiprocessing.get_all_start_methods():
             workers = 1
     if workers <= 1:
-        yield map(fn, items)
+        meanwhile()
+        yield from map(fn, items)
         return
     _task = fn, items
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        # map forks every worker and submits every item. SIGINT stays blocked
-        # meanwhile: an interrupt inside the pool's start-up would leave forked
-        # workers that no one shuts down. The workers keep it blocked, so a
-        # Ctrl-C interrupts only this process, which then waits for the running
-        # items and cancels the rest.
+        # map forks every worker and submits every item. A SIGINT is held
+        # until meanwhile has returned: one taken inside the pool's start-up
+        # leaves a forked worker that no one shuts down (and that exit then
+        # waits for), and holding it over meanwhile leaves one place for it to
+        # land, as without meanwhile. Blocking it in this thread is not
+        # enough: a thread that does not block it (numpy's BLAS threads,
+        # started at import) takes it, and Python raises it here all the
+        # same; so the handler only records it until then. The workers are
+        # forked with it blocked and keep it so: a Ctrl-C interrupts only this
+        # process, which then waits for the running items and cancels the rest.
+        held = []
+        handler = signal.signal(signal.SIGINT, lambda signum, frame: held.append(signum))
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
             results = pool.map(_call, range(len(items)))
+            meanwhile()
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        yield results
+            signal.signal(signal.SIGINT, handler)
+            if held:
+                signal.raise_signal(signal.SIGINT)
+        yield from results
     finally:
         _task = ()
         pool.shutdown(cancel_futures=True)

@@ -114,9 +114,7 @@ class PredictionTable:
         def encode(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray]:
             return _encode_source(Path(path).name, read_jsonl(path, PredictionFormatError), corpus)
 
-        with fan_out(encode, list(paths)) as sources:
-            meanwhile()
-            return cls._merge(sources, corpus, labels)
+        return cls._merge(fan_out(encode, list(paths), meanwhile), corpus, labels)
 
     @classmethod
     def _merge(

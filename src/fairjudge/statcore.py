@@ -9,9 +9,12 @@ are pure and safe to call concurrently.
 index, singleton drop, demeaning of X, pivoted QR and (X'X)^-1 are
 computed once, and each outcome gets only its own demeaning, solve,
 sandwich and p-values, through the same calls as a fit of its own, so
-its result is the same bit for bit. ``drop_singletons``,
-``within_demean``, ``ols`` and ``cluster_robust_cov`` are the steps of
-that pipeline, one design and one outcome at a time.
+its result is the same bit for bit. It is built from private steps
+(``_kept_groups``, ``_demean``, ``_factor``, ``_solve``, ``_bread``,
+``_sandwich``). ``drop_singletons``, ``within_demean``, ``ols`` and
+``cluster_robust_cov`` are the same steps as public functions, one
+design and one outcome at a time, for the oracle tests; ``fe_regress``
+does not call them.
 """
 
 from __future__ import annotations
@@ -110,14 +113,25 @@ def _demean(col: np.ndarray, inverse: np.ndarray, counts: np.ndarray) -> np.ndar
     return col - means[inverse]
 
 
+def _kept_groups(group_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows outside singleton groups, and the group index of those rows.
+
+    Returns the keep mask, and the inverse and counts that ``_group_index``
+    of the kept rows' group ids would give, compacted from one ``np.unique``.
+    """
+    _, inverse, counts = _group_index(group_ids)
+    multi = counts > 1
+    keep = multi[inverse]
+    return keep, (np.cumsum(multi) - 1)[inverse[keep]], counts[multi]
+
+
 def drop_singletons(frame: RegressionFrame) -> tuple[RegressionFrame, int]:
     """Remove rows whose group has a single observation.
 
     Singleton rows are annihilated by demeaning and would distort the
     degrees of freedom if kept.
     """
-    _, inverse, counts = _group_index(frame.group_ids)
-    keep = counts[inverse] > 1
+    keep, _, _ = _kept_groups(frame.group_ids)
     dropped = int((~keep).sum())
     if dropped == 0:
         return frame, 0
@@ -261,15 +275,10 @@ def fe_regress(frame, outcomes=None):
     if any(y.shape != frame.y.shape for y in ys):
         raise StatError("outcomes are not row-aligned with the frame")
 
-    # The group index of the rows kept, in sorted group order, as
-    # np.unique of their group ids would give it.
-    _, inverse, counts = _group_index(frame.group_ids)
-    multi = counts > 1
-    keep = multi[inverse]
-    n = int(keep.sum())
+    keep, inverse, counts = _kept_groups(frame.group_ids)
+    n = len(inverse)
     if n == 0:
         raise UnidentifiedLabelError("all groups are singletons; nothing identifies the effect")
-    inverse, counts = (np.cumsum(multi) - 1)[inverse[keep]], counts[multi]
     ys = [y[keep] for y in ys]
     if not all(np.isfinite(y).all() for y in ys):
         raise StatError("outcome has non-finite values")

@@ -61,11 +61,13 @@ def test_fwl_oracle_100_fixtures():
             resid_oracle = frame.y - full @ beta_full
             assert np.allclose(res.coefficients, beta_full[: frame.X.shape[1]], atol=1e-8)
 
-            # Residuals from the within pipeline must match the dummy regression.
+            # Residuals from the within pipeline must match the dummy regression,
+            # and its coefficients are fe_regress's own, bit for bit.
             kept, _ = drop_singletons(frame)
             demeaned = within_demean(kept)
-            _, resid_within, _ = ols(demeaned.X, demeaned.y)
+            coef_within, resid_within, _ = ols(demeaned.X, demeaned.y)
             assert np.allclose(resid_within, resid_oracle, atol=1e-8)
+            assert np.array_equal(coef_within, res.coefficients, equal_nan=True)
 
             # Independent SEs: project out the dummies explicitly.
             P = D @ np.linalg.pinv(D)

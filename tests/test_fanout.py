@@ -73,13 +73,11 @@ def serial_and_fanned(corpus_dir, tmp_path, monkeypatch, capsys, files):
 def test_fan_out_keeps_item_order_and_runs_on_workers(monkeypatch):
     cpus(monkeypatch, 2)
     parent = os.getpid()
-    with fan_out(lambda i: (i, os.getpid()), range(4)) as results:
-        results = list(results)
+    results = list(fan_out(lambda i: (i, os.getpid()), range(4)))
     assert [i for i, _ in results] == [0, 1, 2, 3]
     assert parent not in {pid for _, pid in results}
     cpus(monkeypatch, 1)
-    with fan_out(lambda i: (i, os.getpid()), range(4)) as results:
-        assert list(results) == [(i, parent) for i in range(4)]
+    assert list(fan_out(lambda i: (i, os.getpid()), range(4))) == [(i, parent) for i in range(4)]
 
 
 def test_fan_out_raises_the_first_failing_item(monkeypatch):
@@ -91,10 +89,30 @@ def test_fan_out_raises_the_first_failing_item(monkeypatch):
 
     for n in (1, 2):
         cpus(monkeypatch, n)
-        with fan_out(fail_odd, range(4)) as results:
-            assert next(results) == 0
-            with pytest.raises(MetricsError, match="^item 1$"):
-                next(results)
+        results = fan_out(fail_odd, range(4))
+        assert next(results) == 0
+        with pytest.raises(MetricsError, match="^item 1$"):
+            next(results)
+
+
+def test_meanwhile_runs_while_workers_compute_with_interrupts_held(monkeypatch):
+    import multiprocessing
+
+    def fail(i):
+        raise MetricsError(f"item {i}")
+
+    def meanwhile():
+        seen.append((signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, ()), len(multiprocessing.active_children())))
+        raise MetricsError("meanwhile")
+
+    for n in (1, 2):
+        cpus(monkeypatch, n)
+        seen = []
+        with pytest.raises(MetricsError, match="^meanwhile$"):
+            next(fan_out(fail, range(4), meanwhile))
+        assert seen == ([(True, 2)] if n > 1 else [(False, 0)])
+        assert multiprocessing.active_children() == []
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
 
 
 def test_bad_lines_in_files_1_and_3_report_file_1(corpus_dir, tmp_path, monkeypatch, capsys):
@@ -121,7 +139,6 @@ def test_line_error_in_file_2_beats_stray_key_in_file_1(corpus_dir, tmp_path, mo
 
 
 def test_bad_variant_line_beats_bad_prediction_line_and_leaves_no_worker(corpus_dir, tmp_path, monkeypatch, capsys):
-    """The files are read while variants.jsonl is decoded; its error still comes first."""
     import multiprocessing
 
     bad_corpus = tmp_path / "corpus"
@@ -193,8 +210,7 @@ def test_interrupt_while_workers_start_leaves_no_worker_behind(monkeypatch):
     previous = signal.signal(signal.SIGINT, interrupt)
     try:
         with pytest.raises(Interrupted):
-            with fan_out(lambda i: i, range(4)) as results:
-                list(results)
+            list(fan_out(lambda i: i, range(4)))
         assert multiprocessing.active_children() == []
     finally:
         signal.signal(signal.SIGINT, previous)
@@ -202,9 +218,41 @@ def test_interrupt_while_workers_start_leaves_no_worker_behind(monkeypatch):
             worker.kill()
 
 
+def test_interrupt_taken_by_another_thread_while_workers_start_leaves_no_worker_behind(monkeypatch):
+    """A thread that does not block SIGINT (such as a BLAS thread) may take a Ctrl-C while the pool forks."""
+    import multiprocessing
+    import threading
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    spawn, stop = ProcessPoolExecutor._spawn_process, threading.Event()
+    other = threading.Thread(target=stop.wait)  # started before fan_out, so SIGINT is not blocked in it
+    other.start()
+
+    def interrupted_spawn(self):
+        spawn(self)
+        signal.pthread_kill(other.ident, signal.SIGINT)  # after the first worker is forked
+        time.sleep(0.05)
+
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", interrupted_spawn)
+    previous = signal.signal(signal.SIGINT, interrupt)
+    try:
+        with pytest.raises(Interrupted):
+            list(fan_out(lambda i: i, range(4), meanwhile=lambda: time.sleep(0.05)))
+        assert multiprocessing.active_children() == []
+    finally:
+        signal.signal(signal.SIGINT, previous)
+        stop.set()
+        other.join()
+        for worker in multiprocessing.active_children():
+            worker.kill()
+
+
 def test_workers_do_not_take_interrupts(monkeypatch):
     cpus(monkeypatch, 2)
-    with fan_out(lambda i: signal.pthread_sigmask(signal.SIG_BLOCK, ()), range(2)) as results:
-        masks = list(results)
+    masks = list(fan_out(lambda i: signal.pthread_sigmask(signal.SIG_BLOCK, ()), range(2)))
     assert all(signal.SIGINT in mask for mask in masks)
     assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
