@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import io
 import json
 import reprlib
 import sys
@@ -139,48 +140,70 @@ class Corpus:
 
         A record with string fields whose doc and (label, value) are known is
         encoded with two dict lookups; any other goes through the field and
-        reference checks, which raise.
+        reference checks, which raise. Repeats are found on the code columns
+        (see ``_sort_variants``); before a record's error is raised, the
+        records above it are checked for repeats, so the first fault in file
+        order is the one reported.
         """
         doc_codes, key_codes = self.doc_codes, self.key_codes
-        taken = {  # baseline keys, then each variant key as it is seen
-            (doc_codes[doc.doc_id], *key_codes[label_id, value])
-            for doc in self.documents
-            for label_id, value in doc.label_values.items()
-        }
         codes: list[int] = []  # flat (doc, label, value) triples
         facts: list[str] = []
-        for lineno, rec in lines:
-            try:
-                doc = doc_codes[rec["doc_id"]]
-                label, value = key_codes[rec["label_id"], rec["variant_value"]]
-                text = rec["facts"]
-                checked = label >= 0 and type(text) is str
-            except (KeyError, TypeError):
-                checked = False
-            if not checked:
-                doc, label, value, text = self._check_variant(rec, f"{name}:{lineno}")
-            key = (doc, label, value)
-            if key in taken:
-                lab = self.labels[label]
-                doc_id, label_id, value_id = self.doc_ids[doc], lab.label_id, lab.values[value]
-                if self._docs_by_id[doc_id].label_values.get(label_id) == value_id:
-                    raise CorpusError(
-                        f"variant for {doc_id!r}/{label_id!r} repeats the document's baseline value {value_id!r}"
-                    )
-                raise CorpusError(f"duplicate variant {(doc_id, label_id, value_id)!r}")
-            taken.add(key)
-            codes += key
-            facts.append(text)
+        try:
+            for lineno, rec in lines:
+                try:
+                    doc = doc_codes[rec["doc_id"]]
+                    label, value = key_codes[rec["label_id"], rec["variant_value"]]
+                    text = rec["facts"]
+                    checked = label >= 0 and type(text) is str
+                except (KeyError, TypeError):
+                    checked = False
+                if not checked:
+                    doc, label, value, text = self._check_variant(rec, f"{name}:{lineno}")
+                codes += (doc, label, value)
+                facts.append(text)
+        except CorpusError:  # a repeat in the rows above the faulty line comes first
+            self._sort_variants(np.array(codes, dtype=np.intp).reshape(-1, 3))
+            raise
         columns = np.array(codes, dtype=np.intp).reshape(-1, 3)
-        # Within a label, variants sort by variant_value as a string, which may differ from declared order.
-        rank = np.zeros((len(self.labels), max((len(lab.values) for lab in self.labels), default=0)), np.intp)
-        for label, lab in enumerate(self.labels):
-            rank[label, sorted(range(len(lab.values)), key=lab.values.__getitem__)] = np.arange(len(lab.values))
-        order = np.lexsort((rank[columns[:, 1], columns[:, 2]], columns[:, 0], columns[:, 1]))
+        del codes  # the list, before the sort allocates
+        order = self._sort_variants(columns)
         self._variant_columns = columns[order].T.copy()  # rows: doc, label and value codes
         self._variant_columns.flags.writeable = False
         self._variant_facts = [facts[i] for i in order.tolist()]
         self._variant_bounds = np.searchsorted(self._variant_columns[1], np.arange(len(self.labels) + 1)).tolist()
+
+    def _sort_variants(self, columns: np.ndarray) -> np.ndarray:
+        """The order of variant rows of (doc, label, value) codes: by label, doc, then value as a string.
+
+        Raises the CorpusError of the first row, in row order, whose key is
+        its document's baseline or that of a row above it.
+        """
+        # Within a label, variants sort by variant_value as a string, which may differ from declared order.
+        n_values = max((len(lab.values) for lab in self.labels), default=0)
+        rank = np.zeros((len(self.labels), n_values), np.intp)
+        for label, lab in enumerate(self.labels):
+            rank[label, sorted(range(len(lab.values)), key=lab.values.__getitem__)] = np.arange(len(lab.values))
+        doc, label, value = columns.T
+        order = np.lexsort((rank[label, value], doc, label))
+        # lexsort is stable, so equal keys sit together in row order and each but the first is a repeat.
+        ordered = columns[order]
+        repeats = order[1:][(ordered[1:] == ordered[:-1]).all(axis=1)]
+        baseline = np.full((len(self.doc_ids), len(self.labels)), -1, np.intp)  # each document's value codes
+        for doc_code, doc_id in enumerate(self.doc_ids):
+            for key in self._docs_by_id[doc_id].label_values.items():
+                label_code, value_code = self.key_codes[key]
+                baseline[doc_code, label_code] = value_code
+        faults = np.concatenate([repeats, np.flatnonzero(baseline[doc, label] == value)])
+        if faults.size:
+            doc_code, label_code, value_code = columns[faults.min()].tolist()
+            lab = self.labels[label_code]
+            doc_id, label_id, value_id = self.doc_ids[doc_code], lab.label_id, lab.values[value_code]
+            if baseline[doc_code, label_code] == value_code:
+                raise CorpusError(
+                    f"variant for {doc_id!r}/{label_id!r} repeats the document's baseline value {value_id!r}"
+                )
+            raise CorpusError(f"duplicate variant {(doc_id, label_id, value_id)!r}")
+        return order
 
     def _check_variant(self, rec: dict, where: str) -> tuple[int, int, int, str]:
         """The codes and facts of a variant record, or the CorpusError that names its first fault."""
@@ -294,10 +317,12 @@ _MAX_DEPTH = 1000
 def read_jsonl(path: str | Path, error: type[Exception], digest=None) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, record)`` for each non-blank line of a UTF-8 JSON Lines file.
 
-    Lines are split on ``\\n`` only. orjson decodes each line; ``json.loads``
-    decides the lines orjson rejects, so the accepted input and the error
-    messages are the standard library's. Errors are ``error("file:line: ...")``.
-    A hashlib ``digest`` is updated with the file name and bytes.
+    Lines are split on ``\\n`` only, one at a time from the bytes read, so
+    no list of the file's lines is built. orjson decodes each line;
+    ``json.loads`` decides the lines orjson rejects, so the accepted input and
+    the error messages are the standard library's. Errors are
+    ``error("file:line: ...")``. A hashlib ``digest`` is updated with the
+    file name and bytes.
     """
     path = Path(path)
     try:
@@ -308,7 +333,7 @@ def read_jsonl(path: str | Path, error: type[Exception], digest=None) -> Iterato
     if digest is not None:
         digest.update(name.encode())
         digest.update(data)
-    for lineno, line in enumerate(data.split(b"\n"), start=1):
+    for lineno, line in enumerate(io.BytesIO(data), start=1):  # shares data's buffer; lines keep their b"\n"
         if not line.strip():
             continue
         try:
@@ -316,6 +341,8 @@ def read_jsonl(path: str | Path, error: type[Exception], digest=None) -> Iterato
                 raise ValueError  # json.loads decides this line
             record = orjson.loads(line)
         except ValueError:  # orjson.JSONDecodeError is a ValueError
+            if line.endswith(b"\n"):  # so positions in the messages are those of the line alone
+                line = line[:-1]
             try:
                 text = line.decode("utf-8")
             except UnicodeDecodeError as exc:

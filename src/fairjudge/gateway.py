@@ -332,7 +332,8 @@ class _Client:
             conn.close()  # a half-done exchange leaves the connection unusable
             raise
 
-    def _post_once(self, prompt: str) -> str:
+    def _post_once(self, prompt: str) -> tuple[dict, str]:
+        """POST the prompt once; return the request body and the reply's content."""
         cfg = self.config
         body = {
             "model": cfg.model_name,
@@ -355,16 +356,19 @@ class _Client:
             raise _RetryableReply("malformed chat-completions response body") from None
         if not isinstance(content, str):
             raise _RetryableReply("malformed chat-completions response body")
-        self._audit({"request": body, "response": content})
-        return content
+        return body, content
 
     def _post_with_retries(self, prompt: str) -> tuple[Optional[str], int]:
-        """Return (content or None after the last failed attempt, attempts made)."""
+        """Return (content or None after the last failed attempt, attempts made).
+
+        Only the exchange is retried: an OSError writing an answer's audit
+        entry is raised, not taken for a transport error.
+        """
         cfg = self.config
         rng = random.Random()
         for attempt in range(cfg.max_retries + 1):
             try:
-                return self._post_once(prompt), attempt + 1
+                body, content = self._post_once(prompt)
             except (OSError, http.client.HTTPException, _RetryableReply) as exc:
                 if attempt == cfg.max_retries:
                     break
@@ -373,6 +377,9 @@ class _Client:
                 if retry_after is not None:
                     delay = max(delay, min(retry_after, cfg.timeout_s))
                 time.sleep(delay)
+                continue
+            self._audit({"request": body, "response": content})
+            return content, attempt + 1
         return None, cfg.max_retries + 1
 
     def fetch(self, prompt: str) -> tuple[str, int]:

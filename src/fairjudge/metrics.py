@@ -125,27 +125,29 @@ class PredictionTable:
 
         Model codes follow sorted model names. A key that names no variant of
         the corpus is a PredictionFormatError naming the first such prediction.
+        The code columns stay int32 and are views of one array; rows are
+        copied again only when ``labels`` leaves a label out.
         """
-        seen: dict[str, int] = {}  # model name -> code in first-seen order
-        columns, months = [np.empty((0, 4), dtype=np.intp)], [np.empty(0)]
-        for names, codes, source_months in sources:
-            to_seen = np.array([seen.setdefault(m, len(seen)) for m in names], dtype=np.intp)
-            codes[:, 0] = to_seen[codes[:, 0]]
-            columns.append(codes)
-            months.append(source_months)
-        models = tuple(sorted(seen))
-        rank = np.array([models.index(m) for m in seen], dtype=np.intp)  # first-seen code -> sorted code
+        sources = list(sources)
+        models = tuple(sorted({m for names, _, _ in sources for m in names}))
+        for names, codes, _ in sources:  # each source's model codes -> sorted codes, in place
+            codes[:, 0] = np.array([models.index(m) for m in names], dtype=np.int32)[codes[:, 0]]
+        columns = np.concatenate([codes for _, codes, _ in sources] or [np.empty((0, 4), dtype=np.int32)])
+        months = np.concatenate([m for _, _, m in sources] or [np.empty(0)])
+        del sources  # the per-source arrays, before the checks allocate
         label_ids = tuple(sorted(set(labels or corpus.label_ids)))
-        columns = np.concatenate(columns)
-        stray = np.flatnonzero(~corpus.in_corpus(*columns[:, 1:].T))
+        model, doc, label, value = columns.T
+        stray = np.flatnonzero(~corpus.in_corpus(doc, label, value))
         if stray.size:  # e.g. a variant key that repeats the document's baseline value
-            model, doc, label, value = columns[stray[0]].tolist()
-            lab = corpus.labels[label]
-            key = (list(seen)[model], corpus.doc_ids[doc], lab.label_id, lab.values[value])
+            m, d, l, v = columns[stray[0]].tolist()
+            key = (models[m], corpus.doc_ids[d], corpus.labels[l].label_id, corpus.labels[l].values[v])
             raise PredictionFormatError(f"prediction {key!r}: no such variant in the corpus")
-        keep = np.isin(columns[:, 2], [-1] + [corpus.label_code(l) for l in label_ids])
-        model, doc, label, value = columns[keep].T
-        return cls(models, label_ids, rank[model], doc, label, value, np.concatenate(months)[keep])
+        wanted = [corpus.label_code(l) for l in label_ids]  # raises on an unknown label
+        if len(wanted) < len(corpus.labels):
+            keep = np.isin(label, [-1] + wanted)
+            columns, months = columns[keep], months[keep]
+            model, doc, label, value = columns.T
+        return cls(models, label_ids, model, doc, label, value, months)
 
 
 def _encode_source(

@@ -572,3 +572,42 @@ def test_unwritable_out_exits_1_with_one_line(fixture_dir, tmp_path, capsys, com
     assert [line for line in err if line.startswith("error: ")] == [err[-1]]
     assert err[-1].startswith(f"error: cannot write {out}: {reason}")
     assert not any("Traceback" in line for line in err)
+
+
+@pytest.mark.parametrize(
+    "cache, reason",
+    [
+        ("blocker", "File exists"),
+        ("blocker/x", "Not a directory"),
+        ("cache", "Is a directory ({cache}/cache.jsonl)"),
+    ],
+    ids=["regular file", "under a regular file", "cache.jsonl a directory"],
+)
+def test_unwritable_cache_dir_exits_1_with_one_line(fixture_dir, tmp_path, capsys, monkeypatch, cache, reason):
+    """The cache is opened before any request, so the unreachable endpoint is never asked."""
+    monkeypatch.setenv("FAIRJUDGE_API_KEY", "x")
+    (tmp_path / "blocker").write_text("a regular file\n")
+    (tmp_path / "cache" / "cache.jsonl").mkdir(parents=True)
+    cache = str(tmp_path / cache)
+    argv = ["generate", "--corpus", str(fixture_dir), "--api-url", "http://127.0.0.1:9/v1", "--model", "m",
+            "--out", str(tmp_path / "o" / "p.jsonl"), "--cache-dir", cache]
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: cannot write {cache}: {reason.format(cache=cache)}"]
+    assert not (tmp_path / "o" / "p.jsonl").exists()
+
+
+def test_unwritable_audit_log_exits_1_with_one_line(fixture_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FAIRJUDGE_API_KEY", "x")
+    cache = tmp_path / "cache"
+    (cache / "audit.jsonl").mkdir(parents=True)
+    with StubServer() as server:
+        argv = ["generate", "--corpus", str(fixture_dir), "--api-url", server.url, "--model", "m",
+                "--out", str(tmp_path / "p.jsonl"), "--cache-dir", str(cache)]
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error: ")] == [err[-1]]
+    assert err[-1] == f"error: cannot write {cache}: Is a directory ({cache / 'audit.jsonl'})"
+    assert not any("Traceback" in line for line in err)

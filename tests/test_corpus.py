@@ -13,6 +13,7 @@ from fairjudge.corpus import (
     CorpusError,
     CounterfactualVariant,
     LabelDefinition,
+    index_corpus,
     load_corpus,
     save_corpus,
 )
@@ -132,6 +133,51 @@ def test_variant_faults_keep_their_messages(tmp_path, variant, message):
     with pytest.raises(CorpusError) as exc:
         load_corpus(root)
     assert str(exc.value) == message
+
+
+GHOST = {"doc_id": "ghost", "label_id": "gender", "variant_value": "male", "facts": "x"}
+BASELINE_REPEAT = {"doc_id": "d1", "label_id": "gender", "variant_value": "female", "facts": "x"}
+
+
+def variant_fault(root: Path, variants: list[dict], how: str) -> str:
+    """The CorpusError message of variants, loaded through ``index_corpus`` or built with ``Corpus(...)``."""
+    with pytest.raises(CorpusError) as exc:
+        if how == "index_corpus":
+            write_bundle(root, LABELS, DOCS, variants)
+            _, load_variants = index_corpus(root)
+            load_variants()
+        else:
+            labels = [LabelDefinition(**dict(r, values=tuple(r["values"]))) for r in LABELS]
+            Corpus(labels, [CaseDocument(**r) for r in DOCS], [CounterfactualVariant(**r) for r in variants])
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("how", ["index_corpus", "Corpus"])
+@pytest.mark.parametrize(
+    "variants, message",
+    [
+        ([VARIANTS[0], VARIANTS[1], VARIANTS[0], VARIANTS[2], GHOST], "duplicate variant ('d1', 'gender', 'male')"),
+        ([VARIANTS[0], GHOST, VARIANTS[1], VARIANTS[0]], "variant references unknown doc_id 'ghost'"),
+        ([VARIANTS[0], BASELINE_REPEAT, VARIANTS[0]],
+         "variant for 'd1'/'gender' repeats the document's baseline value 'female'"),
+        ([BASELINE_REPEAT, BASELINE_REPEAT],
+         "variant for 'd1'/'gender' repeats the document's baseline value 'female'"),
+    ],
+    ids=["duplicate at 3 before unknown doc at 5", "unknown doc at 2 before duplicate at 4",
+         "baseline repeat at 2 before duplicate at 3", "repeated baseline repeat"],
+)
+def test_first_variant_fault_in_file_order_wins(tmp_path, variants, message, how):
+    assert variant_fault(tmp_path / "corpus", variants, how) == message
+
+
+def test_duplicate_before_a_malformed_line_wins(tmp_path):
+    root = tmp_path / "corpus"
+    write_bundle(root, LABELS, DOCS, VARIANTS + [VARIANTS[0]])
+    with (root / "variants.jsonl").open("a") as fh:
+        fh.write("not json\n")
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(root)
+    assert str(exc.value) == "duplicate variant ('d1', 'gender', 'male')"
 
 
 def shuffled_corpus(seed=0):

@@ -522,6 +522,22 @@ def test_audit_log_appended(tmp_path):
     assert "request" in entry and "response" in entry
 
 
+def test_audit_write_error_is_raised_not_retried(tmp_path):
+    """An answer whose audit entry cannot be written is not a transport error to retry."""
+    corpus = small_corpus(n_docs=2, n_labels=1)
+    (tmp_path / "audit.jsonl").mkdir()
+    prompts = []
+
+    def responder(prompt):
+        prompts.append(prompt)
+        return 200, json.dumps({"sentence_months": 7})
+
+    with StubServer(responder) as server:
+        with pytest.raises(IsADirectoryError):
+            run_generation(corpus, make_config(server.url, max_concurrency=1), tmp_path)
+    assert prompts and len(set(prompts)) == len(prompts)  # no prompt asked twice
+
+
 # --- predictions.jsonl round trip ------------------------------------------
 
 def test_predictions_round_trip(tmp_path):

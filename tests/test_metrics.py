@@ -298,6 +298,7 @@ def test_one_table_serves_every_model():
         (record("d000", 5.0, "A", "a9"), "value 'a9' not admissible for label 'A'"),
         (record("d000", 5.0, "A", "a0"), "no such variant in the corpus"),  # the document's baseline value
         (record("d000", 5.0, "B", "b1"), "no such variant in the corpus"),  # B's variants are on other docs
+        (record("d000", 5.0, "A", "a0", model="a"), "no such variant in the corpus"),  # seen second, sorted first
     ],
 )
 def test_table_rejects_records_the_corpus_does_not_know(bad, reason):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,50 @@ def test_line_outcomes_keep_their_messages(tmp_path, second_line, outcome):
             list(iter_prediction_fields(path))
         with pytest.raises(PredictionFormatError, match=r"^p\.jsonl:2: " + outcome):
             PredictionTable.read([path], corpus)
+
+
+@pytest.mark.parametrize("sep", ["\n", "\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("blank", ["", " \t "], ids=["empty line", "whitespace line"])
+@pytest.mark.parametrize(
+    "bad",
+    [b'{"a": ', b'{"a": 1', b'{"a": 1} x', b'{"a": "\xe2\x82', b'{"a": "\xff"}'],
+    ids=["cut value", "cut object", "extra data", "cut UTF-8", "invalid UTF-8"],
+)
+def test_bad_last_line_message_does_not_depend_on_the_final_newline(tmp_path, sep, blank, bad):
+    """The message is the standard library's on the line as split on "\\n" alone.
+
+    So a final "\\n" changes nothing, and in a CRLF file the "\\r" stays part of the line.
+    """
+    last = bad + sep[:-1].encode()
+    body = sep.join([LINE, blank, LINE, ""]).encode() + last
+    try:
+        json.loads(last.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        expected = f"p.jsonl:4: not valid UTF-8: {exc}"
+    except ValueError as exc:
+        expected = f"p.jsonl:4: invalid JSON: {exc}"
+    path = tmp_path / "p.jsonl"
+    for end in (b"", b"\n"):
+        path.write_bytes(body + end)
+        with pytest.raises(CorpusError) as exc:
+            list(read_jsonl(path, CorpusError))
+        assert str(exc.value) == expected
+
+
+def test_reader_holds_the_file_once(tmp_path):
+    """Iterating holds the bytes read and one line at a time, not a list of the file's lines."""
+    path = tmp_path / "p.jsonl"
+    path.write_text("".join(json.dumps(dict(BASELINE, doc_id=f"d{i}")) + "\n" for i in range(50_000)))
+    size = path.stat().st_size
+    assert size > 3_000_000
+    tracemalloc.start()
+    try:
+        n = sum(1 for _ in read_jsonl(path, CorpusError))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 50_000
+    assert peak < 1.5 * size
 
 
 def test_raw_line_separators_stay_inside_strings(tmp_path):
