@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -226,6 +227,8 @@ def analyze(config_path, corpus_dir, prediction_paths, tau, labels, log1p, toler
     tolerance = _number(config, "tolerance", tolerance, 0.0)
     if not (0 < tau < 1):
         raise ConfigError(f"tau must be in (0, 1), got {tau}")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ConfigError(f"tolerance must be finite and >= 0, got {tolerance}")
     if not corpus_dir or not out_dir:
         raise ConfigError("analyze requires --corpus and --out")
     if not prediction_paths:
@@ -259,11 +262,7 @@ def analyze(config_path, corpus_dir, prediction_paths, tau, labels, log1p, toler
         summaries.append(summary)
         findings_by_model[model] = findings
         rows_by_model[model] = rows
-        diagnostics[model] = {
-            "unidentified_labels": diag.unidentified_labels,
-            "n_zero_predictions_dropped": diag.n_zero_predictions_dropped,
-            "n_missing_predictions": diag.n_missing_predictions,
-        }
+        diagnostics[model] = dataclasses.asdict(diag)
 
     pooled = {
         "bias": pooled_bernoulli(summaries, "bias", tau),

@@ -81,8 +81,8 @@ class ModelConfig:
     retry_base_delay_s: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise GatewayError(f"temperature must be >= 0, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise GatewayError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.max_concurrency < 1:
             raise GatewayError(f"max_concurrency must be >= 1, got {self.max_concurrency}")
         if self.max_retries < 0:

@@ -2,10 +2,11 @@
 
 Predictions enter as one columnar ``PredictionTable`` of corpus codes,
 built once per run. Each model's predictions are scattered into a dense
-[doc, label, value] months grid, and every metric gathers from that grid
-in corpus order, so outputs are independent of record order. A label's
-bias and imbalance regressions share one frame; only the outcome differs,
-and when both keep the same rows they share one fit of the design.
+[doc, label, value] months grid once, and one loop over the labels
+gathers each label's months from it in corpus order, so outputs are
+independent of record order. That gather feeds all three metrics: the
+label's inconsistency row and its one regression frame, whose bias and
+imbalance outcomes share one fit of the design when they keep the same rows.
 """
 
 from __future__ import annotations
@@ -233,45 +234,25 @@ def _model_grid(table: PredictionTable, corpus: Corpus, model: str) -> np.ndarra
     return grid
 
 
-def inconsistency(
-    predictions: Predictions,
-    corpus: Corpus,
-    model: str,
-    tolerance: float = 0.0,
-) -> tuple[list[InconsistencyRow], Optional[float]]:
-    """Per-label change proportions and their comparison-weighted average.
-
-    A comparison counts as changed when |variant - baseline| exceeds the
-    tolerance (default 0: sentences are discrete months, so any difference
-    is a change). Comparisons with a missing side are dropped pairwise.
-    """
-    table = _as_table(predictions, corpus)
-    grid = _model_grid(table, corpus, model)
-    rows: list[InconsistencyRow] = []
-    for label_id in table.label_ids:
-        docs, values = corpus.variant_codes(label_id)
-        b = grid[docs, -1, -1]
-        v = grid[docs, corpus.label_code(label_id), values]
-        usable = ~(np.isnan(b) | np.isnan(v))
-        w = int(usable.sum())
-        changed = int((np.abs(v[usable] - b[usable]) > tolerance).sum())
-        p = (changed / w) if w > 0 else None
-        rows.append(InconsistencyRow(label_id=label_id, p_l=p, w_l=w, n_missing=len(docs) - w, n_changed=changed))
-
-    total_w = sum(r.w_l for r in rows)
-    aggregate = (sum(r.n_changed for r in rows) / total_w) if total_w > 0 else None
-    return rows, aggregate
+def _inconsistency_row(label_id: str, months: np.ndarray, base: np.ndarray, tolerance: float) -> InconsistencyRow:
+    """One label's change proportion from its variants' months and their baselines' months (see ``inconsistency``)."""
+    usable = ~(np.isnan(base) | np.isnan(months))
+    w = int(usable.sum())
+    changed = int((np.abs(months[usable] - base[usable]) > tolerance).sum())
+    p = (changed / w) if w > 0 else None
+    return InconsistencyRow(label_id=label_id, p_l=p, w_l=w, n_missing=len(months) - w, n_changed=changed)
 
 
 def _label_frame(
-    corpus: Corpus, label_id: str, grid: np.ndarray, diag: AnalysisDiagnostics
+    corpus: Corpus, label_id: str, docs: np.ndarray, values: np.ndarray, months: np.ndarray, grid: np.ndarray,
+    diag: AnalysisDiagnostics,
 ) -> Optional[RegressionFrame]:
     """Rows = variants in (doc_id, value) order, then baselines of the documents with a usable variant.
 
-    y holds the predicted months, group_ids the doc codes; each metric swaps in its own outcome.
+    ``docs``, ``values`` and ``months`` are the label's variants and their
+    months, gathered from ``grid``. y holds the predicted months, group_ids
+    the doc codes; each metric swaps in its own outcome.
     """
-    docs, values = corpus.variant_codes(label_id)
-    months = grid[docs, corpus.label_code(label_id), values]
     seen = ~np.isnan(months)
     diag.n_missing_predictions += int((~seen).sum())
     if not seen.any():
@@ -301,48 +282,39 @@ def _log_each(months: np.ndarray, log) -> np.ndarray:
     return np.array([log(m) for m in bits.view(np.float64).tolist()])[inverse]
 
 
+FitResult = Optional[statcore.RegressionResult]
+
+
 def _fit(
-    frame: RegressionFrame, corpus: Corpus, label_id: str, metrics: tuple[str, ...], tau: float, log1p: bool,
-    diag: AnalysisDiagnostics,
-) -> list[Optional[LabelFinding]]:
-    """One label's finding per metric, None where the label is unidentified.
+    frame: RegressionFrame, corpus: Corpus, log1p: bool, diag: AnalysisDiagnostics
+) -> tuple[FitResult, FitResult]:
+    """One label's (bias, imbalance) regressions, None where the design is unidentified.
 
     bias      -> ln(predicted months), zero predictions dropped unless log1p;
     imbalance -> |predicted - true| months, every row.
-    Metrics that keep the same rows share one ``fe_regress`` call, so the
+    When both keep the same rows they share one ``fe_regress`` call, so the
     design is factored once; each result is the one a call of its own gives.
     """
-    keep = frame.y > 0 if "bias" in metrics and not log1p else None  # the rows bias keeps
-    outcomes = []
-    for metric in metrics:
-        if metric == "bias":
-            months = frame.y if keep is None else frame.y[keep]
-            diag.n_zero_predictions_dropped += frame.n_obs - len(months)
-            outcomes.append(_log_each(months, math.log1p if log1p else math.log))
-        else:
-            outcomes.append(np.abs(frame.y - corpus.true_months[frame.group_ids]))
+    keep = None if log1p else frame.y > 0  # the rows bias keeps
+    months = frame.y if keep is None else frame.y[keep]
+    diag.n_zero_predictions_dropped += frame.n_obs - len(months)
+    bias = _log_each(months, math.log1p if log1p else math.log)
+    imbalance = np.abs(frame.y - corpus.true_months[frame.group_ids])
     if keep is None or keep.all():
-        results = _regress(frame, outcomes)
-    else:
-        bias_frame = RegressionFrame(frame.y[keep], frame.X[keep], frame.group_ids[keep], frame.column_names)
-        results = [
-            _regress(bias_frame if metric == "bias" else frame, [y])[0] for metric, y in zip(metrics, outcomes)
-        ]
-    return [
-        None if result is None else _finding(result, label_id, metric, tau)
-        for metric, result in zip(metrics, results)
-    ]
+        return tuple(_regress(frame, [bias, imbalance]))
+    bias_frame = RegressionFrame(frame.y[keep], frame.X[keep], frame.group_ids[keep], frame.column_names)
+    return _regress(bias_frame, [bias])[0], _regress(frame, [imbalance])[0]
 
 
-def _regress(frame: RegressionFrame, outcomes: list[np.ndarray]) -> list[Optional[statcore.RegressionResult]]:
+def _regress(frame: RegressionFrame, outcomes: list[np.ndarray]) -> list[FitResult]:
     try:
         return statcore.fe_regress(frame, outcomes)
     except StatError:
         return [None] * len(outcomes)
 
 
-def _finding(result: statcore.RegressionResult, label_id: str, metric: str, tau: float) -> Optional[LabelFinding]:
-    identified_ps = [p for p in result.per_coef_p if not math.isnan(p)]
+def _finding(result: FitResult, label_id: str, metric: str, tau: float) -> Optional[LabelFinding]:
+    identified_ps = [] if result is None else [p for p in result.per_coef_p if not math.isnan(p)]
     if not identified_ps:
         return None
     # Label-level significance: joint Wald when several treated values,
@@ -363,48 +335,6 @@ def _finding(result: statcore.RegressionResult, label_id: str, metric: str, tau:
     )
 
 
-def _label_analysis(
-    table: PredictionTable, corpus: Corpus, model: str, tau: float, log1p: bool, metrics: tuple[str, ...]
-) -> tuple[dict[str, tuple[list[LabelFinding], BernoulliTestResult]], AnalysisDiagnostics]:
-    """Per metric, the identified labels' findings and their binomial tail test."""
-    if not (0 < tau < 1):
-        raise MetricsError(f"tau must be in (0, 1), got {tau}")
-    grid = _model_grid(table, corpus, model)
-    diag = AnalysisDiagnostics()
-    findings: dict[str, list[LabelFinding]] = {metric: [] for metric in metrics}
-    unidentified: set[str] = set()
-    for label_id in table.label_ids:
-        frame = _label_frame(corpus, label_id, grid, diag)
-        fits = [None] * len(metrics) if frame is None else _fit(frame, corpus, label_id, metrics, tau, log1p, diag)
-        for metric, finding in zip(metrics, fits):
-            if finding is None:
-                unidentified.add(label_id)
-            else:
-                findings[metric].append(finding)
-    diag.unidentified_labels = sorted(unidentified)
-    results = {
-        metric: (fs, bernoulli_test(len(fs), sum(1 for f in fs if f.significant), tau))
-        for metric, fs in findings.items()
-    }
-    return results, diag
-
-
-def bias_analysis(
-    predictions: Predictions, corpus: Corpus, model: str, tau: float = 0.05, log1p: bool = False
-) -> tuple[list[LabelFinding], BernoulliTestResult, AnalysisDiagnostics]:
-    """Per-label fixed-effects regressions of log predicted sentence on treated indicators."""
-    results, diag = _label_analysis(_as_table(predictions, corpus), corpus, model, tau, log1p, ("bias",))
-    return (*results["bias"], diag)
-
-
-def imbalance_analysis(
-    predictions: Predictions, corpus: Corpus, model: str, tau: float = 0.05
-) -> tuple[list[LabelFinding], BernoulliTestResult, AnalysisDiagnostics]:
-    """Same design with absolute prediction error (months) as the outcome."""
-    results, diag = _label_analysis(_as_table(predictions, corpus), corpus, model, tau, False, ("imbalance",))
-    return (*results["imbalance"], diag)
-
-
 def summarize_model(
     predictions: Predictions,
     corpus: Corpus,
@@ -413,21 +343,80 @@ def summarize_model(
     log1p: bool = False,
     tolerance: float = 0.0,
 ) -> tuple[ModelFairnessSummary, list[LabelFinding], list[InconsistencyRow], AnalysisDiagnostics]:
-    """Run all three metrics for one model; each label's frame is built once for both regressions."""
+    """All three metrics for one model, in one pass over its labels.
+
+    The model's months grid is built once. Each label's variant months are
+    gathered once, for its inconsistency row and its regression frame, and
+    the frame is fitted for bias and imbalance (see ``_fit``). Findings are
+    all bias, then all imbalance, each in label order; a label that either
+    metric leaves unidentified is listed in ``diag.unidentified_labels``.
+    """
     table = _as_table(predictions, corpus)
-    rows, aggregate = inconsistency(table, corpus, model, tolerance=tolerance)
-    results, diag = _label_analysis(table, corpus, model, tau, log1p, ("bias", "imbalance"))
-    (bias_findings, bias_bern), (imb_findings, imb_bern) = results["bias"], results["imbalance"]
+    grid = _model_grid(table, corpus, model)
+    if not (0 < tau < 1):
+        raise MetricsError(f"tau must be in (0, 1), got {tau}")
+    diag = AnalysisDiagnostics()
+    rows: list[InconsistencyRow] = []
+    bias: list[LabelFinding] = []
+    imbalance: list[LabelFinding] = []
+    for label_id in table.label_ids:
+        docs, values = corpus.variant_codes(label_id)
+        months = grid[docs, corpus.label_code(label_id), values]
+        rows.append(_inconsistency_row(label_id, months, grid[docs, -1, -1], tolerance))
+        frame = _label_frame(corpus, label_id, docs, values, months, grid, diag)
+        fits = (None, None) if frame is None else _fit(frame, corpus, log1p, diag)
+        found = [_finding(result, label_id, metric, tau) for metric, result in zip(("bias", "imbalance"), fits)]
+        if None in found:
+            diag.unidentified_labels.append(label_id)
+        for findings, finding in zip((bias, imbalance), found):
+            if finding is not None:
+                findings.append(finding)
+
+    total_w = sum(r.w_l for r in rows)
+    bias_bern = bernoulli_test(len(bias), sum(f.significant for f in bias), tau)
+    imb_bern = bernoulli_test(len(imbalance), sum(f.significant for f in imbalance), tau)
     summary = ModelFairnessSummary(
         model_name=model,
-        inconsistency=aggregate,
+        inconsistency=(sum(r.n_changed for r in rows) / total_w) if total_w > 0 else None,
         bias_count=bias_bern.n_significant,
         imbalance_count=imb_bern.n_significant,
         bias_bernoulli=bias_bern,
         imbalance_bernoulli=imb_bern,
         n_labels_tested=bias_bern.n_trials,
     )
-    return summary, bias_findings + imb_findings, rows, diag
+    return summary, bias + imbalance, rows, diag
+
+
+def inconsistency(
+    predictions: Predictions,
+    corpus: Corpus,
+    model: str,
+    tolerance: float = 0.0,
+) -> tuple[list[InconsistencyRow], Optional[float]]:
+    """Per-label change proportions and their comparison-weighted average.
+
+    A comparison counts as changed when |variant - baseline| exceeds the
+    tolerance (default 0: sentences are discrete months, so any difference
+    is a change). Comparisons with a missing side are dropped pairwise.
+    """
+    summary, _, rows, _ = summarize_model(predictions, corpus, model, tolerance=tolerance)
+    return rows, summary.inconsistency
+
+
+def bias_analysis(
+    predictions: Predictions, corpus: Corpus, model: str, tau: float = 0.05, log1p: bool = False
+) -> tuple[list[LabelFinding], BernoulliTestResult, AnalysisDiagnostics]:
+    """Per-label fixed-effects regressions of log predicted sentence on treated indicators."""
+    summary, findings, _, diag = summarize_model(predictions, corpus, model, tau=tau, log1p=log1p)
+    return [f for f in findings if f.metric == "bias"], summary.bias_bernoulli, diag
+
+
+def imbalance_analysis(
+    predictions: Predictions, corpus: Corpus, model: str, tau: float = 0.05
+) -> tuple[list[LabelFinding], BernoulliTestResult, AnalysisDiagnostics]:
+    """Same design with absolute prediction error (months) as the outcome."""
+    summary, findings, _, diag = summarize_model(predictions, corpus, model, tau=tau)
+    return [f for f in findings if f.metric == "imbalance"], summary.imbalance_bernoulli, diag
 
 
 def pooled_bernoulli(

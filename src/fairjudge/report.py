@@ -68,6 +68,19 @@ def _fmt_p(x: Optional[float]) -> str:
     return "" if x is None else f"{x:.2f}"
 
 
+def _summary_row(s: ModelFairnessSummary) -> list:
+    """One model's SUMMARY_CSV_COLUMNS cells, as summary.csv and report.html show them."""
+    return [
+        s.model_name,
+        _fmt3(s.inconsistency),
+        s.bias_count,
+        _fmt_p(s.bias_bernoulli.p_value),
+        s.imbalance_count,
+        _fmt_p(s.imbalance_bernoulli.p_value),
+        s.n_labels_tested,
+    ]
+
+
 def bundle_to_dict(bundle: ReportBundle) -> dict:
     """summary.json's content: each record is its dataclass's fields."""
     return {
@@ -98,18 +111,7 @@ def emit_tables(
     with summary_csv.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_CSV_COLUMNS)
-        for s in sorted(bundle.summaries, key=lambda s: s.model_name):
-            writer.writerow(
-                [
-                    s.model_name,
-                    _fmt3(s.inconsistency),
-                    s.bias_count,
-                    _fmt_p(s.bias_bernoulli.p_value),
-                    s.imbalance_count,
-                    _fmt_p(s.imbalance_bernoulli.p_value),
-                    s.n_labels_tested,
-                ]
-            )
+        writer.writerows(_summary_row(s) for s in sorted(bundle.summaries, key=lambda s: s.model_name))
     written.append(summary_csv)
 
     summary_json = out / "summary.json"
@@ -262,15 +264,7 @@ def emit_html(bundle: ReportBundle, out_dir: str | Path) -> Path:
         )
 
     table_rows = "".join(
-        "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>".format(
-            html.escape(s.model_name),
-            _fmt3(s.inconsistency),
-            s.bias_count,
-            _fmt_p(s.bias_bernoulli.p_value),
-            s.imbalance_count,
-            _fmt_p(s.imbalance_bernoulli.p_value),
-            s.n_labels_tested,
-        )
+        "<tr>" + "".join(f"<td>{html.escape(str(cell))}</td>" for cell in _summary_row(s)) + "</tr>"
         for s in summaries
     )
     header = "".join(f"<th>{c}</th>" for c in SUMMARY_CSV_COLUMNS)
@@ -311,6 +305,16 @@ def _field(record: dict, name: str, what: str, nullable: bool = False):
     return value
 
 
+def _direction(value) -> tuple[tuple[str, float], ...]:
+    """A finding's direction_summary; a TypeError unless it is a list of [string, number] pairs."""
+    if type(value) is not list or not all(
+        type(pair) is list and len(pair) == 2 and type(pair[0]) is str and type(pair[1]) in _JSON_TYPES["a number"]
+        for pair in value
+    ):
+        raise TypeError("direction_summary must be a list of [string, number] pairs")
+    return tuple(map(tuple, value))
+
+
 def load_findings_jsonl(path: str | Path) -> dict[str, list[LabelFinding]]:
     """Inverse of the findings.jsonl that ``emit_tables`` writes: model -> findings."""
     findings: dict[str, list[LabelFinding]] = {}
@@ -323,7 +327,7 @@ def load_findings_jsonl(path: str | Path) -> dict[str, list[LabelFinding]]:
                 joint_p=math.nan if joint_p is None else joint_p,
                 min_coef_p=_field(rec, "min_coef_p", "a number"),
                 significant=_field(rec, "significant", "a boolean"),
-                direction_summary=tuple((v, c) for v, c in rec["direction_summary"]),
+                direction_summary=_direction(rec["direction_summary"]),
             )
             findings.setdefault(_field(rec, "model_name", "a string"), []).append(finding)
         except (KeyError, TypeError, ValueError):

@@ -360,6 +360,32 @@ def test_non_numeric_config_value_exits_1(fixture_dir, tmp_path, capsys, key, so
     assert not (tmp_path / "r").exists() and not (tmp_path / "p.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, reason",
+    [
+        ("tolerance", "nan", "tolerance must be finite and >= 0, got nan"),
+        ("tolerance", "inf", "tolerance must be finite and >= 0, got inf"),
+        ("tolerance", "-5", "tolerance must be finite and >= 0, got -5.0"),
+        ("tau", "nan", "tau must be in (0, 1), got nan"),
+        ("temperature", "nan", "temperature must be finite and >= 0, got nan"),
+        ("temperature", "inf", "temperature must be finite and >= 0, got inf"),
+        ("temperature", "-1", "temperature must be finite and >= 0, got -1.0"),
+    ],
+    ids=["tolerance-nan", "tolerance-inf", "tolerance-negative", "tau-nan", "temperature-nan", "temperature-inf",
+         "temperature-negative"],
+)
+def test_non_finite_or_negative_config_value_exits_1(fixture_dir, tmp_path, capsys, key, value, reason):
+    if key in ("tau", "tolerance"):
+        argv = ["analyze", "--corpus", str(fixture_dir),
+                "--predictions", str(fixture_dir / "predictions_stub-a.jsonl"), "--out", str(tmp_path / "r")]
+    else:  # rejected before the corpus is read or any request is made
+        argv = ["generate", "--corpus", str(fixture_dir), "--api-url", "http://127.0.0.1:9/v1",
+                "--model", "m", "--out", str(tmp_path / "p.jsonl")]
+    assert main(argv + [f"--{key}", value]) == EXIT_USAGE
+    assert one_line_error(capsys) == "error: " + reason
+    assert not (tmp_path / "r").exists() and not (tmp_path / "p.jsonl").exists()
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     import os
     import subprocess
@@ -525,7 +551,11 @@ def test_report_on_summary_field_of_wrong_type_exits_2(fixture_dir, tmp_path, ca
 
 
 @pytest.mark.parametrize(
-    "fields", [{"joint_p": "0.5"}, {"min_coef_p": None}, {"significant": 1}, {"model_name": 3}]
+    "fields",
+    [
+        {"joint_p": "0.5"}, {"min_coef_p": None}, {"significant": 1}, {"model_name": 3},
+        {"direction_summary": ["ab"]}, {"direction_summary": [["v1", "x"]]},
+    ],
 )
 def test_report_in_place_on_finding_of_wrong_type_keeps_every_byte(fixture_dir, tmp_path, capsys, fields):
     out = tmp_path / "report"
