@@ -194,7 +194,8 @@ def _split_labels(raw: str | None) -> list[str] | None:
 @click.option("--out", "out_path", required=True)
 def ingest(corpus_dir, predictions_path, out_path) -> None:
     """Validate externally produced predictions against a corpus and normalize them."""
-    corpus = load_corpus(corpus_dir)
+    corpus, load_variants = index_corpus(corpus_dir)  # the codes are all that validation reads
+    load_variants()
     records = read_predictions(predictions_path)
     PredictionTable.build(records, corpus)  # validates every record against the corpus
     records.sort(key=lambda r: r.sort_key())

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import io
 import json
 import reprlib
 import sys
@@ -81,7 +80,11 @@ class Corpus:
     Variants are held as columns of doc, label and value codes (see
     ``codes``) plus their facts, sorted by label in declared order, then by
     (doc_id, variant_value) as strings; ``variants`` builds the objects
-    from them on first use.
+    from them on first use. A corpus from ``index_corpus`` is indexed only
+    until its variants step has run, and then holds the code columns
+    without the facts, which ``analyze`` never reads; ``variants`` and
+    ``enumerate_variants`` need the facts, so only ``load_corpus`` and
+    ``Corpus(...)`` give a corpus they work on.
     """
 
     def __init__(
@@ -91,7 +94,7 @@ class Corpus:
         variants: list[CounterfactualVariant],
     ) -> None:
         self._index(labels, documents)
-        self._encode_variants("variants", enumerate(map(vars, variants), start=1))
+        self._encode_variants("variants", enumerate(map(vars, variants), start=1), keep_facts=True)
 
     def _index(self, labels: list[LabelDefinition], documents: list[CaseDocument]) -> None:
         """Validate labels and documents and assign the integer codes of the prediction table.
@@ -104,6 +107,8 @@ class Corpus:
         self.labels = list(labels)
         self.documents = list(documents)
         self.digest: Optional[str] = None  # SHA-256 of the bundle files, set by index_corpus's second step
+        self._variant_columns: Optional[np.ndarray] = None  # set by _encode_variants
+        self._variant_facts: Optional[list[str]] = None  # set by _encode_variants when it keeps the facts
         self._labels_by_id: dict[str, LabelDefinition] = {}
         self._docs_by_id: dict[str, CaseDocument] = {}
         if not self.documents:
@@ -135,12 +140,13 @@ class Corpus:
         }
         self.key_codes[None, None] = (-1, -1)
 
-    def _encode_variants(self, name: str, lines: Iterable[tuple[int, dict]]) -> None:
+    def _encode_variants(self, name: str, lines: Iterable[tuple[int, dict]], keep_facts: bool) -> None:
         """Validate variant records (``file:line`` of ``name`` for field errors) and store them as columns.
 
         A record with string fields whose doc and (label, value) are known is
         encoded with two dict lookups; any other goes through the field and
-        reference checks, which raise. Repeats are found on the code columns
+        reference checks, which raise. Every record's facts are checked, but
+        kept only with ``keep_facts``. Repeats are found on the code columns
         (see ``_sort_variants``); before a record's error is raised, the
         records above it are checked for repeats, so the first fault in file
         order is the one reported.
@@ -160,7 +166,8 @@ class Corpus:
                 if not checked:
                     doc, label, value, text = self._check_variant(rec, f"{name}:{lineno}")
                 codes += (doc, label, value)
-                facts.append(text)
+                if keep_facts:
+                    facts.append(text)
         except CorpusError:  # a repeat in the rows above the faulty line comes first
             self._sort_variants(np.array(codes, dtype=np.intp).reshape(-1, 3))
             raise
@@ -169,7 +176,8 @@ class Corpus:
         order = self._sort_variants(columns)
         self._variant_columns = columns[order].T.copy()  # rows: doc, label and value codes
         self._variant_columns.flags.writeable = False
-        self._variant_facts = [facts[i] for i in order.tolist()]
+        if keep_facts:
+            self._variant_facts = [facts[i] for i in order.tolist()]
         self._variant_bounds = np.searchsorted(self._variant_columns[1], np.arange(len(self.labels) + 1)).tolist()
 
     def _sort_variants(self, columns: np.ndarray) -> np.ndarray:
@@ -225,6 +233,8 @@ class Corpus:
     @functools.cached_property
     def variants(self) -> list[CounterfactualVariant]:
         """The variants as objects, facts included, in column order; built on first use."""
+        if self._variant_facts is None:
+            raise CorpusError("corpus was indexed without its variant facts; read it with load_corpus")
         labels = self.labels
         return [
             CounterfactualVariant(self.doc_ids[d], labels[l].label_id, labels[l].values[v], facts)
@@ -293,7 +303,9 @@ class Corpus:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):
             return NotImplemented
-        # Equal labels and documents give equal codes, and the columns are sorted by code.
+        # Equal labels and documents give equal codes, and the columns are sorted by code. Corpora of
+        # different kinds (indexed only, codes only, full) differ: array_equal is False for None and
+        # an array, and so is == for None and a list of facts.
         return (
             self.labels == other.labels
             and self.documents == other.documents
@@ -302,11 +314,17 @@ class Corpus:
         )
 
     def __repr__(self) -> str:
-        return (
-            f"Corpus(labels={len(self.labels)}, documents={len(self.documents)}, "
-            f"variants={len(self._variant_facts)})"
-        )
+        if self._variant_columns is None:
+            variants = "variants not loaded"
+        else:
+            variants = f"variants={self._variant_columns.shape[1]}"
+            if self._variant_facts is None:
+                variants += ", codes only"
+        return f"Corpus(labels={len(self.labels)}, documents={len(self.documents)}, {variants})"
 
+
+# read_jsonl's read buffer: reading holds about this many bytes plus the longest line.
+_BUFFER_SIZE = 1 << 20
 
 # A line with more opening brackets than this may nest deeper than orjson's
 # parser can recurse on the C stack (it crashes past about 130k levels), so
@@ -317,45 +335,48 @@ _MAX_DEPTH = 1000
 def read_jsonl(path: str | Path, error: type[Exception], digest=None) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, record)`` for each non-blank line of a UTF-8 JSON Lines file.
 
-    Lines are split on ``\\n`` only, one at a time from the bytes read, so
-    no list of the file's lines is built. orjson decodes each line;
-    ``json.loads`` decides the lines orjson rejects, so the accepted input and
-    the error messages are the standard library's. Errors are
-    ``error("file:line: ...")``. A hashlib ``digest`` is updated with the
-    file name and bytes.
+    The file is read through a buffer of ``_BUFFER_SIZE`` bytes and split on
+    ``\\n`` only, one line at a time, so reading holds the buffer and one
+    line whatever the file's size. orjson decodes each line; ``json.loads``
+    decides the lines orjson rejects, so the accepted input and the error
+    messages are the standard library's. Errors are ``error("file:line:
+    ...")``, and ``error("cannot read ...")`` when the file cannot be opened
+    or read. A hashlib ``digest`` is updated with the file name, then with
+    each line's bytes as it is read, which is the hash of the file's bytes.
     """
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise error(f"cannot read {path}: {exc}") from exc
     name = path.name
     if digest is not None:
         digest.update(name.encode())
-        digest.update(data)
-    for lineno, line in enumerate(io.BytesIO(data), start=1):  # shares data's buffer; lines keep their b"\n"
-        if not line.strip():
-            continue
-        try:
-            if len(line) > _MAX_DEPTH and line.count(b"[") + line.count(b"{") > _MAX_DEPTH:
-                raise ValueError  # json.loads decides this line
-            record = orjson.loads(line)
-        except ValueError:  # orjson.JSONDecodeError is a ValueError
-            if line.endswith(b"\n"):  # so positions in the messages are those of the line alone
-                line = line[:-1]
-            try:
-                text = line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise error(f"{name}:{lineno}: not valid UTF-8: {exc}") from None
-            if not text.strip():  # e.g. a line of U+2028 or U+00A0
-                continue
-            try:
-                record = json.loads(text)
-            except (ValueError, RecursionError) as exc:  # ValueError: also an over-long integer
-                raise error(f"{name}:{lineno}: invalid JSON: {exc}") from None
-        if not isinstance(record, dict):
-            raise error(f"{name}:{lineno}: record is not an object")
-        yield lineno, record
+    try:
+        with open(path, "rb", buffering=_BUFFER_SIZE) as fh:
+            for lineno, line in enumerate(fh, start=1):  # lines keep their b"\n"
+                if digest is not None:
+                    digest.update(line)
+                if not line.strip():
+                    continue
+                try:
+                    if len(line) > _MAX_DEPTH and line.count(b"[") + line.count(b"{") > _MAX_DEPTH:
+                        raise ValueError  # json.loads decides this line
+                    record = orjson.loads(line)
+                except ValueError:  # orjson.JSONDecodeError is a ValueError
+                    if line.endswith(b"\n"):  # so positions in the messages are those of the line alone
+                        line = line[:-1]
+                    try:
+                        text = line.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise error(f"{name}:{lineno}: not valid UTF-8: {exc}") from None
+                    if not text.strip():  # e.g. a line of U+2028 or U+00A0
+                        continue
+                    try:
+                        record = json.loads(text)
+                    except (ValueError, RecursionError) as exc:  # ValueError: also an over-long integer
+                        raise error(f"{name}:{lineno}: invalid JSON: {exc}") from None
+                if not isinstance(record, dict):
+                    raise error(f"{name}:{lineno}: record is not an object")
+                yield lineno, record
+    except OSError as exc:  # opening, or reading partway through
+        raise error(f"cannot read {path}: {exc}") from exc
 
 
 def _require(record: dict, fields: list[str], where: str) -> None:
@@ -372,20 +393,23 @@ def _require_strings(record: dict, fields: list[str], where: str) -> None:
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    """Load and validate a corpus bundle directory; ``digest`` is the SHA-256 of its files, for provenance."""
-    corpus, load_variants = index_corpus(path)
+    """Load and validate a corpus bundle directory, facts included; ``digest`` is the SHA-256 of its files."""
+    corpus, load_variants = index_corpus(path, keep_facts=True)
     load_variants()
     return corpus
 
 
-def index_corpus(path: str | Path) -> tuple[Corpus, Callable[[], None]]:
+def index_corpus(path: str | Path, keep_facts: bool = False) -> tuple[Corpus, Callable[[], None]]:
     """The two steps of ``load_corpus``: the corpus of its labels and documents, and the call that adds its variants.
 
     The first step validates ``labels.jsonl`` and ``documents.jsonl`` and
     assigns the codes, which is all that encoding predictions needs
-    (``Corpus.codes``, ``doc_codes``, ``key_codes``). The second decodes
-    ``variants.jsonl`` into the corpus and sets ``digest``; until it has
-    returned, nothing that reads the variants may be called.
+    (``Corpus.codes``, ``doc_codes``, ``key_codes``). The second validates
+    ``variants.jsonl``, adds its code columns to the corpus and sets
+    ``digest``; until it has returned, nothing that reads the variants may
+    be called. It keeps the variants' facts only with ``keep_facts``, so by
+    default memory does not grow with case length and ``Corpus.variants``
+    raises.
     """
     root = Path(path)
     if not root.is_dir():
@@ -439,7 +463,8 @@ def index_corpus(path: str | Path) -> tuple[Corpus, Callable[[], None]]:
     corpus._index(labels, documents)
 
     def load_variants() -> None:
-        corpus._encode_variants("variants.jsonl", read_jsonl(root / "variants.jsonl", CorpusError, digest))
+        lines = read_jsonl(root / "variants.jsonl", CorpusError, digest)
+        corpus._encode_variants("variants.jsonl", lines, keep_facts)
         corpus.digest = digest.hexdigest()
 
     return corpus, load_variants

@@ -148,6 +148,49 @@ def test_analyze_streams_without_prediction_records(fixture_dir, tmp_path, monke
     assert run_analyze(fixture_dir, tmp_path / "r") == EXIT_OK
 
 
+def pad_variant_facts(root, size=3000):
+    """Lengthen every variant's facts in a bundle to about ``size`` bytes of UTF-8 text."""
+    path = root / "variants.jsonl"
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    filler = " Der Angeklagte äußerte sich nicht zur Tat."
+    path.write_text(
+        "".join(json.dumps(dict(r, facts=r["facts"] + filler * (size // len(filler.encode()))),
+                           ensure_ascii=False) + "\n" for r in rows),
+        encoding="utf-8",
+    )
+
+
+def test_long_case_facts_change_no_output_and_little_memory(tmp_path):
+    """analyze keeps the variants' codes, not their facts, so case length costs it no memory."""
+    import shutil
+    import tracemalloc
+
+    from fairjudge.corpus import index_corpus
+
+    short, long = tmp_path / "short", tmp_path / "long"
+    assert main(["fixture", "--seed", "5", "--docs", "200", "--out", str(short)]) == EXIT_OK
+    shutil.copytree(short, long)
+    pad_variant_facts(long)
+    assert (long / "variants.jsonl").stat().st_size > 2_000_000
+
+    peaks = {}
+    for root in (short, long):
+        predictions = short / "predictions_stub-model.jsonl"
+        out = tmp_path / f"out_{root.name}"
+        assert main(["analyze", "--corpus", str(root), "--predictions", str(predictions), "--out", str(out)]) == 0
+        tracemalloc.start()
+        try:
+            _, load_variants = index_corpus(root)
+            load_variants()
+            peaks[root.name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    names = ["summary.csv", "findings.jsonl", "labels_bias.csv", "labels_imbalance.csv", "labels_inconsistency.csv"]
+    for name in names:
+        assert (tmp_path / "out_long" / name).read_bytes() == (tmp_path / "out_short" / name).read_bytes(), name
+    assert peaks["long"] < 1.1 * peaks["short"], peaks
+
+
 def test_ingest_validates_and_normalizes(fixture_dir, tmp_path):
     out = tmp_path / "norm.jsonl"
     code = main(["ingest", "--corpus", str(fixture_dir),

@@ -328,3 +328,49 @@ def test_fixture_rejects_bad_plan():
                          effect_plan={"nope": 0.3})
     with pytest.raises(CorpusError):
         generate_fixture(seed=1, n_docs=0, label_specs=default_label_specs(1))
+
+
+def corpus_kinds(root: Path) -> dict:
+    """The three kinds of corpus of one bundle: indexed only, codes only (``index_corpus``) and full."""
+    indexed, _ = index_corpus(root)
+    codes, load_variants = index_corpus(root)
+    load_variants()
+    return {"indexed": indexed, "codes": codes, "full": load_corpus(root)}
+
+
+def test_repr_of_each_corpus_kind(bundle):
+    kinds = corpus_kinds(bundle)
+    assert repr(kinds["indexed"]) == "Corpus(labels=2, documents=3, variants not loaded)"
+    assert repr(kinds["codes"]) == "Corpus(labels=2, documents=3, variants=4, codes only)"
+    assert repr(kinds["full"]) == "Corpus(labels=2, documents=3, variants=4)"
+
+
+def test_equality_within_and_across_corpus_kinds(bundle):
+    kinds, again = corpus_kinds(bundle), corpus_kinds(bundle)
+    for name, corpus in kinds.items():
+        assert corpus == again[name]
+        for other_name, other in kinds.items():
+            assert (corpus == other) == (name == other_name), (name, other_name)
+    fewer = bundle.parent / "fewer"
+    write_bundle(fewer, LABELS, DOCS, VARIANTS[:-1])
+    for name, corpus in corpus_kinds(fewer).items():
+        assert (corpus == kinds[name]) == (name == "indexed"), name
+
+
+def test_codes_only_corpus_has_the_full_corpus_codes(bundle):
+    codes, full = corpus_kinds(bundle)["codes"], load_corpus(bundle)
+    assert codes.digest == full.digest
+    for label_id in full.label_ids:
+        for got, expected in zip(codes.variant_codes(label_id), full.variant_codes(label_id)):
+            assert got.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("kind", ["indexed", "codes"])
+def test_variants_of_a_corpus_without_facts_raise_instead_of_reading_the_file(bundle, kind):
+    corpus = corpus_kinds(bundle)[kind]
+    (bundle / "variants.jsonl").unlink()  # nothing may read it again
+    message = "corpus was indexed without its variant facts; read it with load_corpus"
+    with pytest.raises(CorpusError, match=f"^{message}$"):
+        corpus.variants
+    with pytest.raises(CorpusError, match=f"^{message}$"):
+        corpus.enumerate_variants("gender")

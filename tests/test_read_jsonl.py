@@ -1,5 +1,7 @@
 """The one JSON Lines reader: orjson first, json.loads for the lines orjson rejects."""
 
+import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairjudge
-from fairjudge.corpus import CaseDocument, Corpus, CorpusError, load_corpus, read_jsonl, save_corpus
+import fairjudge.corpus
+from fairjudge.cli import EXIT_DATA, main
+from fairjudge.corpus import CaseDocument, Corpus, CorpusError, index_corpus, load_corpus, read_jsonl, save_corpus
 from fairjudge.fixtures import default_label_specs, generate_fixture
 from fairjudge.gateway import PredictionFormatError, iter_prediction_fields, read_predictions
 from fairjudge.metrics import PredictionTable
@@ -185,3 +189,119 @@ def test_deep_nesting_is_a_decode_error_not_a_crash(tmp_path):
 def test_unreadable_file_names_the_path(tmp_path):
     with pytest.raises(CorpusError, match="cannot read .*missing.jsonl"):
         list(read_jsonl(tmp_path / "missing.jsonl", CorpusError))
+
+
+# Read buffers small enough to end inside a line, a UTF-8 character or a "\r\n" pair.
+@pytest.fixture(params=[2, 3, 5, 8, 64])
+def small_buffer(request, monkeypatch):
+    monkeypatch.setattr(fairjudge.corpus, "_BUFFER_SIZE", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        LINE + "\n" + json.dumps(dict(BASELINE, raw_response="ab" * 150)) + "\n",
+        "\n".join(json.dumps(dict(BASELINE, doc_id=c * 7), ensure_ascii=False) for c in "é€😀\u2028") + "\n",
+        "\r\n".join([LINE, " ", LINE, "", LINE]) + "\r\n",
+        LINE + "\n\n" + json.dumps(dict(BASELINE, doc_id="last")),
+    ],
+    ids=["line longer than the buffer", "split UTF-8 character", "split CRLF", "no final newline"],
+)
+def test_read_boundaries_do_not_change_the_records(tmp_path, small_buffer, text):
+    path = tmp_path / "r.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    expected = [(lineno, json.loads(line)) for lineno, line in enumerate(text.split("\n"), start=1) if line.strip()]
+    assert list(read_jsonl(path, CorpusError)) == expected
+
+
+def test_bad_line_past_a_boundary_reports_its_own_line(tmp_path, small_buffer):
+    path = tmp_path / "p.jsonl"
+    path.write_text("\n".join([LINE] * 5 + ["", LINE + " x", LINE]) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"^p\.jsonl:7: invalid JSON: Extra data: line 1 column 80 \(char 79\)$"):
+        list(read_jsonl(path, CorpusError))
+
+
+def test_digest_is_the_hash_of_file_names_and_bytes(tmp_path, small_buffer):
+    corpus, _ = generate_fixture(seed=3, n_docs=4, label_specs=default_label_specs(2, 2))
+    save_corpus(corpus, tmp_path)
+    indexed, load_variants = index_corpus(tmp_path)
+    load_variants()
+    digest = hashlib.sha256()
+    for name in ("labels.jsonl", "documents.jsonl", "variants.jsonl"):
+        digest.update(name.encode())
+        digest.update((tmp_path / name).read_bytes())
+    assert indexed.digest == digest.hexdigest()
+
+
+class FailsAfterOneLine:
+    """An open binary file whose read fails with EIO after its first line."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def __iter__(self):
+        yield next(self.fh)
+        raise OSError(errno.EIO, "Input/output error")
+
+
+def failing_open(failing_name: str):
+    """A stand-in for ``open`` whose file named ``failing_name`` fails after its first line."""
+
+    def fake_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return FailsAfterOneLine(fh) if os.path.basename(path) == failing_name else fh
+
+    return fake_open
+
+
+def test_read_error_partway_is_cannot_read(tmp_path, monkeypatch):
+    path = tmp_path / "p.jsonl"
+    path.write_text(LINE + "\n" + LINE + "\n")
+    monkeypatch.setattr(fairjudge.corpus, "open", failing_open("p.jsonl"), raising=False)
+    lines = read_jsonl(path, CorpusError)
+    assert next(lines)[0] == 1
+    with pytest.raises(CorpusError, match=f"^cannot read {path}: \\[Errno 5\\] Input/output error$"):
+        next(lines)
+
+
+@pytest.mark.parametrize("failing_name", ["variants.jsonl", "predictions_stub-model.jsonl"])
+def test_read_error_partway_exits_2_through_analyze(tmp_path, monkeypatch, capsys, failing_name):
+    """The variants are read in the analyze process, the predictions in a forked worker where there are two CPUs."""
+    fx = tmp_path / "fx"
+    assert main(["fixture", "--seed", "3", "--docs", "6", "--out", str(fx)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(fairjudge.corpus, "open", failing_open(failing_name), raising=False)
+    predictions = fx / "predictions_stub-model.jsonl"
+    code = main(["analyze", "--corpus", str(fx), "--predictions", str(predictions), "--out", str(tmp_path / "r")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot read {fx / failing_name}: [Errno 5] Input/output error"
+    ]
+
+
+def test_reader_peak_is_the_buffer_and_the_longest_line(tmp_path, monkeypatch):
+    """Memory does not grow with the file: the bound holds on a file several times its size."""
+    monkeypatch.setattr(fairjudge.corpus, "_BUFFER_SIZE", 1 << 16)
+    lines = [json.dumps(dict(BASELINE, doc_id=f"d{i}")) for i in range(12_000)]
+    lines[6_000] = json.dumps(dict(BASELINE, raw_response="x" * 20_000))
+    path = tmp_path / "p.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    longest = max(map(len, lines)) + 1
+    # The buffer, the line, and the record decoded from it, with room to spare.
+    bound = (1 << 16) + 3 * longest
+    assert path.stat().st_size > 8 * bound
+    tracemalloc.start()
+    try:
+        n = sum(1 for _ in read_jsonl(path, CorpusError))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 12_000
+    assert peak < bound
