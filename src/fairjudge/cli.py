@@ -29,7 +29,7 @@ from fairjudge.gateway import (
     run_generation,
     write_predictions,
 )
-from fairjudge.metrics import MetricsError, PredictionTable, pooled_bernoulli, summarize_model
+from fairjudge.metrics import MetricsError, PredictionTable, model_grid, pooled_bernoulli, summarize_model
 from fairjudge.report import (
     ReportBundle,
     ReportError,
@@ -113,7 +113,12 @@ def cli() -> None:
               help="Also write stub prediction files with the planted effects.")
 def fixture(seed: int, spec_path: str | None, out_dir: str, n_docs: int | None, with_predictions: bool) -> None:
     """Generate a synthetic corpus (and stub predictions) for offline runs."""
-    spec = FixtureSpec.from_json(spec_path) if spec_path else default_spec()
+    try:
+        spec = FixtureSpec.from_json(spec_path) if spec_path else default_spec()
+    except KeyError as exc:
+        raise ConfigError(f"{spec_path}: missing field {exc.args[0]!r}") from None
+    except (OSError, RecursionError, TypeError, ValueError) as exc:  # not a JSON object of FixtureSpec's fields
+        raise ConfigError(f"{spec_path}: {exc}") from None
     if n_docs is not None:
         spec = dataclasses.replace(spec, n_docs=n_docs)
     with _writing(out_dir):
@@ -197,7 +202,9 @@ def ingest(corpus_dir, predictions_path, out_path) -> None:
     corpus, load_variants = index_corpus(corpus_dir)  # the codes are all that validation reads
     load_variants()
     records = read_predictions(predictions_path)
-    PredictionTable.build(records, corpus)  # validates every record against the corpus
+    table = PredictionTable.build(records, corpus)  # validates every record against the corpus
+    for model in table.models:
+        model_grid(table, corpus, model)  # raises on a key predicted twice, as in analyze
     records.sort(key=lambda r: r.sort_key())
     with _writing(out_path):
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)

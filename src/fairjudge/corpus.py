@@ -7,11 +7,14 @@ corpus is immutable after load and safe to share across worker threads.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import reprlib
 import sys
+import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
@@ -288,7 +291,7 @@ class Corpus:
     def in_corpus(self, doc: np.ndarray, label: np.ndarray, value: np.ndarray) -> np.ndarray:
         """Whether each key of codes (see ``codes``) names a document's baseline or one of its variants.
 
-        As in ``metrics._model_grid``, one extra label and value slot at the end holds the baselines.
+        As in ``metrics.model_grid``, one extra label and value slot at the end holds the baselines.
         """
         n_values = max((len(lab.values) for lab in self.labels), default=0)
         known = np.zeros((len(self.doc_ids), len(self.labels) + 1, n_values + 1), dtype=bool)
@@ -377,6 +380,60 @@ def read_jsonl(path: str | Path, error: type[Exception], digest=None) -> Iterato
                 yield lineno, record
     except OSError as exc:  # opening, or reading partway through
         raise error(f"cannot read {path}: {exc}") from exc
+
+
+# The JSON types of scalar fields; json.loads yields exactly these types, so a bool is no integer here.
+_SCALARS = {str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def from_record(cls: type, record: dict):
+    """The ``cls`` dataclass of its ``asdict`` form, each field checked against its annotation (see ``_from_json``).
+
+    Keys that name no field are ignored, and a field's default covers its
+    absence. A missing field raises ``KeyError(name)``, and a field not of
+    its JSON type ``TypeError("<name> must be <JSON type>, got <value>")``.
+    """
+    if type(record) is not dict:
+        raise TypeError(f"{cls.__name__} must be an object, got {reprlib.repr(record)}")
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name in record:
+            kwargs[f.name] = _from_json(_type_hints(cls)[f.name], record[f.name], f.name)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise KeyError(f.name)
+    return cls(**kwargs)
+
+
+def _from_json(tp, value, name: str, or_null: str = ""):
+    """A JSON ``value`` as type ``tp``, or a TypeError naming it ``name`` (an item: with its index or key).
+
+    ``tp`` is str, int, float (also from an integer), bool, Optional[X], tuple[X, ...], tuple[X, Y] or
+    list[X] (from a list), dict or dict[str, X] (from an object), or a dataclass (see ``from_record``).
+    """
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    fixed = origin is tuple and args[-1] is not Ellipsis
+    if origin is typing.Union:  # Optional[X]: args are (X, NoneType)
+        return None if value is None else _from_json(args[0], value, name, " or null")
+    if tp in _SCALARS:
+        what, ok = _SCALARS[tp], type(value) is tp or tp is float and type(value) is int
+    elif dataclasses.is_dataclass(tp) or tp is dict or origin is dict:
+        what, ok = "an object", type(value) is dict
+    elif origin in (tuple, list):
+        what = f"a list of {len(args)} items" if fixed else "a list"
+        ok = type(value) is list and (not fixed or len(value) == len(args))
+    else:
+        raise NotImplementedError(f"from_record cannot read a field of type {tp!r}")
+    if not ok:
+        raise TypeError(f"{name} must be {what}{or_null}, got {reprlib.repr(value)}")
+    if dataclasses.is_dataclass(tp):
+        return from_record(tp, value)
+    if origin is dict:
+        return {k: _from_json(args[1], v, f"{name}[{k!r}]") for k, v in value.items()}
+    if origin in (tuple, list):
+        items = zip(args if fixed else itertools.repeat(args[0]), value)
+        return origin(_from_json(t, v, f"{name}[{i}]") for i, (t, v) in enumerate(items))
+    return value
 
 
 def _require(record: dict, fields: list[str], where: str) -> None:

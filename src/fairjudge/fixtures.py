@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import reprlib
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -16,6 +17,7 @@ from fairjudge.corpus import (
     CorpusError,
     CounterfactualVariant,
     LabelDefinition,
+    from_record,
     save_corpus,
 )
 from fairjudge.gateway import PredictionRecord, write_predictions
@@ -27,8 +29,8 @@ class FixtureSpec:
 
     n_docs: int = 20
     labels: tuple[LabelDefinition, ...] = ()
-    bias_effects: dict = field(default_factory=dict)  # label_id -> additive log-sentence effect
-    error_multipliers: dict = field(default_factory=dict)  # label_id -> error scale factor
+    bias_effects: dict[str, float] = field(default_factory=dict)  # label_id -> additive log-sentence effect
+    error_multipliers: dict[str, float] = field(default_factory=dict)  # label_id -> error scale factor
     noise_sigma: float = 0.25
     sentence_log_mean: float = math.log(36.0)
     sentence_log_sigma: float = 0.8
@@ -36,27 +38,27 @@ class FixtureSpec:
 
     @staticmethod
     def from_json(path: str | Path) -> "FixtureSpec":
+        """The spec of a JSON object of its fields (see ``corpus.from_record``), which names no other key.
+
+        A label's ``kind`` defaults to categorical and its ``reference_value`` to its first value.
+        """
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        labels = tuple(
-            LabelDefinition(
-                label_id=l["label_id"],
-                kind=l.get("kind", "categorical"),
-                values=tuple(l["values"]),
-                reference_value=l.get("reference_value", l["values"][0]),
-                description=l.get("description", ""),
-            )
-            for l in raw.get("labels", [])
-        )
-        return FixtureSpec(
-            n_docs=raw.get("n_docs", 20),
-            labels=labels,
-            bias_effects=dict(raw.get("bias_effects", {})),
-            error_multipliers=dict(raw.get("error_multipliers", {})),
-            noise_sigma=raw.get("noise_sigma", 0.25),
-            sentence_log_mean=raw.get("sentence_log_mean", math.log(36.0)),
-            sentence_log_sigma=raw.get("sentence_log_sigma", 0.8),
-            stub_models=tuple(raw.get("stub_models", ["stub-model"])),
-        )
+        if type(raw) is not dict:
+            raise TypeError(f"spec must be an object, got {reprlib.repr(raw)}")
+        unknown = sorted(set(raw) - {f.name for f in fields(FixtureSpec)})
+        if unknown:
+            raise ValueError(f"unknown fields {unknown}")
+        if type(raw.get("labels")) is list:
+            raw = {**raw, "labels": [_with_label_defaults(label) for label in raw["labels"]]}
+        return from_record(FixtureSpec, raw)
+
+
+def _with_label_defaults(label):
+    if type(label) is not dict:
+        return label  # from_record rejects it
+    values = label.get("values")
+    first = values[0] if type(values) is list and values else ""  # with no values, the label's own check fails
+    return {"kind": "categorical", "reference_value": first, **label}
 
 
 def default_label_specs(n_labels: int, n_values: int = 2) -> tuple[LabelDefinition, ...]:

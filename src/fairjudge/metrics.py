@@ -210,11 +210,12 @@ def _as_table(predictions: Predictions, corpus: Corpus) -> PredictionTable:
     return PredictionTable.build(predictions, corpus)
 
 
-def _model_grid(table: PredictionTable, corpus: Corpus, model: str) -> np.ndarray:
+def model_grid(table: PredictionTable, corpus: Corpus, model: str) -> np.ndarray:
     """One model's months as a dense [doc, label, value] grid, NaN where absent.
 
     One extra label and value slot at the end holds the baselines: a
-    baseline row's codes (-1, -1) index it as grid[doc, -1, -1].
+    baseline row's codes (-1, -1) index it as grid[doc, -1, -1]. A key the
+    model predicts twice is a MetricsError.
     """
     rows = table.model == (table.models.index(model) if model in table.models else -1)
     n_values = max((len(lab.values) for lab in corpus.labels), default=0)
@@ -229,8 +230,6 @@ def _model_grid(table: PredictionTable, corpus: Corpus, model: str) -> np.ndarra
         raise MetricsError(f"duplicate variant prediction for {key!r}")
     grid = np.full(shape, np.nan)
     np.put(grid, flat, table.months[rows])
-    if np.isnan(grid[:, -1, -1]).all():
-        raise MetricsError(f"no baseline predictions for model {model!r}")
     return grid
 
 
@@ -352,7 +351,9 @@ def summarize_model(
     metric leaves unidentified is listed in ``diag.unidentified_labels``.
     """
     table = _as_table(predictions, corpus)
-    grid = _model_grid(table, corpus, model)
+    grid = model_grid(table, corpus, model)
+    if np.isnan(grid[:, -1, -1]).all():
+        raise MetricsError(f"no baseline predictions for model {model!r}")
     if not (0 < tau < 1):
         raise MetricsError(f"tau must be in (0, 1), got {tau}")
     diag = AnalysisDiagnostics()

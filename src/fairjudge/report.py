@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from fairjudge.corpus import read_jsonl
+from fairjudge.corpus import from_record, read_jsonl
 from fairjudge.metrics import (
     InconsistencyRow,
     LabelFinding,
@@ -48,8 +48,8 @@ class ReportBundle:
     """
 
     summaries: list[ModelFairnessSummary]
-    inconsistency_rows: dict[str, list[InconsistencyRow]]  # model -> rows
-    pooled: dict[str, BernoulliTestResult]  # metric -> pooled test
+    inconsistency_rows: dict[str, list[InconsistencyRow]] = field(default_factory=dict)  # model -> rows
+    pooled: dict[str, BernoulliTestResult] = field(default_factory=dict)  # metric -> pooled test
     run_metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -289,30 +289,8 @@ def emit_html(bundle: ReportBundle, out_dir: str | Path) -> Path:
 def load_summary_json(path: str | Path) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:  # RecursionError: JSON nested too deep
         raise ReportError(f"cannot read {path}: {exc}") from None
-
-
-# The JSON types of a field read back; json.loads yields exactly these types, so a bool is no integer here.
-_JSON_TYPES = {"a string": (str,), "an integer": (int,), "a number": (int, float), "a boolean": (bool,)}
-
-
-def _field(record: dict, name: str, what: str, nullable: bool = False):
-    """record[name]; a TypeError naming the field unless it is ``what`` (or null, where ``nullable``)."""
-    value = record[name]
-    if not (value is None and nullable or type(value) in _JSON_TYPES[what]):
-        raise TypeError(f"{name} must be {what}{' or null' if nullable else ''}, got {reprlib.repr(value)}")
-    return value
-
-
-def _direction(value) -> tuple[tuple[str, float], ...]:
-    """A finding's direction_summary; a TypeError unless it is a list of [string, number] pairs."""
-    if type(value) is not list or not all(
-        type(pair) is list and len(pair) == 2 and type(pair[0]) is str and type(pair[1]) in _JSON_TYPES["a number"]
-        for pair in value
-    ):
-        raise TypeError("direction_summary must be a list of [string, number] pairs")
-    return tuple(map(tuple, value))
 
 
 def load_findings_jsonl(path: str | Path) -> dict[str, list[LabelFinding]]:
@@ -320,16 +298,13 @@ def load_findings_jsonl(path: str | Path) -> dict[str, list[LabelFinding]]:
     findings: dict[str, list[LabelFinding]] = {}
     for lineno, rec in read_jsonl(path, ReportError):
         try:
-            joint_p = _field(rec, "joint_p", "a number", nullable=True)
-            finding = LabelFinding(
-                label_id=_field(rec, "label_id", "a string"),
-                metric=_field(rec, "metric", "a string"),
-                joint_p=math.nan if joint_p is None else joint_p,
-                min_coef_p=_field(rec, "min_coef_p", "a number"),
-                significant=_field(rec, "significant", "a boolean"),
-                direction_summary=_direction(rec["direction_summary"]),
-            )
-            findings.setdefault(_field(rec, "model_name", "a string"), []).append(finding)
+            model = rec["model_name"]
+            if type(model) is not str:
+                raise TypeError
+            record = dict(rec)  # a copy, so the message shows the line as read
+            if "joint_p" in record and record["joint_p"] is None:  # a NaN joint_p is written as null
+                record["joint_p"] = math.nan
+            findings.setdefault(model, []).append(from_record(LabelFinding, record))
         except (KeyError, TypeError, ValueError):
             raise ReportError(f"{Path(path).name}:{lineno}: not a finding: {reprlib.repr(rec)}") from None
     return findings
@@ -341,52 +316,8 @@ def bundle_from_dict(data: dict) -> ReportBundle:
     A missing field is a ReportError naming it; so is a field of the wrong type.
     """
     try:
-        return _bundle_from_dict(data)
+        return from_record(ReportBundle, data)
     except KeyError as exc:
         raise ReportError(f"summary.json: missing field {exc.args[0]!r}") from None
-    except (TypeError, AttributeError, ValueError) as exc:  # a field of the wrong JSON type or shape
+    except (TypeError, ValueError) as exc:  # a field of the wrong JSON type or shape
         raise ReportError(f"summary.json: malformed: {exc}") from None
-
-
-def _bern_from_dict(d: dict) -> BernoulliTestResult:
-    return BernoulliTestResult(
-        n_trials=_field(d, "n_trials", "an integer"),
-        n_significant=_field(d, "n_significant", "an integer"),
-        threshold=_field(d, "threshold", "a number"),
-        p_value=_field(d, "p_value", "a number"),
-    )
-
-
-def _bundle_from_dict(data: dict) -> ReportBundle:
-    summaries = [
-        ModelFairnessSummary(
-            model_name=_field(s, "model_name", "a string"),
-            inconsistency=_field(s, "inconsistency", "a number", nullable=True),
-            bias_count=_field(s, "bias_count", "an integer"),
-            imbalance_count=_field(s, "imbalance_count", "an integer"),
-            bias_bernoulli=_bern_from_dict(s["bias_bernoulli"]),
-            imbalance_bernoulli=_bern_from_dict(s["imbalance_bernoulli"]),
-            n_labels_tested=_field(s, "n_labels_tested", "an integer"),
-        )
-        for s in data["summaries"]
-    ]
-    rows = {
-        model: [
-            InconsistencyRow(
-                label_id=_field(r, "label_id", "a string"),
-                p_l=_field(r, "p_l", "a number", nullable=True),
-                w_l=_field(r, "w_l", "an integer"),
-                n_missing=_field(r, "n_missing", "an integer"),
-                n_changed=_field({"n_changed": 0, **r}, "n_changed", "an integer"),  # absent in older files
-            )
-            for r in rlist
-        ]
-        for model, rlist in data.get("inconsistency_rows", {}).items()
-    }
-    pooled = {m: _bern_from_dict(b) for m, b in data.get("pooled", {}).items()}
-    return ReportBundle(
-        summaries=summaries,
-        inconsistency_rows=rows,
-        pooled=pooled,
-        run_metadata=data.get("run_metadata", {}),
-    )

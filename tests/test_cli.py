@@ -45,6 +45,43 @@ def test_fixture_round_trips_and_is_deterministic(tmp_path, fixture_dir):
         assert f.read_bytes() == (other / f.name).read_bytes(), f.name
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"n_docs": "x"}', "n_docs must be an integer, got 'x'"),
+        ('{"bias_effects": {"L01": "x"}}', "bias_effects['L01'] must be a number, got 'x'"),
+        ('{"labels": [{"label_id": "L01"}]}', "missing field 'values'"),
+        ("[]", "spec must be an object, got []"),
+        ('{"n_docs": 5', "Expecting ',' delimiter: line 1 column 13 (char 12)"),
+        ('{"stub_models": "ab"}', "stub_models must be a list, got 'ab'"),
+        ('{"n_doc": 5}', "unknown fields ['n_doc']"),
+    ],
+    ids=["n_docs", "bias_effects", "label-without-values", "not-an-object", "invalid-JSON", "stub_models",
+         "unknown-key"],
+)
+def test_malformed_fixture_spec_exits_1_with_one_line(tmp_path, capsys, text, reason):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    assert main(["fixture", "--spec", str(spec), "--out", str(tmp_path / "fx")]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [f"error: {spec}: {reason}"]
+    assert not (tmp_path / "fx").exists()
+
+
+@pytest.mark.parametrize(
+    "label, reason",
+    [
+        ({"kind": "ordinal", "values": ["a", "b"]}, "kind must be categorical or binary, got 'ordinal'"),
+        ({"values": ["a"]}, "needs >= 2 distinct value codes"),
+        ({"values": []}, "needs >= 2 distinct value codes"),
+    ],
+)
+def test_fixture_spec_label_of_bad_values_exits_2(tmp_path, capsys, label, reason):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"labels": [dict(label, label_id="L01")]}))
+    assert main(["fixture", "--spec", str(spec), "--out", str(tmp_path / "fx")]) == EXIT_DATA
+    assert one_line_error(capsys) == f"error: label 'L01': {reason}"
+
+
 def run_analyze(fixture_dir, out, extra=()):
     return main(
         [
@@ -296,6 +333,22 @@ def analyze_and_ingest(fixture_dir, tmp_path, path):
                 "--out", str(tmp_path / "norm.jsonl")])
 
 
+@pytest.mark.parametrize(
+    "repeat, reason",
+    [(0, "duplicate baseline prediction for doc 'D00001'"),
+     (-1, "duplicate variant prediction for ('D00012', 'venue', 'rural')")],
+    ids=["baseline", "variant"],
+)
+def test_repeated_prediction_key_exits_2_in_ingest_as_in_analyze(fixture_dir, tmp_path, capsys, repeat, reason):
+    lines = (fixture_dir / "predictions_stub-a.jsonl").read_text().splitlines()
+    path = tmp_path / "repeated.jsonl"
+    path.write_text("\n".join(lines + [lines[repeat]]) + "\n")
+    for code in analyze_and_ingest(fixture_dir, tmp_path, path):
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.splitlines()[-1] == "error: " + reason  # analyze names its model first
+    assert not (tmp_path / "r").exists() and not (tmp_path / "norm.jsonl").exists()
+
+
 @pytest.mark.parametrize("months", ["36", True])
 def test_non_numeric_predicted_months_exits_2(fixture_dir, tmp_path, capsys, months):
     path = with_extra_record(fixture_dir, tmp_path, predicted_months=months)
@@ -358,7 +411,9 @@ def test_non_integer_attempt_count_exits_2(fixture_dir, tmp_path, capsys):
 
 
 def test_integral_float_attempt_count_is_ingested_as_an_integer(fixture_dir, tmp_path):
-    path = with_extra_record(fixture_dir, tmp_path, attempt_count=2.0)
+    first, *rest = (fixture_dir / "predictions_stub-a.jsonl").read_text().splitlines()
+    path = tmp_path / "p.jsonl"  # the first record rewritten, as a repeated key is an error
+    path.write_text("\n".join([json.dumps(dict(json.loads(first), attempt_count=2.0))] + rest) + "\n")
     assert main(["ingest", "--corpus", str(fixture_dir), "--predictions", str(path),
                  "--out", str(tmp_path / "norm.jsonl")]) == EXIT_OK
     counts = [json.loads(line)["attempt_count"] for line in (tmp_path / "norm.jsonl").read_text().splitlines()]
@@ -548,6 +603,25 @@ def test_report_without_findings_exits_2(fixture_dir, tmp_path, capsys):
     argv = ["report", "--summary", str(out / "summary.json"), "--out", str(tmp_path / "again")]
     assert main(argv) == EXIT_DATA
     assert one_line_error(capsys).startswith("error: cannot read ")
+    assert not (tmp_path / "again").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 100_000 + "]" * 100_000, "error: cannot read {path}: maximum recursion depth exceeded"),
+        ("[]", "error: summary.json: malformed: ReportBundle must be an object, got []"),
+    ],
+    ids=["nested too deep", "not an object"],
+)
+def test_report_on_summary_of_bad_json_exits_2(fixture_dir, tmp_path, capsys, text, message):
+    out = tmp_path / "report"
+    assert run_analyze(fixture_dir, out) == EXIT_OK
+    (out / "summary.json").write_text(text)
+    capsys.readouterr()
+    argv = ["report", "--summary", str(out / "summary.json"), "--out", str(tmp_path / "again")]
+    assert main(argv) == EXIT_DATA
+    assert one_line_error(capsys).startswith(message.format(path=out / "summary.json"))
     assert not (tmp_path / "again").exists()
 
 

@@ -1,11 +1,16 @@
-"""The on-disk record formats: each line is its dataclass's fields, so renaming a field changes the format."""
+"""The on-disk record formats: each line is its dataclass's fields, so renaming a field changes the format.
+
+``from_record`` reads them back, checking each field against its annotation.
+"""
 
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
-from fairjudge.corpus import CaseDocument, Corpus, CounterfactualVariant, LabelDefinition, save_corpus
+from fairjudge.corpus import CaseDocument, Corpus, CounterfactualVariant, LabelDefinition, from_record, save_corpus
+from fairjudge.fixtures import FixtureSpec
 from fairjudge.gateway import PredictionRecord, write_predictions
 from fairjudge.metrics import InconsistencyRow, LabelFinding, ModelFairnessSummary
 from fairjudge.report import ReportBundle, emit_tables
@@ -104,3 +109,67 @@ def summary_entry(*path):
 )
 def test_record_line_is_exact(tmp_path, write, line):
     assert write(tmp_path) == line + "\n"
+
+
+FINDING = LabelFinding("gender", "bias", 0.04, 0.03, True, (("male", 0.25), ("other", -0.5)))
+ROW = InconsistencyRow("gender", None, 0, 3, 0)
+SPEC = FixtureSpec(n_docs=5, labels=(LABEL,), bias_effects={"gender": 0.4}, stub_models=("a", "b"))
+
+
+def as_json(record) -> dict:
+    return json.loads(json.dumps(asdict(record)))
+
+
+@pytest.mark.parametrize(
+    "record", [SUMMARY, SUMMARY.bias_bernoulli, ROW, FINDING, SPEC], ids=lambda r: type(r).__name__
+)
+def test_from_record_reads_back_what_asdict_writes(record):
+    assert from_record(type(record), as_json(record)) == record
+
+
+def test_from_record_ignores_unknown_keys_and_takes_defaults():
+    assert from_record(LabelFinding, dict(as_json(FINDING), model_name="m")) == FINDING
+    row = as_json(ROW)
+    del row["n_changed"]
+    assert from_record(InconsistencyRow, row) == InconsistencyRow("gender", None, 0, 3)
+    del row["w_l"]
+    with pytest.raises(KeyError, match="w_l"):
+        from_record(InconsistencyRow, row)
+    with pytest.raises(KeyError, match="n_significant"):  # in a nested record
+        from_record(ModelFairnessSummary, dict(as_json(SUMMARY), bias_bernoulli={"n_trials": 2}))
+
+
+@pytest.mark.parametrize(
+    "cls, fields, message",
+    [
+        (BernoulliTestResult, {"n_trials": True}, "n_trials must be an integer, got True"),
+        (BernoulliTestResult, {"p_value": False}, "p_value must be a number, got False"),
+        (BernoulliTestResult, {"n_trials": 2.0}, "n_trials must be an integer, got 2.0"),
+        (LabelFinding, {"significant": 1}, "significant must be a boolean, got 1"),
+        (InconsistencyRow, {"w_l": None}, "w_l must be an integer, got None"),
+        (InconsistencyRow, {"p_l": "x"}, "p_l must be a number or null, got 'x'"),
+        (LabelFinding, {"direction_summary": [["male"]]},
+         "direction_summary[0] must be a list of 2 items, got ['male']"),
+        (LabelFinding, {"direction_summary": [["male", 1, 2]]},
+         "direction_summary[0] must be a list of 2 items, got ['male', 1, 2]"),
+        (LabelFinding, {"direction_summary": [["male", "x"]]}, "direction_summary[0][1] must be a number, got 'x'"),
+        (LabelFinding, {"direction_summary": {"male": 1}}, "direction_summary must be a list, got {'male': 1}"),
+        (ModelFairnessSummary, {"bias_bernoulli": [2, 1]}, "bias_bernoulli must be an object, got [2, 1]"),
+        (FixtureSpec, {"bias_effects": {"gender": "x"}}, "bias_effects['gender'] must be a number, got 'x'"),
+        (FixtureSpec, {"stub_models": "ab"}, "stub_models must be a list, got 'ab'"),
+        (FixtureSpec, {"labels": [7]}, "labels[0] must be an object, got 7"),
+    ],
+)
+def test_from_record_rejects_a_field_not_of_its_type(cls, fields, message):
+    record = {FixtureSpec: {}, BernoulliTestResult: as_json(SUMMARY.bias_bernoulli), InconsistencyRow: as_json(ROW),
+              LabelFinding: as_json(FINDING), ModelFairnessSummary: as_json(SUMMARY)}[cls]
+    with pytest.raises(TypeError) as info:
+        from_record(cls, dict(record, **fields))
+    assert str(info.value) == message
+
+
+def test_from_record_takes_an_integer_as_a_number_and_needs_an_object():
+    record = {"n_trials": 2, "n_significant": 0, "threshold": 0, "p_value": 1}
+    assert from_record(BernoulliTestResult, record) == BernoulliTestResult(2, 0, 0, 1)
+    with pytest.raises(TypeError, match=r"^BernoulliTestResult must be an object, got \[\]$"):
+        from_record(BernoulliTestResult, [])
