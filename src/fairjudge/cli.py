@@ -113,6 +113,8 @@ def cli() -> None:
               help="Also write stub prediction files with the planted effects.")
 def fixture(seed: int, spec_path: str | None, out_dir: str, n_docs: int | None, with_predictions: bool) -> None:
     """Generate a synthetic corpus (and stub predictions) for offline runs."""
+    if seed < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     try:
         spec = FixtureSpec.from_json(spec_path) if spec_path else default_spec()
     except KeyError as exc:

@@ -147,8 +147,9 @@ class Corpus:
         """Validate variant records (``file:line`` of ``name`` for field errors) and store them as columns.
 
         A record with string fields whose doc and (label, value) are known is
-        encoded with two dict lookups; any other goes through the field and
-        reference checks, which raise. Every record's facts are checked, but
+        encoded with two dict lookups; any other goes through ``read_record``
+        and the reference checks, which raise. The inline checks must accept
+        nothing ``read_record`` rejects. Every record's facts are checked, but
         kept only with ``keep_facts``. Repeats are found on the code columns
         (see ``_sort_variants``); before a record's error is raised, the
         records above it are checked for repeats, so the first fault in file
@@ -167,7 +168,9 @@ class Corpus:
                 except (KeyError, TypeError):
                     checked = False
                 if not checked:
-                    doc, label, value, text = self._check_variant(rec, f"{name}:{lineno}")
+                    variant = read_record(CounterfactualVariant, rec, f"{name}:{lineno}", CorpusError)
+                    doc, label, value = self._check_variant(variant)
+                    text = variant.facts
                 codes += (doc, label, value)
                 if keep_facts:
                     facts.append(text)
@@ -216,12 +219,9 @@ class Corpus:
             raise CorpusError(f"duplicate variant {(doc_id, label_id, value_id)!r}")
         return order
 
-    def _check_variant(self, rec: dict, where: str) -> tuple[int, int, int, str]:
-        """The codes and facts of a variant record, or the CorpusError that names its first fault."""
-        fields = ["doc_id", "label_id", "variant_value", "facts"]
-        _require(rec, fields, where)
-        _require_strings(rec, fields, where)
-        doc_id, label_id, value = rec["doc_id"], rec["label_id"], rec["variant_value"]
+    def _check_variant(self, variant: CounterfactualVariant) -> tuple[int, int, int]:
+        """The codes of a variant, or the CorpusError that names its first fault."""
+        doc_id, label_id, value = variant.doc_id, variant.label_id, variant.variant_value
         doc = self.doc_codes.get(doc_id)
         if doc is None:
             raise CorpusError(f"variant references unknown doc_id {doc_id!r}")
@@ -231,7 +231,7 @@ class Corpus:
         code = self._value_codes[label].get(value)
         if code is None:
             raise CorpusError(f"variant for {doc_id!r}: value {value!r} not admissible for label {label_id!r}")
-        return doc, label, code, rec["facts"]
+        return doc, label, code
 
     @functools.cached_property
     def variants(self) -> list[CounterfactualVariant]:
@@ -384,7 +384,20 @@ def read_jsonl(path: str | Path, error: type[Exception], digest=None) -> Iterato
 
 # The JSON types of scalar fields; json.loads yields exactly these types, so a bool is no integer here.
 _SCALARS = {str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
-_type_hints = functools.cache(typing.get_type_hints)
+
+
+@functools.cache
+def _fields(cls: type) -> tuple[tuple[str, object, bool, Optional[type]], ...]:
+    """(name, annotation, required, item) of each field of a dataclass; ``item`` is X of a dict[str, X] of scalars."""
+    hints = typing.get_type_hints(cls)
+    schema = []
+    for f in dataclasses.fields(cls):
+        tp = hints[f.name]
+        args = typing.get_args(tp)
+        item = args[1] if typing.get_origin(tp) is dict and args[1] in _SCALARS else None
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        schema.append((f.name, tp, required, item))
+    return tuple(schema)
 
 
 def from_record(cls: type, record: dict):
@@ -392,17 +405,44 @@ def from_record(cls: type, record: dict):
 
     Keys that name no field are ignored, and a field's default covers its
     absence. A missing field raises ``KeyError(name)``, and a field not of
-    its JSON type ``TypeError("<name> must be <JSON type>, got <value>")``.
+    its JSON type ``TypeError("<name> must be <JSON type>, got <value>")``,
+    where an item inside a container is named with its index or key, as in
+    ``labels[0]`` or ``bias_effects['L01']``. A scalar of exactly its
+    field's type, or a dict[str, X] whose values all are of type X, is
+    taken after one type check, which keeps reading a corpus as fast as
+    hand-written checks.
     """
     if type(record) is not dict:
         raise TypeError(f"{cls.__name__} must be an object, got {reprlib.repr(record)}")
     kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name in record:
-            kwargs[f.name] = _from_json(_type_hints(cls)[f.name], record[f.name], f.name)
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise KeyError(f.name)
+    for name, tp, required, item in _fields(cls):
+        if name in record:
+            value = record[name]
+            if type(value) is tp:
+                kwargs[name] = value
+            elif item is not None and type(value) is dict and all(type(v) is item for v in value.values()):
+                kwargs[name] = dict(value)
+            else:
+                kwargs[name] = _from_json(tp, value, name)
+        elif required:
+            raise KeyError(name)
     return cls(**kwargs)
+
+
+def read_record(
+    cls: type, record: dict, where: str, error: type[Exception], invalid: type[Exception] = CorpusError
+):
+    """``from_record(cls, record)`` of the record at ``where`` (``file:line``); a fault is ``error("<where>: ...")``.
+
+    ``invalid`` is the error of ``cls``'s own value checks. A record that
+    lacks required fields names them all, whatever else is wrong with it:
+    ``missing fields ['doc_id', 'facts']``.
+    """
+    try:
+        return from_record(cls, record)
+    except (KeyError, TypeError, invalid) as exc:
+        missing = [name for name, _, required, _ in _fields(cls) if required and name not in record]
+        raise error(f"{where}: {f'missing fields {missing}' if missing else exc}") from None
 
 
 def _from_json(tp, value, name: str, or_null: str = ""):
@@ -436,19 +476,6 @@ def _from_json(tp, value, name: str, or_null: str = ""):
     return value
 
 
-def _require(record: dict, fields: list[str], where: str) -> None:
-    missing = [f for f in fields if f not in record]
-    if missing:
-        raise CorpusError(f"{where}: missing fields {missing}")
-
-
-def _require_strings(record: dict, fields: list[str], where: str) -> None:
-    for name in fields:
-        value = record.get(name, "")  # presence is _require's check
-        if not isinstance(value, str):
-            raise CorpusError(f"{where}: {name} must be a string, got {reprlib.repr(value)}")
-
-
 def load_corpus(path: str | Path) -> Corpus:
     """Load and validate a corpus bundle directory, facts included; ``digest`` is the SHA-256 of its files."""
     corpus, load_variants = index_corpus(path, keep_facts=True)
@@ -473,49 +500,14 @@ def index_corpus(path: str | Path, keep_facts: bool = False) -> tuple[Corpus, Ca
         raise CorpusError(f"corpus directory not found: {root}")
     digest = hashlib.sha256()
 
-    labels: list[LabelDefinition] = []
-    for lineno, rec in read_jsonl(root / "labels.jsonl", CorpusError, digest):
-        where = f"labels.jsonl:{lineno}"
-        _require(rec, ["label_id", "kind", "values", "reference_value"], where)
-        _require_strings(rec, ["label_id", "kind", "reference_value", "description"], where)
-        values = rec["values"]
-        if not (isinstance(values, list) and all(isinstance(v, str) for v in values)):
-            raise CorpusError(f"{where}: values must be a list of strings, got {reprlib.repr(values)}")
-        try:
-            labels.append(
-                LabelDefinition(
-                    label_id=rec["label_id"],
-                    kind=rec["kind"],
-                    values=tuple(values),
-                    reference_value=rec["reference_value"],
-                    description=rec.get("description", ""),
-                )
-            )
-        except CorpusError as exc:
-            raise CorpusError(f"{where}: {exc}") from None
-
-    documents: list[CaseDocument] = []
-    for lineno, rec in read_jsonl(root / "documents.jsonl", CorpusError, digest):
-        where = f"documents.jsonl:{lineno}"
-        _require(rec, ["doc_id", "facts", "true_sentence_months"], where)
-        _require_strings(rec, ["doc_id", "facts"], where)
-        label_values = rec.get("label_values", {})
-        if not (isinstance(label_values, dict) and all(isinstance(v, str) for v in label_values.values())):
-            raise CorpusError(
-                f"{where}: label_values must be an object of strings, got {reprlib.repr(label_values)}"
-            )
-        try:
-            documents.append(
-                CaseDocument(
-                    doc_id=rec["doc_id"],
-                    facts=rec["facts"],
-                    true_sentence_months=rec["true_sentence_months"],
-                    label_values=dict(label_values),
-                )
-            )
-        except CorpusError as exc:
-            raise CorpusError(f"{where}: {exc}") from None
-
+    labels = [
+        read_record(LabelDefinition, rec, f"labels.jsonl:{lineno}", CorpusError)
+        for lineno, rec in read_jsonl(root / "labels.jsonl", CorpusError, digest)
+    ]
+    documents = [
+        read_record(CaseDocument, rec, f"documents.jsonl:{lineno}", CorpusError)
+        for lineno, rec in read_jsonl(root / "documents.jsonl", CorpusError, digest)
+    ]
     corpus = Corpus.__new__(Corpus)
     corpus._index(labels, documents)
 

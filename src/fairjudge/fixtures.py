@@ -45,17 +45,23 @@ class FixtureSpec:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         if type(raw) is not dict:
             raise TypeError(f"spec must be an object, got {reprlib.repr(raw)}")
-        unknown = sorted(set(raw) - {f.name for f in fields(FixtureSpec)})
-        if unknown:
-            raise ValueError(f"unknown fields {unknown}")
+        _check_keys(FixtureSpec, raw, "")
         if type(raw.get("labels")) is list:
-            raw = {**raw, "labels": [_with_label_defaults(label) for label in raw["labels"]]}
+            raw = {**raw, "labels": [_with_label_defaults(label, i) for i, label in enumerate(raw["labels"])]}
         return from_record(FixtureSpec, raw)
 
 
-def _with_label_defaults(label):
+def _check_keys(cls: type, record: dict, where: str) -> None:
+    """Raise ValueError if ``record`` has a key that names no field of ``cls``, which ``from_record`` would ignore."""
+    unknown = sorted(set(record) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"{where}unknown fields {unknown}")
+
+
+def _with_label_defaults(label, index: int):
     if type(label) is not dict:
         return label  # from_record rejects it
+    _check_keys(LabelDefinition, label, f"labels[{index}]: ")
     values = label.get("values")
     first = values[0] if type(values) is list and values else ""  # with no values, the label's own check fails
     return {"kind": "categorical", "reference_value": first, **label}

@@ -29,9 +29,9 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
-from fairjudge.corpus import Corpus, read_jsonl
+from fairjudge.corpus import Corpus, read_jsonl, read_record
 
 DEFAULT_TEMPLATE = (
     "You are an experienced criminal court judge. Read the case facts below and "
@@ -89,48 +89,29 @@ class ModelConfig:
             raise GatewayError(f"max_retries must be >= 0, got {self.max_retries}")
 
 
-def check_prediction_fields(
-    model_name: object, doc_id: object, label_id: object, variant_value: object, predicted_months: object
-) -> None:
-    """The one validator of a prediction's fields; raises GatewayError."""
-    if not (isinstance(model_name, str) and isinstance(doc_id, str)):
-        raise GatewayError(
-            f"model_name and doc_id must be strings, got {reprlib.repr(model_name)}, {reprlib.repr(doc_id)}"
-        )
-    if label_id is None or variant_value is None:
-        if label_id is not variant_value:
-            raise GatewayError("label_id and variant_value must be both present or both absent")
-    elif not (isinstance(label_id, str) and isinstance(variant_value, str)):
-        raise GatewayError(
-            "label_id and variant_value must be strings or null, got "
-            f"{reprlib.repr(label_id)}, {reprlib.repr(variant_value)}"
-        )
-    p = predicted_months
-    if p is None:
-        return
-    if isinstance(p, bool) or not isinstance(p, (int, float)):
-        raise GatewayError(f"predicted_months must be a number or null, got {reprlib.repr(p)}")
-    # The chained comparison also rejects NaN and integers too large for a float.
-    if not 0 <= p <= sys.float_info.max:
-        raise GatewayError(f"predicted_months must be finite and >= 0, got {reprlib.repr(p)}")
-
-
 @dataclass(frozen=True)
 class PredictionRecord:
     """One parsed model output for a baseline document or a variant."""
 
     model_name: str
     doc_id: str
-    label_id: Optional[str]
-    variant_value: Optional[str]
-    predicted_months: Optional[float]
-    raw_response: str
-    attempt_count: int
+    label_id: Optional[str] = None
+    variant_value: Optional[str] = None
+    predicted_months: Optional[float] = None
+    raw_response: str = ""
+    attempt_count: int = 0
 
     def __post_init__(self) -> None:
-        check_prediction_fields(
-            self.model_name, self.doc_id, self.label_id, self.variant_value, self.predicted_months
-        )
+        if (self.label_id is None) is not (self.variant_value is None):
+            raise GatewayError("label_id and variant_value must be both present or both absent")
+        p = self.predicted_months
+        if p is None:
+            return
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise GatewayError(f"predicted_months must be a number or null, got {reprlib.repr(p)}")
+        # The chained comparison also rejects NaN and integers too large for a float.
+        if not 0 <= p <= sys.float_info.max:
+            raise GatewayError(f"predicted_months must be finite and >= 0, got {reprlib.repr(p)}")
 
     def sort_key(self) -> tuple:
         return (self.model_name, self.doc_id, self.label_id or "", self.variant_value or "")
@@ -509,46 +490,25 @@ class PredictionFormatError(Exception):
     """predictions.jsonl record violates the schema; message carries the line number."""
 
 
-def prediction_fields(rec: dict, where: str) -> tuple:
-    """One predictions.jsonl record's fields, validated, in ``PredictionRecord`` field order.
+def read_prediction(rec: dict, where: str) -> PredictionRecord:
+    """One predictions.jsonl record at ``where`` (``file:line``), read by ``corpus.read_record``.
 
-    Errors are PredictionFormatError prefixed with ``where`` (``file:line``).
+    An integral float ``attempt_count`` is read as an integer, since the
+    line reader decodes an integer outside the 64-bit range as a float.
+    Errors are PredictionFormatError prefixed with ``where``.
     """
-    try:
-        model_name, doc_id = rec["model_name"], rec["doc_id"]
-    except KeyError:
-        missing = [f for f in ("model_name", "doc_id") if f not in rec]
-        raise PredictionFormatError(f"{where}: missing fields {missing}") from None
-    label_id, variant_value = rec.get("label_id"), rec.get("variant_value")
-    months, raw, attempts = rec.get("predicted_months"), rec.get("raw_response", ""), rec.get("attempt_count", 0)
-    try:
-        check_prediction_fields(model_name, doc_id, label_id, variant_value, months)
-    except GatewayError as exc:
-        raise PredictionFormatError(f"{where}: {exc}") from None
-    if not isinstance(raw, str):
-        raise PredictionFormatError(f"{where}: raw_response must be a string, got {reprlib.repr(raw)}")
-    fractional = isinstance(attempts, float) and not attempts.is_integer()
-    try:
-        count = None if isinstance(attempts, bool) or fractional else int(attempts)
-    except (TypeError, ValueError, OverflowError):
-        count = None
-    if count is None:
-        raise PredictionFormatError(f"{where}: attempt_count must be an integer, got {reprlib.repr(attempts)}")
-    return model_name, doc_id, label_id, variant_value, months, raw, count
+    attempts = rec.get("attempt_count")
+    if type(attempts) is float and attempts.is_integer():
+        rec = {**rec, "attempt_count": int(attempts)}
+    return read_record(PredictionRecord, rec, where, PredictionFormatError, GatewayError)
 
 
-def iter_prediction_fields(path: str | Path) -> Iterator[tuple]:
-    """Yield each record of a predictions.jsonl file as a validated tuple (see ``prediction_fields``).
+def read_predictions(path: str | Path) -> list[PredictionRecord]:
+    """Load and validate a predictions.jsonl file (see ``read_prediction``).
 
     Every non-blank line must hold exactly one JSON object (see
     ``corpus.read_jsonl``); a record split over several lines is an error
     at its first line. Errors are PredictionFormatError naming ``file:line``.
     """
     name = Path(path).name
-    for lineno, rec in read_jsonl(path, PredictionFormatError):
-        yield prediction_fields(rec, f"{name}:{lineno}")
-
-
-def read_predictions(path: str | Path) -> list[PredictionRecord]:
-    """Load and validate a predictions.jsonl file."""
-    return [PredictionRecord(*fields) for fields in iter_prediction_fields(path)]
+    return [read_prediction(rec, f"{name}:{lineno}") for lineno, rec in read_jsonl(path, PredictionFormatError)]

@@ -21,7 +21,7 @@ import numpy as np
 
 from fairjudge.corpus import Corpus, CorpusError, read_jsonl
 from fairjudge.fanout import fan_out
-from fairjudge.gateway import PredictionFormatError, PredictionRecord, prediction_fields
+from fairjudge.gateway import PredictionFormatError, PredictionRecord, read_prediction
 from fairjudge.statcore import BernoulliTestResult, RegressionFrame, StatError, bernoulli_test
 from fairjudge import statcore
 
@@ -158,9 +158,9 @@ def _encode_source(
 
     ``lines`` yields (line number, record) pairs of the source ``name``. A
     record the inline checks accept is encoded with two dict lookups; any
-    other goes to the full validator, ``prediction_fields`` then
+    other goes to the full validator, ``gateway.read_prediction`` then
     ``Corpus.codes``, which raises or accepts it. The inline checks must
-    accept nothing the full validator rejects. An unknown doc_id, an
+    accept nothing ``read_prediction`` rejects. An unknown doc_id, an
     undeclared label or an inadmissible value is a PredictionFormatError
     naming the prediction. Returns the source's model names in first-seen
     order, an (n, 4) int32 array of (model, doc, label, value) codes whose
@@ -189,13 +189,13 @@ def _encode_source(
         except (KeyError, TypeError):  # a missing field, or an unhashable key
             checked = False
         if not checked:
-            model_name, doc_id, label_id, value_id, p, _, _ = prediction_fields(rec, f"{name}:{lineno}")
+            record = read_prediction(rec, f"{name}:{lineno}")
             try:
-                doc, label, value = corpus.codes(doc_id, label_id, value_id)
+                doc, label, value = corpus.codes(record.doc_id, record.label_id, record.variant_value)
             except CorpusError as exc:
-                key = (model_name, doc_id, label_id, value_id)
+                key = (record.model_name, record.doc_id, record.label_id, record.variant_value)
                 raise PredictionFormatError(f"prediction {key!r}: {exc}") from None
-            model = seen.setdefault(model_name, len(seen))
+            model, p = seen.setdefault(record.model_name, len(seen)), record.predicted_months
         codes += (model, doc, label, value)
         months.append(p)
     return list(seen), np.array(codes, dtype=np.int32).reshape(-1, 4), np.array(months, dtype=float)

@@ -55,15 +55,23 @@ def test_fixture_round_trips_and_is_deterministic(tmp_path, fixture_dir):
         ('{"n_docs": 5', "Expecting ',' delimiter: line 1 column 13 (char 12)"),
         ('{"stub_models": "ab"}', "stub_models must be a list, got 'ab'"),
         ('{"n_doc": 5}', "unknown fields ['n_doc']"),
+        ('{"labels": [{"label_id": "a", "values": ["x", "y"], "refrence_value": "y"}]}',
+         "labels[0]: unknown fields ['refrence_value']"),
     ],
     ids=["n_docs", "bias_effects", "label-without-values", "not-an-object", "invalid-JSON", "stub_models",
-         "unknown-key"],
+         "unknown-key", "unknown-label-key"],
 )
 def test_malformed_fixture_spec_exits_1_with_one_line(tmp_path, capsys, text, reason):
     spec = tmp_path / "spec.json"
     spec.write_text(text)
     assert main(["fixture", "--spec", str(spec), "--out", str(tmp_path / "fx")]) == EXIT_USAGE
     assert capsys.readouterr().err.splitlines() == [f"error: {spec}: {reason}"]
+    assert not (tmp_path / "fx").exists()
+
+
+def test_negative_fixture_seed_exits_1_with_one_line(tmp_path, capsys):
+    assert main(["fixture", "--seed", "-1", "--out", str(tmp_path / "fx")]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
     assert not (tmp_path / "fx").exists()
 
 
@@ -398,7 +406,7 @@ def test_key_field_of_wrong_type_exits_2(fixture_dir, tmp_path, capsys, fields, 
     for code in analyze_and_ingest(fixture_dir, tmp_path, path):
         assert code == EXIT_DATA
         message = one_line_error(capsys)
-        assert message.startswith("error: " + extra_line(fixture_dir)) and "must be strings" in message
+        assert message.startswith("error: " + extra_line(fixture_dir)) and "must be a string" in message
 
 
 def test_non_integer_attempt_count_exits_2(fixture_dir, tmp_path, capsys):
@@ -426,8 +434,9 @@ def test_integral_float_attempt_count_is_ingested_as_an_integer(fixture_dir, tmp
         ({"raw_response": [1, 2]}, "raw_response must be a string, got [1, 2]"),
         ({"attempt_count": True}, "attempt_count must be an integer, got True"),
         ({"attempt_count": 1.5}, "attempt_count must be an integer, got 1.5"),
+        ({"attempt_count": "3"}, "attempt_count must be an integer, got '3'"),
     ],
-    ids=["raw_response", "attempt_count", "fractional attempt_count"],
+    ids=["raw_response", "attempt_count", "fractional attempt_count", "string attempt_count"],
 )
 def test_ingest_rejects_list_raw_response_and_bool_attempt_count(fixture_dir, tmp_path, capsys, fields, reason):
     path = with_extra_record(fixture_dir, tmp_path, **fields)
@@ -528,16 +537,16 @@ def test_cli_import_leaves_requests_unloaded():
     "name, fields, reason",
     [
         ("labels.jsonl", {"values": [["v0"], ["v1"]]},
-         "values must be a list of strings, got [['v0'], ['v1']]"),
+         "values[0] must be a string, got ['v0']"),
         ("labels.jsonl", {"label_id": ["L01"]}, "label_id must be a string, got ['L01']"),
         ("labels.jsonl", {"description": 3}, "description must be a string, got 3"),
         ("documents.jsonl", {"doc_id": ["D1"]}, "doc_id must be a string, got ['D1']"),
-        ("documents.jsonl", {"label_values": [1, 2]}, "label_values must be an object of strings, got [1, 2]"),
+        ("documents.jsonl", {"label_values": [1, 2]}, "label_values must be an object, got [1, 2]"),
         ("documents.jsonl", {"label_values": {"gender": 1}},
-         "label_values must be an object of strings, got {'gender': 1}"),
+         "label_values['gender'] must be a string, got 1"),
         ("documents.jsonl", {"facts": 5}, "facts must be a string, got 5"),
         ("documents.jsonl", {"true_sentence_months": True},
-         "true_sentence_months must be a positive number, got True"),
+         "true_sentence_months must be a number, got True"),
         ("documents.jsonl", {"true_sentence_months": 10**400},
          "true_sentence_months must be a positive number, got 100000000000000000...0000000000000000000"),
         ("variants.jsonl", {"doc_id": ["D1"]}, "doc_id must be a string, got ['D1']"),
@@ -574,7 +583,7 @@ def test_invalid_utf8_exits_2(fixture_dir, tmp_path, capsys):
     "depth, reason",
     [
         (100_000, "invalid JSON: maximum recursion depth exceeded"),
-        (900, "model_name and doc_id must be strings"),
+        (900, "doc_id must be a string, got [[[[[[[...]]]]]]]"),
     ],
 )
 def test_deeply_nested_key_field_exits_2(fixture_dir, tmp_path, capsys, depth, reason):

@@ -24,7 +24,6 @@ from fairjudge.gateway import (
     _Cache,
     build_prompt,
     build_work_items,
-    iter_prediction_fields,
     parse_prediction,
     read_predictions,
     run_generation,
@@ -588,7 +587,7 @@ def test_record_split_over_two_lines_rejected_at_its_first_line(tmp_path):
     first, rest = json.dumps(BASELINE).split(", ", 1)
     path.write_text(json.dumps(BASELINE) + "\n" + first + ",\n" + rest + "\n")
     with pytest.raises(PredictionFormatError, match=r"^p\.jsonl:2: invalid JSON"):
-        list(iter_prediction_fields(path))
+        read_predictions(path)
 
 
 def test_one_object_per_line(tmp_path):

@@ -1,5 +1,6 @@
 """The one JSON Lines reader: orjson first, json.loads for the lines orjson rejects."""
 
+import copy
 import errno
 import hashlib
 import json
@@ -15,10 +16,19 @@ from hypothesis import strategies as st
 import fairjudge
 import fairjudge.corpus
 from fairjudge.cli import EXIT_DATA, main
-from fairjudge.corpus import CaseDocument, Corpus, CorpusError, index_corpus, load_corpus, read_jsonl, save_corpus
+from fairjudge.corpus import (
+    CaseDocument,
+    Corpus,
+    CorpusError,
+    LabelDefinition,
+    index_corpus,
+    load_corpus,
+    read_jsonl,
+    save_corpus,
+)
 from fairjudge.fixtures import default_label_specs, generate_fixture
-from fairjudge.gateway import PredictionFormatError, iter_prediction_fields, read_predictions
-from fairjudge.metrics import PredictionTable
+from fairjudge.gateway import PredictionFormatError, read_predictions
+from fairjudge.metrics import PredictionTable, _encode_source
 
 # Line separators other than "\n" that str.splitlines() also splits on.
 OTHER_BREAKS = "\u2028\u2029\x85\x0b\x0c\x1c\r"
@@ -90,14 +100,92 @@ def test_line_outcomes_keep_their_messages(tmp_path, second_line, outcome):
     path.write_text(LINE + "\n" + second_line + "\n", encoding="utf-8")
     corpus = Corpus([], [CaseDocument("d", "facts", 12.0)], [])
     if isinstance(outcome, dict):
-        rows = list(iter_prediction_fields(path))
-        assert len(rows) == 2 and rows[1][5] == outcome["raw_response"]
+        rows = read_predictions(path)
+        assert len(rows) == 2 and rows[1].raw_response == outcome["raw_response"]
         assert PredictionTable.read([path], corpus).doc.tolist() == [0, 0]
     else:
         with pytest.raises(PredictionFormatError, match=r"^p\.jsonl:2: " + outcome):
-            list(iter_prediction_fields(path))
+            read_predictions(path)
         with pytest.raises(PredictionFormatError, match=r"^p\.jsonl:2: " + outcome):
             PredictionTable.read([path], corpus)
+
+
+class _Misses(dict):
+    """A dict whose ``[]`` always misses while ``get`` still finds: the inline lookups fail, the fallback's do not."""
+
+    def __getitem__(self, key):
+        raise KeyError(key)
+
+
+KNOWN = Corpus(
+    [LabelDefinition("gender", "binary", ("female", "male"), "female")],
+    [CaseDocument("d1", "one", 12.0, {"gender": "female"}), CaseDocument("d2", "two", 30.0)],
+    [],
+)
+
+
+def fallback_only(corpus):
+    """A copy of ``corpus`` whose reads send every record to the typed-reader fallback."""
+    corpus = copy.copy(corpus)
+    corpus.doc_codes = _Misses(corpus.doc_codes)
+    return corpus
+
+
+ABSENT = object()
+
+
+def altered(*records):
+    """One of ``records`` with any of its fields made absent or any JSON value."""
+    names = sorted({name for record in records for name in record})
+    return st.builds(
+        lambda record, changes: {k: v for k, v in {**record, **changes}.items() if v is not ABSENT},
+        st.sampled_from(records),
+        st.dictionaries(st.sampled_from(names), st.one_of(st.just(ABSENT), values)),
+    )
+
+
+def outcome(encode, corpus):
+    try:
+        return encode(corpus)
+    except (CorpusError, PredictionFormatError) as exc:
+        return type(exc), str(exc)
+
+
+PREDICTIONS = (
+    {"model_name": "m", "doc_id": "d1", "label_id": None, "variant_value": None,
+     "predicted_months": 12, "raw_response": "", "attempt_count": 1},
+    {"model_name": "n", "doc_id": "d2", "label_id": "gender", "variant_value": "male", "predicted_months": 12.5},
+    {"model_name": "m", "doc_id": "d1", "label_id": "gender", "variant_value": "female", "attempt_count": 2.0},
+    {"model_name": "m", "doc_id": "d2", "predicted_months": 10**400, "raw_response": "{}", "attempt_count": 2.5},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(recs=st.lists(altered(*PREDICTIONS), min_size=1, max_size=3))
+def test_inline_prediction_checks_agree_with_the_typed_reader(recs):
+    def encode(corpus):
+        models, codes, months = _encode_source("p.jsonl", enumerate(recs, start=1), corpus)
+        return models, codes.tolist(), canonical(months.tolist())
+
+    assert outcome(encode, KNOWN) == outcome(encode, fallback_only(KNOWN))
+
+
+VARIANTS = (
+    {"doc_id": "d1", "label_id": "gender", "variant_value": "male", "facts": "one, male"},
+    {"doc_id": "d2", "label_id": "gender", "variant_value": "female", "facts": "two, female"},
+    {"doc_id": "d2", "label_id": "gender", "variant_value": "male", "facts": "two, male"},
+    {"doc_id": "d1", "label_id": None, "variant_value": None, "facts": "one"},  # a baseline's key
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(recs=st.lists(altered(*VARIANTS), min_size=1, max_size=3))
+def test_inline_variant_checks_agree_with_the_typed_reader(recs):
+    def encode(corpus):
+        corpus._encode_variants("variants.jsonl", enumerate(recs, start=1), keep_facts=True)
+        return corpus._variant_columns.tolist(), corpus._variant_facts
+
+    assert outcome(encode, copy.copy(KNOWN)) == outcome(encode, fallback_only(KNOWN))
 
 
 @pytest.mark.parametrize("sep", ["\n", "\r\n"], ids=["LF", "CRLF"])

@@ -9,9 +9,18 @@ from dataclasses import asdict
 
 import pytest
 
-from fairjudge.corpus import CaseDocument, Corpus, CounterfactualVariant, LabelDefinition, from_record, save_corpus
+from fairjudge.corpus import (
+    CaseDocument,
+    Corpus,
+    CorpusError,
+    CounterfactualVariant,
+    LabelDefinition,
+    from_record,
+    read_record,
+    save_corpus,
+)
 from fairjudge.fixtures import FixtureSpec
-from fairjudge.gateway import PredictionRecord, write_predictions
+from fairjudge.gateway import PredictionFormatError, PredictionRecord, read_prediction, write_predictions
 from fairjudge.metrics import InconsistencyRow, LabelFinding, ModelFairnessSummary
 from fairjudge.report import ReportBundle, emit_tables
 from fairjudge.statcore import BernoulliTestResult
@@ -173,3 +182,16 @@ def test_from_record_takes_an_integer_as_a_number_and_needs_an_object():
     assert from_record(BernoulliTestResult, record) == BernoulliTestResult(2, 0, 0, 1)
     with pytest.raises(TypeError, match=r"^BernoulliTestResult must be an object, got \[\]$"):
         from_record(BernoulliTestResult, [])
+
+
+def test_read_record_names_every_missing_field_first():
+    with pytest.raises(CorpusError, match=r"^documents\.jsonl:4: missing fields \['facts', 'true_sentence_months'\]$"):
+        read_record(CaseDocument, {"doc_id": 1}, "documents.jsonl:4", CorpusError)
+
+
+def test_a_prediction_line_may_omit_all_but_its_key():
+    assert read_prediction({"model_name": "m", "doc_id": "D1"}, "p.jsonl:1") == PredictionRecord("m", "D1")
+    with pytest.raises(PredictionFormatError, match=r"^p\.jsonl:1: missing fields \['model_name'\]$"):
+        read_prediction({"doc_id": 7}, "p.jsonl:1")
+    with pytest.raises(PredictionFormatError, match=r"^p\.jsonl:1: label_id and variant_value must be both"):
+        read_prediction({"model_name": "m", "doc_id": "D1", "label_id": "gender"}, "p.jsonl:1")
