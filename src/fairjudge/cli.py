@@ -30,15 +30,7 @@ from fairjudge.gateway import (
     write_predictions,
 )
 from fairjudge.metrics import MetricsError, PredictionTable, model_grid, pooled_bernoulli, summarize_model
-from fairjudge.report import (
-    ReportBundle,
-    ReportError,
-    bundle_from_dict,
-    emit_html,
-    emit_tables,
-    load_findings_jsonl,
-    load_summary_json,
-)
+from fairjudge.report import ReportBundle, ReportError, read_report, write_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,7 +49,7 @@ def _read_config(path: str | None) -> dict[str, str]:
     config: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -115,6 +107,8 @@ def fixture(seed: int, spec_path: str | None, out_dir: str, n_docs: int | None, 
     """Generate a synthetic corpus (and stub predictions) for offline runs."""
     if seed < 0:  # numpy's generators take no negative seed
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    if n_docs is not None and n_docs < 1:
+        raise ConfigError(f"n_docs must be >= 1, got {n_docs}")
     try:
         spec = FixtureSpec.from_json(spec_path) if spec_path else default_spec()
     except KeyError as exc:
@@ -169,7 +163,11 @@ def generate(config_path, corpus_dir, api_url, model_name, temperature, provider
     template_path = _merged(config, "template_file", template_file)
     kwargs = {}
     if template_path:
-        kwargs["template"] = Path(template_path).read_text(encoding="utf-8")
+        try:
+            kwargs["template"] = Path(template_path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"cannot read template file {template_path}: {reason}") from None
     label_list = _split_labels(_merged(config, "labels", labels))
 
     def progress(done: int, total: int) -> None:
@@ -294,8 +292,7 @@ def analyze(config_path, corpus_dir, prediction_paths, tau, labels, log1p, toler
         },
     )
     with _writing(out_dir):
-        emit_tables(bundle, out_dir, findings_by_model=findings_by_model)
-        emit_html(bundle, out_dir)
+        write_report(bundle, findings_by_model, out_dir)
     click.echo(f"report written to {out_dir}", err=True)
 
 
@@ -304,11 +301,9 @@ def analyze(config_path, corpus_dir, prediction_paths, tau, labels, log1p, toler
 @click.option("--out", "out_dir", required=True)
 def report_cmd(summary_path, out_dir) -> None:
     """Re-render CSV/HTML from an existing summary.json and the findings.jsonl beside it."""
-    bundle = bundle_from_dict(load_summary_json(summary_path))
-    findings_by_model = load_findings_jsonl(Path(summary_path).with_name("findings.jsonl"))
+    bundle, findings_by_model = read_report(summary_path)
     with _writing(out_dir):
-        emit_tables(bundle, out_dir, findings_by_model=findings_by_model)
-        emit_html(bundle, out_dir)
+        write_report(bundle, findings_by_model, out_dir)
     click.echo(f"report written to {out_dir}", err=True)
 
 

@@ -175,7 +175,8 @@ class _Cache:
 
     Each put is one ``write`` on an ``O_APPEND`` descriptor, so processes
     and instances sharing a directory never interleave lines. A torn last
-    line from an interrupted run is skipped (its prompt is asked again).
+    line from an interrupted run is skipped (its prompt is asked again), and
+    so is an entry whose ``content`` is not a str or ``attempts`` not an int.
     """
 
     def __init__(self, cache_dir: Path) -> None:
@@ -190,7 +191,12 @@ class _Cache:
                 key, value = json.loads(line)
             except (ValueError, TypeError):
                 continue
-            if isinstance(key, str) and isinstance(value, dict):
+            if (
+                isinstance(key, str)
+                and isinstance(value, dict)
+                and type(value.get("content")) is str
+                and type(value.get("attempts")) is int
+            ):
                 self.entries[key] = value
         # Start the first new line on a line of its own after a torn tail.
         self.pending_newline = bool(data) and not data.endswith(b"\n")
@@ -368,7 +374,7 @@ class _Client:
         key = _Cache.key(self.config.model_name, self.config.temperature, prompt)
         cached = self.cache.get(key)
         if cached is not None:
-            return cached.get("content", ""), int(cached.get("attempts", 1))
+            return cached["content"], cached["attempts"]
         content, attempts = self._post_with_retries(prompt)
         if content is None:
             return "", attempts

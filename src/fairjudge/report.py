@@ -1,8 +1,9 @@
-"""Report emitters: CSV/JSON tables and a self-contained static HTML report.
+"""The report's seven files: CSV/JSON tables and a self-contained static HTML report.
 
-Output bytes are a pure function of the bundle; run timestamps are
-injected by the caller, never sampled here, so golden-file comparisons
-hold across runs.
+``write_report`` writes them and ``read_report`` reads them back from
+summary.json and findings.jsonl. Output bytes are a pure function of the
+bundle and findings; run timestamps are injected by the caller, never
+sampled here, so golden-file comparisons hold across runs.
 """
 
 from __future__ import annotations
@@ -17,12 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from fairjudge.corpus import from_record, read_jsonl
-from fairjudge.metrics import (
-    InconsistencyRow,
-    LabelFinding,
-    ModelFairnessSummary,
-    mean_inconsistency,
-)
+from fairjudge.metrics import InconsistencyRow, LabelFinding, ModelFairnessSummary, mean_inconsistency
 from fairjudge.statcore import BernoulliTestResult
 
 SUMMARY_CSV_COLUMNS = [
@@ -81,7 +77,7 @@ def _summary_row(s: ModelFairnessSummary) -> list:
     ]
 
 
-def bundle_to_dict(bundle: ReportBundle) -> dict:
+def _bundle_to_dict(bundle: ReportBundle) -> dict:
     """summary.json's content: each record is its dataclass's fields."""
     return {
         "summaries": [asdict(s) for s in sorted(bundle.summaries, key=lambda s: s.model_name)],
@@ -99,58 +95,84 @@ def _finding_dict(model: str, f: LabelFinding) -> dict:
     return {**asdict(f), "model_name": model, "joint_p": None if math.isnan(f.joint_p) else f.joint_p}
 
 
-def emit_tables(
-    bundle: ReportBundle, out_dir: str | Path, findings_by_model: dict[str, list[LabelFinding]]
-) -> list[Path]:
-    """Write summary.csv, summary.json, findings.jsonl, and per-label CSVs."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    summary_csv = out / "summary.csv"
-    with summary_csv.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_CSV_COLUMNS)
-        writer.writerows(_summary_row(s) for s in sorted(bundle.summaries, key=lambda s: s.model_name))
-    written.append(summary_csv)
-
-    summary_json = out / "summary.json"
-    summary_json.write_text(
-        json.dumps(bundle_to_dict(bundle), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    written.append(summary_json)
-
-    findings_jsonl = out / "findings.jsonl"
-    with findings_jsonl.open("w", encoding="utf-8") as fh:
-        for model in sorted(findings_by_model):
-            for f in findings_by_model[model]:
-                fh.write(json.dumps(_finding_dict(model, f), sort_keys=True) + "\n")
-    written.append(findings_jsonl)
-
-    for metric in ("bias", "imbalance"):
-        path = out / f"labels_{metric}.csv"
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["model", "label_id", "joint_p", "min_coef_p", "significant"])
-            for model in sorted(findings_by_model):
-                for f in findings_by_model[model]:
-                    if f.metric != metric:
-                        continue
-                    writer.writerow(
-                        [model, f.label_id, _fmt3(f.joint_p), _fmt3(f.min_coef_p), int(f.significant)]
-                    )
-        written.append(path)
-
-    path = out / "labels_inconsistency.csv"
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["model", "label_id", "p_l", "w_l", "n_changed", "n_missing"])
-        for model, rows in sorted(bundle.inconsistency_rows.items()):
-            for r in rows:
-                writer.writerow([model, r.label_id, _fmt3(r.p_l), r.w_l, r.n_changed, r.n_missing])
-    written.append(path)
+        writer.writerow(header)
+        writer.writerows(rows)
 
-    return written
+
+def write_report(
+    bundle: ReportBundle, findings_by_model: dict[str, list[LabelFinding]], out_dir: str | Path
+) -> None:
+    """Write the report's seven files into ``out_dir``, in this order.
+
+    summary.csv, summary.json, findings.jsonl, labels_bias.csv,
+    labels_imbalance.csv, labels_inconsistency.csv and report.html, which
+    embeds summary.json's data.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    summaries = sorted(bundle.summaries, key=lambda s: s.model_name)
+    data = _bundle_to_dict(bundle)
+    findings = [(model, f) for model in sorted(findings_by_model) for f in findings_by_model[model]]
+
+    _write_csv(out / "summary.csv", SUMMARY_CSV_COLUMNS, map(_summary_row, summaries))
+    (out / "summary.json").write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with (out / "findings.jsonl").open("w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(_finding_dict(model, f), sort_keys=True) + "\n" for model, f in findings)
+    for metric in ("bias", "imbalance"):
+        _write_csv(
+            out / f"labels_{metric}.csv",
+            ["model", "label_id", "joint_p", "min_coef_p", "significant"],
+            (
+                [model, f.label_id, _fmt3(f.joint_p), _fmt3(f.min_coef_p), int(f.significant)]
+                for model, f in findings
+                if f.metric == metric
+            ),
+        )
+    _write_csv(
+        out / "labels_inconsistency.csv",
+        ["model", "label_id", "p_l", "w_l", "n_changed", "n_missing"],
+        (
+            [model, r.label_id, _fmt3(r.p_l), r.w_l, r.n_changed, r.n_missing]
+            for model, rows in sorted(bundle.inconsistency_rows.items())
+            for r in rows
+        ),
+    )
+    (out / "report.html").write_text(_report_html(summaries, bundle.pooled, data), encoding="utf-8")
+
+
+def read_report(summary_path: str | Path) -> tuple[ReportBundle, dict[str, list[LabelFinding]]]:
+    """Inverse of ``write_report``: summary.json's bundle, and model -> findings from the findings.jsonl beside it.
+
+    A missing field is a ReportError naming it; so is a field of the wrong type.
+    """
+    try:
+        data = json.loads(Path(summary_path).read_text(encoding="utf-8"))
+    except (OSError, RecursionError, ValueError) as exc:  # RecursionError: JSON nested too deep
+        raise ReportError(f"cannot read {summary_path}: {exc}") from None
+    try:
+        bundle = from_record(ReportBundle, data)
+    except KeyError as exc:
+        raise ReportError(f"summary.json: missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:  # a field of the wrong JSON type or shape
+        raise ReportError(f"summary.json: malformed: {exc}") from None
+
+    findings_path = Path(summary_path).with_name("findings.jsonl")
+    findings: dict[str, list[LabelFinding]] = {}
+    for lineno, rec in read_jsonl(findings_path, ReportError):
+        try:
+            model = rec["model_name"]
+            if type(model) is not str:
+                raise TypeError
+            record = dict(rec)  # a copy, so the message shows the line as read
+            if "joint_p" in record and record["joint_p"] is None:  # a NaN joint_p is written as null
+                record["joint_p"] = math.nan
+            findings.setdefault(model, []).append(from_record(LabelFinding, record))
+        except (KeyError, TypeError, ValueError):
+            raise ReportError(f"{findings_path.name}:{lineno}: not a finding: {reprlib.repr(rec)}") from None
+    return bundle, findings
 
 
 # ---------------------------------------------------------------------------
@@ -222,25 +244,23 @@ def _pie_svg(k: int, n: int, title: str) -> str:
     return "".join(parts)
 
 
-def emit_html(bundle: ReportBundle, out_dir: str | Path) -> Path:
-    """Write a single self-contained report.html.
+def _report_html(
+    summaries: list[ModelFairnessSummary], pooled: dict[str, BernoulliTestResult], data: dict
+) -> str:
+    """A self-contained report.html of the summaries (sorted by model) and summary.json's ``data``.
 
     One chart container per metric: the bar chart compares models, and the
     bias/imbalance containers add a per-model significant-label pie. Chart
     data is embedded verbatim as JSON for machine consumption.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    summaries = sorted(bundle.summaries, key=lambda s: s.model_name)
     # JSON escapes for <, > and &, so no string in the data can end the <script> block.
-    data_json = json.dumps(bundle_to_dict(bundle), sort_keys=True).translate(_SCRIPT_SAFE)
+    data_json = json.dumps(data, sort_keys=True).translate(_SCRIPT_SAFE)
 
-    sections = []
-    sections.append(
+    sections = [
         '<div class="chart" id="chart-inconsistency"><h2>Inconsistency</h2>'
         + _bar_svg([(s.model_name, s.inconsistency) for s in summaries])
         + '<p class="legend">Weighted proportion of baseline/variant pairs with a changed prediction.</p></div>'
-    )
+    ]
     for metric, count_of, bern_of in (
         ("bias", lambda s: s.bias_count, lambda s: s.bias_bernoulli),
         ("imbalance", lambda s: s.imbalance_count, lambda s: s.imbalance_bernoulli),
@@ -248,11 +268,11 @@ def emit_html(bundle: ReportBundle, out_dir: str | Path) -> Path:
         pies = "".join(
             _pie_svg(count_of(s), bern_of(s).n_trials, s.model_name) for s in summaries
         )
-        pooled = bundle.pooled.get(metric)
+        test = pooled.get(metric)
         pooled_note = (
-            f'<p class="legend">Pooled across models: {pooled.n_significant} / {pooled.n_trials} '
-            f"significant, tail p = {pooled.p_value:.3g} (display {_fmt_p(pooled.p_value)})</p>"
-            if pooled
+            f'<p class="legend">Pooled across models: {test.n_significant} / {test.n_trials} '
+            f"significant, tail p = {test.p_value:.3g} (display {_fmt_p(test.p_value)})</p>"
+            if test
             else ""
         )
         sections.append(
@@ -269,7 +289,7 @@ def emit_html(bundle: ReportBundle, out_dir: str | Path) -> Path:
     )
     header = "".join(f"<th>{c}</th>" for c in SUMMARY_CSV_COLUMNS)
 
-    doc = (
+    return (
         "<!DOCTYPE html><html><head><meta charset='utf-8'>"
         "<title>LLM sentencing fairness audit</title>"
         f"<style>{_CSS}</style></head><body>"
@@ -281,43 +301,4 @@ def emit_html(bundle: ReportBundle, out_dir: str | Path) -> Path:
         "and summary.json.</p>"
         "</body></html>"
     )
-    path = out / "report.html"
-    path.write_text(doc, encoding="utf-8")
-    return path
 
-
-def load_summary_json(path: str | Path) -> dict:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, RecursionError, ValueError) as exc:  # RecursionError: JSON nested too deep
-        raise ReportError(f"cannot read {path}: {exc}") from None
-
-
-def load_findings_jsonl(path: str | Path) -> dict[str, list[LabelFinding]]:
-    """Inverse of the findings.jsonl that ``emit_tables`` writes: model -> findings."""
-    findings: dict[str, list[LabelFinding]] = {}
-    for lineno, rec in read_jsonl(path, ReportError):
-        try:
-            model = rec["model_name"]
-            if type(model) is not str:
-                raise TypeError
-            record = dict(rec)  # a copy, so the message shows the line as read
-            if "joint_p" in record and record["joint_p"] is None:  # a NaN joint_p is written as null
-                record["joint_p"] = math.nan
-            findings.setdefault(model, []).append(from_record(LabelFinding, record))
-        except (KeyError, TypeError, ValueError):
-            raise ReportError(f"{Path(path).name}:{lineno}: not a finding: {reprlib.repr(rec)}") from None
-    return findings
-
-
-def bundle_from_dict(data: dict) -> ReportBundle:
-    """Inverse of bundle_to_dict (findings travel separately in findings.jsonl).
-
-    A missing field is a ReportError naming it; so is a field of the wrong type.
-    """
-    try:
-        return from_record(ReportBundle, data)
-    except KeyError as exc:
-        raise ReportError(f"summary.json: missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:  # a field of the wrong JSON type or shape
-        raise ReportError(f"summary.json: malformed: {exc}") from None

@@ -69,10 +69,26 @@ def test_malformed_fixture_spec_exits_1_with_one_line(tmp_path, capsys, text, re
     assert not (tmp_path / "fx").exists()
 
 
-def test_negative_fixture_seed_exits_1_with_one_line(tmp_path, capsys):
-    assert main(["fixture", "--seed", "-1", "--out", str(tmp_path / "fx")]) == EXIT_USAGE
-    assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--docs", "0", "n_docs must be >= 1, got 0"),
+        ("--docs", "-3", "n_docs must be >= 1, got -3"),
+    ],
+    ids=["negative seed", "no docs", "negative docs"],
+)
+def test_negative_fixture_seed_exits_1_with_one_line(tmp_path, capsys, flag, value, message):
+    assert main(["fixture", flag, value, "--out", str(tmp_path / "fx")]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "fx").exists()
+
+
+def test_fixture_spec_of_no_docs_exits_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"n_docs": 0}')
+    assert main(["fixture", "--spec", str(spec), "--out", str(tmp_path / "fx")]) == EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == ["error: n_docs must be >= 1, got 0"]
 
 
 @pytest.mark.parametrize(
@@ -272,6 +288,67 @@ def test_generate_against_stub_server(fixture_dir, tmp_path, monkeypatch):
     lines = out.read_text().splitlines()
     assert len(lines) == 12 + 24  # baselines + variants
     assert all(json.loads(l)["predicted_months"] == 36 for l in lines)
+
+
+@pytest.mark.parametrize("command", ["analyze", "generate"])
+def test_non_utf8_config_file_exits_1_with_one_line(tmp_path, capsys, command):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"tau = 0.05\n\xff\n")
+    assert main([command, "--config", str(cfg)]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        "error: cannot read config file: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"
+    ]
+
+
+@pytest.mark.parametrize(
+    "source, content, reason",
+    [
+        ("config", None, "No such file or directory"),
+        ("config", b"\xff{facts}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ("flag", b"\xff{facts}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ],
+    ids=["missing in config", "not UTF-8 in config", "not UTF-8 as flag"],
+)
+def test_unreadable_template_exits_1_before_any_request(
+    fixture_dir, tmp_path, capsys, monkeypatch, source, content, reason
+):
+    monkeypatch.setenv("FAIRJUDGE_API_KEY", "k")
+    template = tmp_path / "template.txt"
+    if content is not None:
+        template.write_bytes(content)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"template_file = {template}\n" if source == "config" else "")
+    out = tmp_path / "gen" / "p.jsonl"
+    with StubServer() as server:
+        argv = ["generate", "--config", str(cfg), "--corpus", str(fixture_dir), "--api-url", server.url,
+                "--model", "m", "--out", str(out), "--cache-dir", str(tmp_path / "cache")]
+        if source == "flag":
+            argv += ["--template-file", str(template)]
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        assert server.request_count == 0
+    assert capsys.readouterr().err.splitlines() == [f"error: cannot read template file {template}: {reason}"]
+    assert not out.exists()
+
+
+def test_malformed_cache_entries_are_asked_again(fixture_dir, tmp_path, monkeypatch):
+    monkeypatch.setenv("FAIRJUDGE_API_KEY", "k")
+    cache = tmp_path / "cache"
+    out = tmp_path / "p.jsonl"
+    argv = ["generate", "--corpus", str(fixture_dir), "--model", "m", "--out", str(out), "--cache-dir", str(cache)]
+    with StubServer() as server:
+        assert main(argv + ["--api-url", server.url]) == EXIT_OK
+        first = out.read_bytes()
+        asked = server.request_count
+        entries = [json.loads(line) for line in (cache / "cache.jsonl").read_text().splitlines()]
+        entries[0][1]["content"] = 5
+        entries[1][1]["attempts"] = "x"
+        entries[2][1]["attempts"] = True
+        del entries[3][1]["content"]
+        (cache / "cache.jsonl").write_text("".join(json.dumps(e) + "\n" for e in entries))
+        assert main(argv + ["--api-url", server.url]) == EXIT_OK
+        assert server.request_count == asked + 4  # only the four malformed entries are asked again
+    assert out.read_bytes() == first
 
 
 def test_generate_missing_api_key_exits_nonzero(fixture_dir, tmp_path, monkeypatch):

@@ -22,7 +22,7 @@ from fairjudge.corpus import (
 from fairjudge.fixtures import FixtureSpec
 from fairjudge.gateway import PredictionFormatError, PredictionRecord, read_prediction, write_predictions
 from fairjudge.metrics import InconsistencyRow, LabelFinding, ModelFairnessSummary
-from fairjudge.report import ReportBundle, emit_tables
+from fairjudge.report import ReportBundle, write_report
 from fairjudge.statcore import BernoulliTestResult
 
 LABEL = LabelDefinition("gender", "binary", ("female", "male"), "female", "sex of the defendant")
@@ -50,7 +50,7 @@ def prediction_line(tmp_path):
 def report(tmp_path):
     finding = LabelFinding("gender", "bias", math.nan, 0.5, False, (("male", 0.25),))
     row = InconsistencyRow("gender", 0.5, 2, 1, 1)
-    emit_tables(ReportBundle([SUMMARY], {"m": [row]}, {}), tmp_path, {"m": [finding]})
+    write_report(ReportBundle([SUMMARY], {"m": [row]}, {}), {"m": [finding]}, tmp_path)
 
 
 def finding_line(tmp_path):

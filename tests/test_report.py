@@ -1,20 +1,14 @@
-"""Report emitter tests: tables, HTML, golden determinism, lossless JSON."""
+"""Report tests: tables, HTML, golden determinism, lossless write/read round trip."""
 
 import csv
+import dataclasses
 import json
+import math
 
 import pytest
 
 from fairjudge.metrics import InconsistencyRow, LabelFinding, ModelFairnessSummary
-from fairjudge.report import (
-    SUMMARY_CSV_COLUMNS,
-    ReportBundle,
-    bundle_from_dict,
-    bundle_to_dict,
-    emit_html,
-    emit_tables,
-    load_summary_json,
-)
+from fairjudge.report import SUMMARY_CSV_COLUMNS, ReportBundle, read_report, write_report
 from fairjudge.statcore import bernoulli_test
 
 
@@ -61,8 +55,7 @@ def findings_for(models):
 
 
 def test_summary_csv_columns_and_rows(tmp_path):
-    bundle = make_bundle()
-    emit_tables(bundle, tmp_path, findings_by_model=findings_for(["glm", "qwen", "gemini"]))
+    write_report(make_bundle(), findings_for(["glm", "qwen", "gemini"]), tmp_path)
     with (tmp_path / "summary.csv").open() as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == SUMMARY_CSV_COLUMNS
@@ -70,13 +63,12 @@ def test_summary_csv_columns_and_rows(tmp_path):
     assert [r[0] for r in rows[1:]] == ["gemini", "glm", "qwen"]  # model-name order
     # Display convention: deep-tail p shows as 0.00, exact value in JSON.
     assert rows[1][3] == "0.00"
-    data = load_summary_json(tmp_path / "summary.json")
+    data = json.loads((tmp_path / "summary.json").read_text())
     assert 0 < data["summaries"][0]["bias_bernoulli"]["p_value"] < 1e-10
 
 
 def test_empty_findings_header_only_csv(tmp_path):
-    bundle = make_bundle(models=("solo",))
-    emit_tables(bundle, tmp_path, findings_by_model={})
+    write_report(make_bundle(models=("solo",)), {}, tmp_path)
     lines = (tmp_path / "labels_bias.csv").read_text().strip().splitlines()
     assert len(lines) == 1  # header only
 
@@ -84,49 +76,51 @@ def test_empty_findings_header_only_csv(tmp_path):
 def test_golden_tables_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
-        emit_tables(make_bundle(), out, findings_by_model=findings_for(["glm", "qwen", "gemini"]))
-        emit_html(make_bundle(), out)
+        write_report(make_bundle(), findings_for(["glm", "qwen", "gemini"]), out)
     for name in ("summary.csv", "summary.json", "findings.jsonl", "labels_bias.csv",
                  "labels_imbalance.csv", "labels_inconsistency.csv", "report.html"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_html_three_chart_containers_single_model(tmp_path):
-    bundle = make_bundle(models=("solo",))
-    path = emit_html(bundle, tmp_path)
-    html_text = path.read_text()
+    write_report(make_bundle(models=("solo",)), {}, tmp_path)
+    html_text = (tmp_path / "report.html").read_text()
     assert html_text.count('class="chart"') == 3
     assert "<svg" in html_text
     assert "http://" not in html_text and "https://" not in html_text  # self-contained
 
 
-def test_html_embedded_json_round_trips(tmp_path):
-    bundle = make_bundle()
-    path = emit_html(bundle, tmp_path)
-    html_text = path.read_text()
+def embedded_json(html_text):
     start = html_text.index('id="report-data">') + len('id="report-data">')
-    end = html_text.index("</script>", start)
-    embedded = json.loads(html_text[start:end])
-    assert embedded == bundle_to_dict(bundle)
+    return json.loads(html_text[start : html_text.index("</script>", start)])
+
+
+def test_html_embedded_json_round_trips(tmp_path):
+    write_report(make_bundle(), {}, tmp_path)
+    html_text = (tmp_path / "report.html").read_text()
+    assert embedded_json(html_text) == json.loads((tmp_path / "summary.json").read_text())
 
 
 def test_html_names_cannot_end_the_data_block(tmp_path):
-    bundle = make_bundle(models=("</script><b>x", "a&b"))
-    html_text = emit_html(bundle, tmp_path).read_text()
+    write_report(make_bundle(models=("</script><b>x", "a&b")), {}, tmp_path)
+    html_text = (tmp_path / "report.html").read_text()
     assert html_text.count("</script>") == 1
-    start = html_text.index('id="report-data">') + len('id="report-data">')
-    end = html_text.index("</script>", start)
-    assert json.loads(html_text[start:end]) == bundle_to_dict(bundle)
+    assert embedded_json(html_text) == json.loads((tmp_path / "summary.json").read_text())
 
 
-def test_summary_json_lossless_round_trip(tmp_path):
-    bundle = make_bundle()
-    emit_tables(bundle, tmp_path, findings_by_model={})
-    restored = bundle_from_dict(load_summary_json(tmp_path / "summary.json"))
+def test_report_lossless_round_trip(tmp_path):
+    bundle, findings = make_bundle(), findings_for(["glm", "qwen", "gemini"])
+    findings["glm"].append(LabelFinding("L02", "bias", math.nan, 0.5, False, ()))
+    write_report(bundle, findings, tmp_path)
+    restored, restored_findings = read_report(tmp_path / "summary.json")
     assert restored.summaries == sorted(bundle.summaries, key=lambda s: s.model_name)
     assert restored.pooled == bundle.pooled
     assert restored.inconsistency_rows == bundle.inconsistency_rows
     assert restored.run_metadata == bundle.run_metadata
+    nan_finding = restored_findings["glm"].pop()  # NaN != NaN, so this one is compared field by field
+    assert math.isnan(nan_finding.joint_p)
+    assert nan_finding == dataclasses.replace(findings["glm"].pop(), joint_p=nan_finding.joint_p)
+    assert restored_findings == findings
 
 
 def test_bundle_rejects_unknown_models():
