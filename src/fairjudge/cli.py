@@ -42,8 +42,15 @@ class ConfigError(Exception):
     pass
 
 
+# The keys generate and analyze read; each command accepts the other's, so one file can serve both.
+_CONFIG_KEYS = frozenset({
+    "corpus", "out", "labels", "api_url", "model", "temperature", "provider", "api_key_env", "concurrency",
+    "retries", "cache_dir", "template_file", "tau", "tolerance",
+})
+
+
 def _read_config(path: str | None) -> dict[str, str]:
-    """Plain key=value file; '#' starts a comment. CLI flags override these."""
+    """Plain key=value file of ``_CONFIG_KEYS``; '#' starts a comment. CLI flags override these."""
     if not path:
         return {}
     config: dict[str, str] = {}
@@ -57,8 +64,10 @@ def _read_config(path: str | None) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        config[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+        config[key] = value
     return config
 
 

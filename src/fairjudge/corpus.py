@@ -80,14 +80,16 @@ class CounterfactualVariant:
 class Corpus:
     """Validated, indexed collection of labels, documents, and variants.
 
-    Variants are held as columns of doc, label and value codes (see
-    ``codes``) plus their facts, sorted by label in declared order, then by
-    (doc_id, variant_value) as strings; ``variants`` builds the objects
-    from them on first use. A corpus from ``index_corpus`` is indexed only
-    until its variants step has run, and then holds the code columns
-    without the facts, which ``analyze`` never reads; ``variants`` and
-    ``enumerate_variants`` need the facts, so only ``load_corpus`` and
-    ``Corpus(...)`` give a corpus they work on.
+    ``documents`` are held in doc code order, which is doc_id order, and
+    variants in (doc_id, label_id, variant_value) order, compared as
+    strings: the one canonical order of the corpus, in which ``variants``
+    and ``save_corpus`` give them. Variants are held as columns of doc,
+    label and value codes (see ``codes``) plus their facts; ``variants``
+    builds the objects from them on first use. A corpus from
+    ``index_corpus`` is indexed only until its variants step has run, and
+    then holds the code columns without the facts, which ``analyze`` never
+    reads; ``variants`` and ``enumerate_variants`` need the facts, so only
+    ``load_corpus`` and ``Corpus(...)`` give a corpus they work on.
     """
 
     def __init__(
@@ -103,57 +105,62 @@ class Corpus:
         """Validate labels and documents and assign the integer codes of the prediction table.
 
         A doc code is the rank of its doc_id in sorted order, so codes sort
-        like the ids, and indexes ``doc_ids`` and ``true_months``; a label
-        code is its position in ``labels``; a value code is its position in
-        the label's declared values.
+        like the ids, and indexes ``doc_ids``, ``documents`` and
+        ``true_months``; a label code is its position in ``labels``; a value
+        code is its position in the label's declared values. The first
+        fault in file order is the one reported.
         """
         self.labels = list(labels)
-        self.documents = list(documents)
         self.digest: Optional[str] = None  # SHA-256 of the bundle files, set by index_corpus's second step
         self._variant_columns: Optional[np.ndarray] = None  # set by _encode_variants
         self._variant_facts: Optional[list[str]] = None  # set by _encode_variants when it keeps the facts
-        self._labels_by_id: dict[str, LabelDefinition] = {}
-        self._docs_by_id: dict[str, CaseDocument] = {}
-        if not self.documents:
+        if not documents:
             raise CorpusError("corpus contains no documents")
-        for lab in self.labels:
-            if lab.label_id in self._labels_by_id:
+        self._label_codes: dict[str, int] = {}
+        for label, lab in enumerate(self.labels):
+            if self._label_codes.setdefault(lab.label_id, label) != label:
                 raise CorpusError(f"duplicate label_id {lab.label_id!r}")
-            self._labels_by_id[lab.label_id] = lab
-        for doc in self.documents:
-            if doc.doc_id in self._docs_by_id:
-                raise CorpusError(f"duplicate doc_id {doc.doc_id!r}")
-            for label_id, value in doc.label_values.items():
-                lab = self._labels_by_id.get(label_id)
-                if lab is None:
-                    raise CorpusError(f"document {doc.doc_id!r} references undeclared label {label_id!r}")
-                if value not in lab.values:
-                    raise CorpusError(
-                        f"document {doc.doc_id!r}: value {value!r} not admissible for label {label_id!r}"
-                    )
-            self._docs_by_id[doc.doc_id] = doc
-        self.doc_ids = tuple(sorted(self._docs_by_id))
-        self.doc_codes = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}  # doc_id -> doc code
-        self.true_months = np.array([self._docs_by_id[d].true_sentence_months for d in self.doc_ids])
-        self._label_codes = {lab.label_id: i for i, lab in enumerate(self.labels)}
-        self._value_codes = [{v: i for i, v in enumerate(lab.values)} for lab in self.labels]
         # (label_id, variant_value) -> (label, value) codes; (None, None) is a baseline.
         self.key_codes = {
             (lab.label_id, v): (label, i) for label, lab in enumerate(self.labels) for i, v in enumerate(lab.values)
         }
         self.key_codes[None, None] = (-1, -1)
+        self.doc_ids = tuple(sorted({doc.doc_id for doc in documents}))
+        self.doc_codes = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}  # doc_id -> doc code
+        self.documents: list[CaseDocument] = [None] * len(self.doc_ids)
+        self._baselines = np.full((len(self.doc_ids), len(self.labels)), -1, np.intp)  # [doc, label] -> value code
+        for doc in documents:
+            code = self.doc_codes[doc.doc_id]
+            if self.documents[code] is not None:
+                raise CorpusError(f"duplicate doc_id {doc.doc_id!r}")
+            self.documents[code] = doc
+            for key in doc.label_values.items():
+                codes = self.key_codes.get(key)
+                if codes is None:
+                    raise CorpusError(f"document {doc.doc_id!r}: {self._key_fault(*key)}")
+                self._baselines[code, codes[0]] = codes[1]
+        self.true_months = np.array([doc.true_sentence_months for doc in self.documents])
+        n_values = max((len(lab.values) for lab in self.labels), default=0)
+        # The dense [doc, label, value] layout of keys; the extra last label and value slot holds the baselines.
+        self.grid_shape = (len(self.doc_ids), len(self.labels) + 1, n_values + 1)
+
+    def _key_fault(self, label_id: str | None, value: str | None) -> str:
+        """Why a (label_id, value) key is not in ``key_codes``."""
+        if label_id in self._label_codes:
+            return f"value {value!r} not admissible for label {label_id!r}"
+        return f"undeclared label {label_id!r}"
 
     def _encode_variants(self, name: str, lines: Iterable[tuple[int, dict]], keep_facts: bool) -> None:
         """Validate variant records (``file:line`` of ``name`` for field errors) and store them as columns.
 
         A record with string fields whose doc and (label, value) are known is
         encoded with two dict lookups; any other goes through ``read_record``
-        and the reference checks, which raise. The inline checks must accept
-        nothing ``read_record`` rejects. Every record's facts are checked, but
-        kept only with ``keep_facts``. Repeats are found on the code columns
-        (see ``_sort_variants``); before a record's error is raised, the
-        records above it are checked for repeats, so the first fault in file
-        order is the one reported.
+        and ``codes``, which raise. The inline checks must accept nothing
+        ``read_record`` rejects. Every record's facts are checked, but kept
+        only with ``keep_facts``. Repeats are found on the code columns (see
+        ``_sort_variants``); before a record's error is raised, the records
+        above it are checked for repeats, so the first fault in file order is
+        the one reported.
         """
         doc_codes, key_codes = self.doc_codes, self.key_codes
         codes: list[int] = []  # flat (doc, label, value) triples
@@ -169,7 +176,11 @@ class Corpus:
                     checked = False
                 if not checked:
                     variant = read_record(CounterfactualVariant, rec, f"{name}:{lineno}", CorpusError)
-                    doc, label, value = self._check_variant(variant)
+                    key = (variant.doc_id, variant.label_id, variant.variant_value)
+                    try:
+                        doc, label, value = self.codes(*key)
+                    except CorpusError as exc:
+                        raise CorpusError(f"variant {key!r}: {exc}") from None
                     text = variant.facts
                 codes += (doc, label, value)
                 if keep_facts:
@@ -184,58 +195,40 @@ class Corpus:
         self._variant_columns.flags.writeable = False
         if keep_facts:
             self._variant_facts = [facts[i] for i in order.tolist()]
-        self._variant_bounds = np.searchsorted(self._variant_columns[1], np.arange(len(self.labels) + 1)).tolist()
+        # Each label's rows, in column order.
+        label = self._variant_columns[1]
+        bounds = np.bincount(label, minlength=len(self.labels)).cumsum()[:-1]
+        self._label_rows = np.split(np.argsort(label, kind="stable"), bounds)
 
     def _sort_variants(self, columns: np.ndarray) -> np.ndarray:
-        """The order of variant rows of (doc, label, value) codes: by label, doc, then value as a string.
+        """The canonical order of variant rows of (doc, label, value) codes: by doc, then (label_id, value).
 
         Raises the CorpusError of the first row, in row order, whose key is
         its document's baseline or that of a row above it.
         """
-        # Within a label, variants sort by variant_value as a string, which may differ from declared order.
-        n_values = max((len(lab.values) for lab in self.labels), default=0)
-        rank = np.zeros((len(self.labels), n_values), np.intp)
-        for label, lab in enumerate(self.labels):
-            rank[label, sorted(range(len(lab.values)), key=lab.values.__getitem__)] = np.arange(len(lab.values))
+        rank = np.zeros(self.grid_shape[1:], np.intp)  # [label, value] -> rank of (label_id, value) as strings
+        for r, key in enumerate(sorted(key for key in self.key_codes if key[0] is not None)):
+            rank[self.key_codes[key]] = r
         doc, label, value = columns.T
-        order = np.lexsort((rank[label, value], doc, label))
+        order = np.lexsort((rank[label, value], doc))
         # lexsort is stable, so equal keys sit together in row order and each but the first is a repeat.
         ordered = columns[order]
         repeats = order[1:][(ordered[1:] == ordered[:-1]).all(axis=1)]
-        baseline = np.full((len(self.doc_ids), len(self.labels)), -1, np.intp)  # each document's value codes
-        for doc_code, doc_id in enumerate(self.doc_ids):
-            for key in self._docs_by_id[doc_id].label_values.items():
-                label_code, value_code = self.key_codes[key]
-                baseline[doc_code, label_code] = value_code
-        faults = np.concatenate([repeats, np.flatnonzero(baseline[doc, label] == value)])
+        faults = np.concatenate([repeats, np.flatnonzero(self._baselines[doc, label] == value)])
         if faults.size:
             doc_code, label_code, value_code = columns[faults.min()].tolist()
             lab = self.labels[label_code]
             doc_id, label_id, value_id = self.doc_ids[doc_code], lab.label_id, lab.values[value_code]
-            if baseline[doc_code, label_code] == value_code:
+            if self._baselines[doc_code, label_code] == value_code:
                 raise CorpusError(
                     f"variant for {doc_id!r}/{label_id!r} repeats the document's baseline value {value_id!r}"
                 )
             raise CorpusError(f"duplicate variant {(doc_id, label_id, value_id)!r}")
         return order
 
-    def _check_variant(self, variant: CounterfactualVariant) -> tuple[int, int, int]:
-        """The codes of a variant, or the CorpusError that names its first fault."""
-        doc_id, label_id, value = variant.doc_id, variant.label_id, variant.variant_value
-        doc = self.doc_codes.get(doc_id)
-        if doc is None:
-            raise CorpusError(f"variant references unknown doc_id {doc_id!r}")
-        label = self._label_codes.get(label_id)
-        if label is None:
-            raise CorpusError(f"variant for {doc_id!r} references undeclared label {label_id!r}")
-        code = self._value_codes[label].get(value)
-        if code is None:
-            raise CorpusError(f"variant for {doc_id!r}: value {value!r} not admissible for label {label_id!r}")
-        return doc, label, code
-
     @functools.cached_property
     def variants(self) -> list[CounterfactualVariant]:
-        """The variants as objects, facts included, in column order; built on first use."""
+        """The variants as objects, facts included, in canonical order; built on first use."""
         if self._variant_facts is None:
             raise CorpusError("corpus was indexed without its variant facts; read it with load_corpus")
         labels = self.labels
@@ -249,64 +242,52 @@ class Corpus:
         return [lab.label_id for lab in self.labels]
 
     def label(self, label_id: str) -> LabelDefinition:
-        try:
-            return self._labels_by_id[label_id]
-        except KeyError:
-            raise CorpusError(f"unknown label_id {label_id!r}") from None
+        return self.labels[self.label_code(label_id)]
 
     def document(self, doc_id: str) -> CaseDocument:
         try:
-            return self._docs_by_id[doc_id]
+            return self.documents[self.doc_codes[doc_id]]
         except KeyError:
             raise CorpusError(f"unknown doc_id {doc_id!r}") from None
 
     def label_code(self, label_id: str) -> int:
-        self.label(label_id)  # raises on unknown label
-        return self._label_codes[label_id]
+        try:
+            return self._label_codes[label_id]
+        except KeyError:
+            raise CorpusError(f"unknown label_id {label_id!r}") from None
 
     def codes(self, doc_id: str, label_id: str | None, value: str | None) -> tuple[int, int, int]:
         """(doc, label, value) codes of a prediction key; label and value are -1 for a baseline."""
         doc = self.doc_codes.get(doc_id)
         if doc is None:
             raise CorpusError(f"unknown doc_id {doc_id!r}")
-        if label_id is None:
-            return doc, -1, -1
-        label = self._label_codes.get(label_id)
-        if label is None:
-            raise CorpusError(f"undeclared label {label_id!r}")
-        code = self._value_codes[label].get(value)
-        if code is None:
-            raise CorpusError(f"value {value!r} not admissible for label {label_id!r}")
-        return doc, label, code
-
-    def _variant_slice(self, label_id: str) -> slice:
-        label = self.label_code(label_id)  # raises on unknown label
-        return slice(self._variant_bounds[label], self._variant_bounds[label + 1])
+        codes = self.key_codes.get((label_id, value))
+        if codes is None:
+            raise CorpusError(self._key_fault(label_id, value))
+        return (doc, *codes)
 
     def variant_codes(self, label_id: str) -> tuple[np.ndarray, np.ndarray]:
-        """(doc codes, value codes) of one label's variants, in (doc_id, variant_value) order (read-only)."""
-        rows = self._variant_slice(label_id)
+        """(doc codes, value codes) of one label's variants, in (doc_id, variant_value) order."""
+        rows = self._label_rows[self.label_code(label_id)]
         return self._variant_columns[0, rows], self._variant_columns[2, rows]
 
     def in_corpus(self, doc: np.ndarray, label: np.ndarray, value: np.ndarray) -> np.ndarray:
-        """Whether each key of codes (see ``codes``) names a document's baseline or one of its variants.
-
-        As in ``metrics.model_grid``, one extra label and value slot at the end holds the baselines.
-        """
-        n_values = max((len(lab.values) for lab in self.labels), default=0)
-        known = np.zeros((len(self.doc_ids), len(self.labels) + 1, n_values + 1), dtype=bool)
+        """Whether each key of codes (see ``codes``) names a document's baseline or one of its variants."""
+        known = np.zeros(self.grid_shape, dtype=bool)
         known[tuple(self._variant_columns)] = True
         known[:, -1, -1] = True
         return known[doc, label, value]
 
     def enumerate_variants(self, label_id: str) -> list[tuple[CaseDocument, CounterfactualVariant]]:
         """All (baseline document, variant) pairs for one label, in (doc_id, variant_value) order."""
-        return [(self._docs_by_id[v.doc_id], v) for v in self.variants[self._variant_slice(label_id)]]
+        variants = self.variants  # raises on a corpus without facts
+        rows = self._label_rows[self.label_code(label_id)].tolist()
+        return [(self.document(variants[row].doc_id), variants[row]) for row in rows]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):
             return NotImplemented
-        # Equal labels and documents give equal codes, and the columns are sorted by code. Corpora of
+        # Equal labels and documents give equal codes, and the columns are in canonical order. Corpora of
         # different kinds (indexed only, codes only, full) differ: array_equal is False for None and
         # an array, and so is == for None and a list of facts.
         return (
@@ -523,7 +504,6 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus bundle, one record per line with its dataclass fields; deterministic for equal corpora."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    variants = sorted(corpus.variants, key=lambda v: (v.doc_id, v.label_id, v.variant_value))
-    for name, records in (("labels", corpus.labels), ("documents", corpus.documents), ("variants", variants)):
+    for name, records in (("labels", corpus.labels), ("documents", corpus.documents), ("variants", corpus.variants)):
         with (root / f"{name}.jsonl").open("w", encoding="utf-8") as fh:
             fh.writelines(json.dumps(asdict(r), sort_keys=True) + "\n" for r in records)

@@ -212,9 +212,9 @@ def simulate_predictions(
             )
         )
 
-    for doc in sorted(corpus.documents, key=lambda d: d.doc_id):
+    for doc in corpus.documents:
         emit(doc, None, None, 0.0, 1.0)
-    for var in sorted(corpus.variants, key=lambda v: (v.doc_id, v.label_id, v.variant_value)):
+    for var in corpus.variants:
         doc = corpus.document(var.doc_id)
         emit(
             doc,

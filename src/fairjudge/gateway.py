@@ -404,26 +404,14 @@ def _retry_after_s(value: str) -> Optional[float]:
 
 
 def build_work_items(corpus: Corpus, labels: Optional[list[str]] = None) -> list[_WorkItem]:
-    """Baseline document queries plus variant queries for the requested labels."""
+    """Baseline document queries plus variant queries for the requested labels, in the corpus's order."""
     wanted = list(labels) if labels is not None else corpus.label_ids
     for label_id in wanted:
         corpus.label(label_id)
-    items = [
-        _WorkItem(doc_id=d.doc_id, label_id=None, variant_value=None, facts=d.facts)
-        for d in sorted(corpus.documents, key=lambda d: d.doc_id)
-    ]
     wanted_set = set(wanted)
-    for var in sorted(corpus.variants, key=lambda v: (v.doc_id, v.label_id, v.variant_value)):
-        if var.label_id in wanted_set:
-            items.append(
-                _WorkItem(
-                    doc_id=var.doc_id,
-                    label_id=var.label_id,
-                    variant_value=var.variant_value,
-                    facts=var.facts,
-                )
-            )
-    return items
+    return [_WorkItem(d.doc_id, None, None, d.facts) for d in corpus.documents] + [
+        _WorkItem(v.doc_id, v.label_id, v.variant_value, v.facts) for v in corpus.variants if v.label_id in wanted_set
+    ]
 
 
 def run_generation(

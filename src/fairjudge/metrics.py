@@ -211,15 +211,13 @@ def _as_table(predictions: Predictions, corpus: Corpus) -> PredictionTable:
 
 
 def model_grid(table: PredictionTable, corpus: Corpus, model: str) -> np.ndarray:
-    """One model's months as a dense [doc, label, value] grid, NaN where absent.
+    """One model's months as a dense grid of ``Corpus.grid_shape``, NaN where absent.
 
-    One extra label and value slot at the end holds the baselines: a
-    baseline row's codes (-1, -1) index it as grid[doc, -1, -1]. A key the
-    model predicts twice is a MetricsError.
+    A baseline row's codes (-1, -1) index the extra last slot as
+    grid[doc, -1, -1]. A key the model predicts twice is a MetricsError.
     """
     rows = table.model == (table.models.index(model) if model in table.models else -1)
-    n_values = max((len(lab.values) for lab in corpus.labels), default=0)
-    shape = (len(corpus.doc_ids), len(corpus.labels) + 1, n_values + 1)
+    shape = corpus.grid_shape
     flat = np.ravel_multi_index((table.doc[rows], table.label[rows], table.value[rows]), shape, mode="wrap")
     dup = np.flatnonzero(np.bincount(flat, minlength=math.prod(shape)) > 1)
     if dup.size:

@@ -405,6 +405,14 @@ def with_extra_record(fixture_dir, tmp_path, **fields):
     return path
 
 
+@pytest.mark.parametrize("command", ["analyze", "generate"])
+def test_misspelled_config_key_exits_1_with_one_line(tmp_path, capsys, command):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("tau = 0.01\nmodel = m\ntaus = 0.01\n")  # a key of each command, then one of none
+    assert main([command, "--config", str(cfg)]) == EXIT_USAGE
+    assert one_line_error(capsys) == "error: config line 3: unknown key 'taus'"
+
+
 def one_line_error(capsys) -> str:
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err

@@ -18,6 +18,8 @@ from fairjudge.corpus import (
     save_corpus,
 )
 from fairjudge.fixtures import default_label_specs, generate_fixture
+from fairjudge.gateway import PredictionFormatError, PredictionRecord
+from fairjudge.metrics import PredictionTable
 
 
 def write_bundle(root: Path, labels, documents, variants):
@@ -118,14 +120,11 @@ def test_round_trip_serialization(bundle, tmp_path):
 @pytest.mark.parametrize(
     "variant, message",
     [
-        ({"doc_id": "ghost"}, "variant references unknown doc_id 'ghost'"),
-        ({"label_id": "age"}, "variant for 'd1' references undeclared label 'age'"),
-        ({"variant_value": "other"}, "variant for 'd1': value 'other' not admissible for label 'gender'"),
         ({"variant_value": "female"}, "variant for 'd1'/'gender' repeats the document's baseline value 'female'"),
         ({}, "duplicate variant ('d1', 'gender', 'male')"),
         ({"label_id": None, "variant_value": None}, "variants.jsonl:5: label_id must be a string, got None"),
     ],
-    ids=["unknown doc", "undeclared label", "inadmissible value", "baseline value", "duplicate", "null label"],
+    ids=["baseline value", "duplicate", "null label"],
 )
 def test_variant_faults_keep_their_messages(tmp_path, variant, message):
     root = tmp_path / "corpus"
@@ -139,17 +138,54 @@ GHOST = {"doc_id": "ghost", "label_id": "gender", "variant_value": "male", "fact
 BASELINE_REPEAT = {"doc_id": "d1", "label_id": "gender", "variant_value": "female", "facts": "x"}
 
 
-def variant_fault(root: Path, variants: list[dict], how: str) -> str:
-    """The CorpusError message of variants, loaded through ``index_corpus`` or built with ``Corpus(...)``."""
+def corpus_fault(root: Path, how: str, documents=DOCS, variants=VARIANTS) -> str:
+    """The CorpusError message of a corpus, loaded through ``index_corpus`` or built with ``Corpus(...)``."""
     with pytest.raises(CorpusError) as exc:
         if how == "index_corpus":
-            write_bundle(root, LABELS, DOCS, variants)
+            write_bundle(root, LABELS, documents, variants)
             _, load_variants = index_corpus(root)
             load_variants()
         else:
             labels = [LabelDefinition(**dict(r, values=tuple(r["values"]))) for r in LABELS]
-            Corpus(labels, [CaseDocument(**r) for r in DOCS], [CounterfactualVariant(**r) for r in variants])
+            docs = [CaseDocument(**r) for r in documents]
+            Corpus(labels, docs, [CounterfactualVariant(**r) for r in variants])
     return str(exc.value)
+
+
+KEY_FAULTS = {
+    "unknown doc": (("ghost", "gender", "male"), "unknown doc_id 'ghost'"),
+    "undeclared label": (("d1", "age", "male"), "undeclared label 'age'"),
+    "inadmissible value": (("d1", "gender", "other"), "value 'other' not admissible for label 'gender'"),
+}
+RECORD_PATHS = [("document", "index_corpus"), ("document", "Corpus"), ("variant", "index_corpus"),
+                ("variant", "Corpus"), ("prediction", "PredictionTable.build")]
+
+
+@pytest.mark.parametrize(
+    "record, how, key, fault",
+    [
+        pytest.param(record, how, *KEY_FAULTS[name], id=f"{record} via {how}: {name}")
+        for record, how in RECORD_PATHS
+        for name in KEY_FAULTS
+        if not (record == "document" and name == "unknown doc")  # a document's own doc_id is known
+    ],
+)
+def test_reference_faults_have_one_wording(tmp_path, record, how, key, fault):
+    """A key that references no document, label or value of the corpus: one fault, prefixed with its record."""
+    doc_id, label_id, value = key
+    root = tmp_path / "corpus"
+    if record == "document":
+        docs = [dict(DOCS[0], label_values={label_id: value}), *DOCS[1:]]
+        assert corpus_fault(root, how, documents=docs) == f"document 'd1': {fault}"
+    elif record == "variant":
+        variant = {"doc_id": doc_id, "label_id": label_id, "variant_value": value, "facts": "x"}
+        assert corpus_fault(root, how, variants=[*VARIANTS, variant]) == f"variant {key!r}: {fault}"
+    else:
+        write_bundle(root, LABELS, DOCS, VARIANTS)
+        prediction = PredictionRecord("m", doc_id, label_id, value, 5.0)
+        with pytest.raises(PredictionFormatError) as exc:
+            PredictionTable.build([prediction], load_corpus(root))
+        assert str(exc.value) == f"prediction {('m', *key)!r}: {fault}"
 
 
 @pytest.mark.parametrize("how", ["index_corpus", "Corpus"])
@@ -157,7 +193,8 @@ def variant_fault(root: Path, variants: list[dict], how: str) -> str:
     "variants, message",
     [
         ([VARIANTS[0], VARIANTS[1], VARIANTS[0], VARIANTS[2], GHOST], "duplicate variant ('d1', 'gender', 'male')"),
-        ([VARIANTS[0], GHOST, VARIANTS[1], VARIANTS[0]], "variant references unknown doc_id 'ghost'"),
+        ([VARIANTS[0], GHOST, VARIANTS[1], VARIANTS[0]],
+         "variant ('ghost', 'gender', 'male'): unknown doc_id 'ghost'"),
         ([VARIANTS[0], BASELINE_REPEAT, VARIANTS[0]],
          "variant for 'd1'/'gender' repeats the document's baseline value 'female'"),
         ([BASELINE_REPEAT, BASELINE_REPEAT],
@@ -167,7 +204,13 @@ def variant_fault(root: Path, variants: list[dict], how: str) -> str:
          "baseline repeat at 2 before duplicate at 3", "repeated baseline repeat"],
 )
 def test_first_variant_fault_in_file_order_wins(tmp_path, variants, message, how):
-    assert variant_fault(tmp_path / "corpus", variants, how) == message
+    assert corpus_fault(tmp_path / "corpus", how, variants=variants) == message
+
+
+@pytest.mark.parametrize("how", ["index_corpus", "Corpus"])
+def test_first_duplicate_doc_id_in_file_order_wins(tmp_path, how):
+    # d2 repeats before d1 does, though d1 sorts first.
+    assert corpus_fault(tmp_path / "corpus", how, documents=[*DOCS[1::-1], *DOCS[1::-1]]) == "duplicate doc_id 'd2'"
 
 
 def test_duplicate_before_a_malformed_line_wins(tmp_path):
@@ -224,6 +267,12 @@ def test_columnar_variants_round_trip_in_string_order(tmp_path):
         digest.update(name.encode())
         digest.update((tmp_path / name).read_bytes())
     assert loaded.digest == digest.hexdigest() and corpus.digest is None
+
+
+def test_documents_and_variants_are_held_in_canonical_order():
+    corpus, variants = shuffled_corpus()
+    assert [d.doc_id for d in corpus.documents] == list(corpus.doc_ids) == sorted(f"d{i}" for i in range(12))
+    assert corpus.variants == sorted(variants, key=lambda v: (v.doc_id, v.label_id, v.variant_value))
 
 
 def test_enumerate_variants_order_and_coverage(bundle):
