@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
@@ -29,7 +28,7 @@ from fairjudge.gateway import (
     run_generation,
     write_predictions,
 )
-from fairjudge.metrics import MetricsError, PredictionTable, model_grid, pooled_bernoulli, summarize_model
+from fairjudge.metrics import MetricsError, PredictionTable, pooled_bernoulli, summarize_model
 from fairjudge.report import ReportBundle, ReportError, read_report, write_report
 
 EXIT_OK = 0
@@ -197,9 +196,8 @@ def generate(config_path, corpus_dir, api_url, model_name, temperature, provider
 
 
 def _split_labels(raw: str | None) -> list[str] | None:
-    if not raw:
-        return None
-    return [part.strip() for part in raw.split(",") if part.strip()]
+    """The label names of a comma-separated ``--labels`` value; None, which means every label, when it names none."""
+    return [part.strip() for part in (raw or "").split(",") if part.strip()] or None
 
 
 @cli.command()
@@ -211,9 +209,7 @@ def ingest(corpus_dir, predictions_path, out_path) -> None:
     corpus, load_variants = index_corpus(corpus_dir)  # the codes are all that validation reads
     load_variants()
     records = read_predictions(predictions_path)
-    table = PredictionTable.build(records, corpus)  # validates every record against the corpus
-    for model in table.models:
-        model_grid(table, corpus, model)  # raises on a key predicted twice, as in analyze
+    PredictionTable.build(records, corpus)  # rejects what analyze rejects: unknown and repeated keys
     records.sort(key=lambda r: r.sort_key())
     with _writing(out_path):
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
@@ -255,14 +251,10 @@ def analyze(config_path, corpus_dir, prediction_paths, tau, labels, log1p, toler
     # needs only the labels and documents, the merge needs the variants.
     corpus, load_variants = index_corpus(corpus_dir)
     label_filter = _split_labels(_merged(config, "labels", labels))
-    if label_filter:
-        for label_id in label_filter:
-            corpus.label(label_id)
-
     table = PredictionTable.read(prediction_paths, corpus, labels=label_filter, meanwhile=load_variants)
     if not table.models:
         raise MetricsError("nothing to analyze: prediction files contain no records")
-    if not (table.label >= 0).any():
+    if not any((table.label == corpus.label_code(label_id)).any() for label_id in table.label_ids):
         if label_filter:
             raise MetricsError("nothing to analyze: no variant predictions for the requested labels")
         raise MetricsError("nothing to analyze: predictions cover zero labels")

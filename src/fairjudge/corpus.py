@@ -256,6 +256,15 @@ class Corpus:
         except KeyError:
             raise CorpusError(f"unknown label_id {label_id!r}") from None
 
+    def select_labels(self, label_ids: Optional[list[str]] = None) -> tuple[str, ...]:
+        """The labels a run covers, sorted: ``label_ids``, or every label when that is None or empty.
+
+        An unknown label is a CorpusError naming the first one in the order given.
+        """
+        for label_id in label_ids or ():
+            self.label_code(label_id)
+        return tuple(sorted(set(label_ids or self.label_ids)))
+
     def codes(self, doc_id: str, label_id: str | None, value: str | None) -> tuple[int, int, int]:
         """(doc, label, value) codes of a prediction key; label and value are -1 for a baseline."""
         doc = self.doc_codes.get(doc_id)

@@ -405,12 +405,9 @@ def _retry_after_s(value: str) -> Optional[float]:
 
 def build_work_items(corpus: Corpus, labels: Optional[list[str]] = None) -> list[_WorkItem]:
     """Baseline document queries plus variant queries for the requested labels, in the corpus's order."""
-    wanted = list(labels) if labels is not None else corpus.label_ids
-    for label_id in wanted:
-        corpus.label(label_id)
-    wanted_set = set(wanted)
+    wanted = corpus.select_labels(labels)
     return [_WorkItem(d.doc_id, None, None, d.facts) for d in corpus.documents] + [
-        _WorkItem(v.doc_id, v.label_id, v.variant_value, v.facts) for v in corpus.variants if v.label_id in wanted_set
+        _WorkItem(v.doc_id, v.label_id, v.variant_value, v.facts) for v in corpus.variants if v.label_id in wanted
     ]
 
 

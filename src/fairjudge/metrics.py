@@ -80,8 +80,8 @@ class PredictionTable:
     """Prediction records as parallel columns of corpus codes (see ``Corpus.codes``).
 
     Baseline rows have label and value code -1, and a missing prediction is
-    NaN. ``label_ids`` are the labels under analysis, sorted; rows for other
-    labels are left out.
+    NaN. Every row is validated (see ``_merge``) and kept; ``label_ids`` are
+    the labels under analysis, sorted (see ``Corpus.select_labels``).
     """
 
     models: tuple[str, ...]
@@ -97,7 +97,8 @@ class PredictionTable:
         cls, records: list[PredictionRecord], corpus: Corpus, labels: Optional[list[str]] = None
     ) -> PredictionTable:
         """The table of in-memory records (see ``_encode_source``)."""
-        return cls._merge([_encode_source("records", enumerate(map(vars, records), start=1), corpus)], corpus, labels)
+        label_ids = corpus.select_labels(labels)
+        return cls._merge([_encode_source("records", enumerate(map(vars, records), 1), corpus)], corpus, label_ids)
 
     @classmethod
     def read(
@@ -111,23 +112,24 @@ class PredictionTable:
         passes the step that adds the variants to ``corpus`` (see
         ``index_corpus``), which encoding does not need but the merge does.
         """
+        label_ids = corpus.select_labels(labels)
 
         def encode(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray]:
             return _encode_source(Path(path).name, read_jsonl(path, PredictionFormatError), corpus)
 
-        return cls._merge(fan_out(encode, list(paths), meanwhile), corpus, labels)
+        return cls._merge(fan_out(encode, list(paths), meanwhile), corpus, label_ids)
 
     @classmethod
     def _merge(
-        cls, sources: Iterable[tuple[list[str], np.ndarray, np.ndarray]], corpus: Corpus,
-        labels: Optional[list[str]] = None,
+        cls, sources: Iterable[tuple[list[str], np.ndarray, np.ndarray]], corpus: Corpus, label_ids: tuple[str, ...]
     ) -> PredictionTable:
-        """One table of ``_encode_source`` outputs, in source order.
+        """One table of ``_encode_source`` outputs, in source order, with every row.
 
         Model codes follow sorted model names. A key that names no variant of
-        the corpus is a PredictionFormatError naming the first such prediction.
-        The code columns stay int32 and are views of one array; rows are
-        copied again only when ``labels`` leaves a label out.
+        the corpus is a PredictionFormatError naming the first such prediction;
+        then a key that a model predicts twice is a MetricsError naming the
+        first such key of the first such model. The code columns stay int32
+        and are views of one array.
         """
         sources = list(sources)
         models = tuple(sorted({m for names, _, _ in sources for m in names}))
@@ -136,18 +138,23 @@ class PredictionTable:
         columns = np.concatenate([codes for _, codes, _ in sources] or [np.empty((0, 4), dtype=np.int32)])
         months = np.concatenate([m for _, _, m in sources] or [np.empty(0)])
         del sources  # the per-source arrays, before the checks allocate
-        label_ids = tuple(sorted(set(labels or corpus.label_ids)))
         model, doc, label, value = columns.T
         stray = np.flatnonzero(~corpus.in_corpus(doc, label, value))
         if stray.size:  # e.g. a variant key that repeats the document's baseline value
             m, d, l, v = columns[stray[0]].tolist()
             key = (models[m], corpus.doc_ids[d], corpus.labels[l].label_id, corpus.labels[l].values[v])
             raise PredictionFormatError(f"prediction {key!r}: no such variant in the corpus")
-        wanted = [corpus.label_code(l) for l in label_ids]  # raises on an unknown label
-        if len(wanted) < len(corpus.labels):
-            keep = np.isin(label, [-1] + wanted)
-            columns, months = columns[keep], months[keep]
-            model, doc, label, value = columns.T
+        shape = corpus.grid_shape
+        for m in range(len(models)):  # a baseline row's codes (-1, -1) wrap to the grid's extra last slot
+            rows = model == m
+            flat = np.ravel_multi_index((doc[rows], label[rows], value[rows]), shape, mode="wrap")
+            dup = np.flatnonzero(np.bincount(flat, minlength=math.prod(shape)) > 1)
+            if dup.size:
+                d, l, v = np.unravel_index(dup[0], shape)
+                if l == len(corpus.labels):
+                    raise MetricsError(f"duplicate baseline prediction for doc {corpus.doc_ids[d]!r}")
+                key = (corpus.doc_ids[d], corpus.labels[l].label_id, corpus.labels[l].values[v])
+                raise MetricsError(f"duplicate variant prediction for {key!r}")
         return cls(models, label_ids, model, doc, label, value, months)
 
 
@@ -214,20 +221,11 @@ def model_grid(table: PredictionTable, corpus: Corpus, model: str) -> np.ndarray
     """One model's months as a dense grid of ``Corpus.grid_shape``, NaN where absent.
 
     A baseline row's codes (-1, -1) index the extra last slot as
-    grid[doc, -1, -1]. A key the model predicts twice is a MetricsError.
+    grid[doc, -1, -1]. The table holds each of a model's keys once.
     """
     rows = table.model == (table.models.index(model) if model in table.models else -1)
-    shape = corpus.grid_shape
-    flat = np.ravel_multi_index((table.doc[rows], table.label[rows], table.value[rows]), shape, mode="wrap")
-    dup = np.flatnonzero(np.bincount(flat, minlength=math.prod(shape)) > 1)
-    if dup.size:
-        d, l, v = np.unravel_index(dup[0], shape)
-        if l == len(corpus.labels):
-            raise MetricsError(f"duplicate baseline prediction for doc {corpus.doc_ids[d]!r}")
-        key = (corpus.doc_ids[d], corpus.labels[l].label_id, corpus.labels[l].values[v])
-        raise MetricsError(f"duplicate variant prediction for {key!r}")
-    grid = np.full(shape, np.nan)
-    np.put(grid, flat, table.months[rows])
+    grid = np.full(corpus.grid_shape, np.nan)
+    grid[table.doc[rows], table.label[rows], table.value[rows]] = table.months[rows]
     return grid
 
 

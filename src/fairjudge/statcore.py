@@ -11,15 +11,13 @@ computed once, and each outcome gets only its own demeaning, solve,
 sandwich and p-values, through the same calls as a fit of its own, so
 its result is the same bit for bit. It is built from private steps
 (``_kept_groups``, ``_demean``, ``_factor``, ``_solve``, ``_bread``,
-``_sandwich``). ``drop_singletons``, ``within_demean``, ``ols`` and
-``cluster_robust_cov`` are the same steps as public functions, one
-design and one outcome at a time, for the oracle tests; ``fe_regress``
-does not call them.
+``_sandwich``). ``drop_singletons``, ``within_demean`` and ``ols`` are
+the same steps as public functions, one design and one outcome at a
+time, for the oracle tests; ``fe_regress`` does not call them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, overload
 
@@ -102,10 +100,9 @@ class BernoulliTestResult:
     p_value: float
 
 
-def _group_index(group_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    uniq, inverse = np.unique(group_ids, return_inverse=True)
-    counts = np.bincount(inverse)
-    return uniq, inverse, counts
+def _group_index(group_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    _, inverse = np.unique(group_ids, return_inverse=True)
+    return inverse, np.bincount(inverse)
 
 
 def _demean(col: np.ndarray, inverse: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -119,7 +116,7 @@ def _kept_groups(group_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     Returns the keep mask, and the inverse and counts that ``_group_index``
     of the kept rows' group ids would give, compacted from one ``np.unique``.
     """
-    _, inverse, counts = _group_index(group_ids)
+    inverse, counts = _group_index(group_ids)
     multi = counts > 1
     keep = multi[inverse]
     return keep, (np.cumsum(multi) - 1)[inverse[keep]], counts[multi]
@@ -148,7 +145,7 @@ def drop_singletons(frame: RegressionFrame) -> tuple[RegressionFrame, int]:
 
 def within_demean(frame: RegressionFrame) -> RegressionFrame:
     """Subtract group means from y and every X column (one-way absorption)."""
-    _, inverse, counts = _group_index(frame.group_ids)
+    inverse, counts = _group_index(frame.group_ids)
     if np.any(counts == 1):
         raise StatError("singleton groups present; call drop_singletons first")
     y = _demean(frame.y, inverse, counts)
@@ -214,6 +211,11 @@ def _bread(X: np.ndarray) -> np.ndarray:
 def _sandwich(
     X: np.ndarray, bread: np.ndarray, residuals: np.ndarray, inverse: np.ndarray, n_groups: int
 ) -> np.ndarray:
+    """Cluster-robust covariance with the small-sample factor; ``inverse`` is each row's cluster.
+
+    V = c * (X'X)^-1 (sum_g X_g' u_g u_g' X_g) (X'X)^-1,
+    c = (G / (G-1)) * ((n-1) / (n-K)), where ``bread`` is (X'X)^-1.
+    """
     n, k = X.shape
     scores = X * residuals[:, None]
     group_sums = np.column_stack(
@@ -224,26 +226,6 @@ def _sandwich(
     c = (n_groups / (n_groups - 1)) * ((n - 1) / (n - k))
     cov = c * bread @ meat @ bread
     return (cov + cov.T) / 2
-
-
-def cluster_robust_cov(
-    X: np.ndarray, residuals: np.ndarray, clusters: np.ndarray
-) -> np.ndarray:
-    """Cluster-robust sandwich covariance with small-sample factor.
-
-    V = c * (X'X)^-1 (sum_g X_g' u_g u_g' X_g) (X'X)^-1,
-    c = (G / (G-1)) * ((n-1) / (n-K)).
-    """
-    X = np.asarray(X, dtype=float)
-    residuals = np.asarray(residuals, dtype=float)
-    clusters = np.asarray(clusters)
-    if not (X.shape[0] == len(residuals) == len(clusters)):
-        raise StatError("X, residuals, clusters are not row-aligned")
-    uniq, inverse, _ = _group_index(clusters)
-    n_groups = len(uniq)
-    if n_groups < 2:
-        raise StatError(f"need >= 2 clusters, got {n_groups}")
-    return _sandwich(X, _bread(X), residuals, inverse, n_groups)
 
 
 @overload

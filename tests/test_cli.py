@@ -442,6 +442,55 @@ def test_repeated_prediction_key_exits_2_in_ingest_as_in_analyze(fixture_dir, tm
     assert not (tmp_path / "r").exists() and not (tmp_path / "norm.jsonl").exists()
 
 
+def test_analyze_labels_rejects_a_repeated_key_of_another_label(fixture_dir, tmp_path, capsys):
+    lines = (fixture_dir / "predictions_stub-a.jsonl").read_text().splitlines()
+    path = tmp_path / "repeated.jsonl"
+    path.write_text("\n".join(lines + [lines[-1]]) + "\n")  # a venue key
+    argv = ["analyze", "--corpus", str(fixture_dir), "--predictions", str(path), "--labels", "gender",
+            "--out", str(tmp_path / "r")]
+    assert main(argv) == EXIT_DATA
+    assert one_line_error(capsys) == "error: duplicate variant prediction for ('D00012', 'venue', 'rural')"
+    assert not (tmp_path / "r").exists()
+
+
+def test_unknown_label_comes_before_predictions_and_requests(fixture_dir, tmp_path, capsys, monkeypatch):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("not json\n")
+    labels = ["--labels", "gender,nope,also-nope"]
+    argv = ["analyze", "--corpus", str(fixture_dir), "--predictions", str(bad), "--out", str(tmp_path / "r")]
+    assert main(argv + labels) == EXIT_DATA
+    assert one_line_error(capsys) == "error: unknown label_id 'nope'"
+    monkeypatch.setenv("FAIRJUDGE_API_KEY", "k")
+    with StubServer() as server:
+        argv = ["generate", "--corpus", str(fixture_dir), "--api-url", server.url, "--model", "m",
+                "--out", str(tmp_path / "gen" / "p.jsonl"), "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv + labels) == EXIT_DATA
+    assert one_line_error(capsys) == "error: unknown label_id 'nope'"
+    assert server.request_count == 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "generate"])
+def test_labels_value_that_names_no_label_means_every_label(fixture_dir, tmp_path, monkeypatch, command):
+    monkeypatch.setenv("FAIRJUDGE_API_KEY", "k")
+    outputs, requests = [], []
+    for name, extra in (("all", []), ("comma", ["--labels", " , "])):
+        out = tmp_path / name
+        if command == "analyze":
+            assert run_analyze(fixture_dir, out, extra) == EXIT_OK
+        else:
+            with StubServer() as server:
+                argv = ["generate", "--corpus", str(fixture_dir), "--api-url", server.url, "--model", "m",
+                        "--out", str(out / "p.jsonl"), "--cache-dir", str(out / "cache"), *extra]
+                assert main(argv) == EXIT_OK
+            requests.append(server.request_count)
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.is_file()})
+    assert outputs[0] == outputs[1]
+    if command == "analyze":
+        assert json.loads(outputs[1]["summary.json"])["run_metadata"]["label_filter"] is None
+    else:
+        assert requests == [12 + 24] * 2  # baselines + variants of both labels
+
+
 @pytest.mark.parametrize("months", ["36", True])
 def test_non_numeric_predicted_months_exits_2(fixture_dir, tmp_path, capsys, months):
     path = with_extra_record(fixture_dir, tmp_path, predicted_months=months)

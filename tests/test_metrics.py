@@ -317,6 +317,22 @@ def test_duplicate_prediction_keys_rejected(duplicate, message):
         summarize_model(records + [records[duplicate]], corpus, MODEL)
 
 
+@pytest.mark.parametrize("labels", [None, ["A"]])
+@pytest.mark.parametrize("duplicate, message", [(0, "duplicate baseline prediction for doc 'd000'"),
+                                                (-1, "duplicate variant prediction for ('d007', 'B', 'b1')")])
+def test_table_rejects_a_repeated_key_of_any_label(tmp_path, labels, duplicate, message):
+    """Whatever labels the table analyzes. Of two models that repeat a key, the first in name order is reported."""
+    corpus = comparison_corpus(4, 4)
+    mine = flip_records(corpus, 0, 0)
+    later = [dataclasses.replace(r, model_name="z") for r in mine]  # read first, sorted last
+    records = later + [later[1]] + mine + [mine[duplicate]]
+    write_predictions(records, tmp_path / "p.jsonl")
+    with pytest.raises(MetricsError, match=f"^{re.escape(message)}$"):
+        PredictionTable.build(records, corpus, labels=labels)
+    with pytest.raises(MetricsError, match=f"^{re.escape(message)}$"):
+        PredictionTable.read([tmp_path / "p.jsonl"], corpus, labels=labels)
+
+
 def test_label_filter_keeps_only_requested_labels():
     corpus = comparison_corpus(10, 10)
     records = flip_records(corpus, 2, 5)
@@ -362,13 +378,13 @@ def test_read_equals_build_and_a_codes_reference(tmp_path, labels):
     streamed = PredictionTable.read(paths, corpus, labels=labels)
     built = PredictionTable.build(in_file_order, corpus, labels=labels)
     models = ("m-a", "m-b")
-    kept = [r for r in in_file_order if r.label_id in (None, *(labels or corpus.label_ids))]
-    codes = [(models.index(r.model_name), *corpus.codes(r.doc_id, r.label_id, r.variant_value)) for r in kept]
-    reference = dict(zip(("model", "doc", "label", "value"), zip(*codes)))
-    reference["months"] = [math.nan if r.predicted_months is None else r.predicted_months for r in kept]
+    codes = [(models.index(r.model_name), *corpus.codes(r.doc_id, r.label_id, r.variant_value)) for r in in_file_order]
+    reference = dict(zip(("model", "doc", "label", "value"), zip(*codes)))  # every row, whatever the labels
+    reference["months"] = [math.nan if r.predicted_months is None else r.predicted_months for r in in_file_order]
     assert streamed.models == built.models == models
     assert streamed.label_ids == built.label_ids == tuple(sorted(labels or corpus.label_ids))
-    assert any(isinstance(r.predicted_months, int) for r in kept) and any(r.predicted_months is None for r in kept)
+    months = [r.predicted_months for r in in_file_order]
+    assert any(isinstance(m, int) for m in months) and None in months
     for column, expected in reference.items():
         np.testing.assert_array_equal(getattr(streamed, column), getattr(built, column), err_msg=column)
         np.testing.assert_array_equal(getattr(streamed, column), expected, err_msg=column)

@@ -96,7 +96,8 @@ LINE = json.dumps(BASELINE)
         (LINE.split(", ", 1)[0] + ",", r"invalid JSON: Expecting property name enclosed in double quotes: "),
         (LINE + LINE, r"invalid JSON: Extra data: line 1 column 79 \(char 78\)$"),
         (LINE.replace("12", "NaN"), r"predicted_months must be finite and >= 0, got nan$"),
-        (LINE[:-1] + ', "raw_response": "\\ud800"}', {"raw_response": "\ud800"}),
+        # Another model's line, since one model's second baseline of doc d is a repeated key.
+        (LINE.replace('"m"', '"n"')[:-1] + ', "raw_response": "\\ud800"}', {"raw_response": "\ud800"}),
         (LINE.replace("12", "1" + "0" * 399), r"predicted_months must be finite and >= 0, got 1000"),
         (LINE.replace("12", "1" + "0" * 4999), r"invalid JSON: Exceeds the limit \(4300 digits\)"),
         ("\ufeff" + LINE, r"invalid JSON: Unexpected UTF-8 BOM \(decode using utf-8-sig\): line 1 column 1"),

@@ -13,7 +13,6 @@ from fairjudge.statcore import (
     StatError,
     UnidentifiedLabelError,
     binomial_tail,
-    cluster_robust_cov,
     drop_singletons,
     fe_regress,
     ols,
@@ -144,7 +143,7 @@ def test_ols_all_zero_columns_raises():
         ols(np.zeros((5, 2)), np.arange(5.0))
 
 
-# --- cluster_robust_cov ----------------------------------------------------
+# --- cluster-robust covariance ----------------------------------------------
 
 def hand_sandwich(X, u, clusters, n_coef=None):
     """Independent explicit-loop sandwich with the same small-sample factor."""
@@ -162,49 +161,6 @@ def hand_sandwich(X, u, clusters, n_coef=None):
     bread = np.linalg.inv(X.T @ X)
     c = (G / (G - 1)) * ((n - 1) / (n - k_eff))
     return c * bread @ meat @ bread
-
-
-def test_cluster_cov_singleton_clusters_is_hc1_like():
-    rng = np.random.default_rng(9)
-    X = rng.normal(size=(8, 2))
-    u = rng.normal(size=8)
-    clusters = np.array([f"c{i}" for i in range(8)])
-    V = cluster_robust_cov(X, u, clusters)
-    n, k = X.shape
-    bread = np.linalg.inv(X.T @ X)
-    meat = sum(u[i] ** 2 * np.outer(X[i], X[i]) for i in range(n))
-    c = (n / (n - 1)) * ((n - 1) / (n - k))
-    assert np.allclose(V, c * bread @ meat @ bread, atol=1e-12)
-
-
-def test_cluster_cov_zero_residuals_zero_matrix():
-    rng = np.random.default_rng(13)
-    X = rng.normal(size=(6, 2))
-    V = cluster_robust_cov(X, np.zeros(6), np.array(["a", "a", "b", "b", "c", "c"]))
-    assert np.allclose(V, 0.0)
-
-
-def test_cluster_cov_matches_hand_oracle():
-    X = np.array([[1, 0], [0, 1], [1, 1], [0, 0.5], [1, 0.25], [0.5, 1]])
-    u = np.array([0.3, -0.2, 0.1, 0.4, -0.5, 0.2])
-    clusters = np.array(["a", "a", "b", "b", "c", "c"])
-    V = cluster_robust_cov(X, u, clusters)
-    assert np.allclose(V, hand_sandwich(X, u, clusters), atol=1e-12)
-
-
-def test_cluster_cov_requires_two_clusters():
-    with pytest.raises(StatError):
-        cluster_robust_cov(np.ones((3, 1)), np.ones(3), np.array(["a", "a", "a"]))
-
-
-def test_cluster_cov_psd_on_random_frames():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        frame = random_panel_frame(rng, n_docs=10, n_cols=2)
-        demeaned = within_demean(frame)
-        coef, resid, _ = ols(demeaned.X, demeaned.y)
-        V = cluster_robust_cov(demeaned.X, resid, frame.group_ids)
-        assert np.linalg.eigvalsh(V).min() >= -1e-10
 
 
 # --- fe_regress ------------------------------------------------------------
@@ -227,6 +183,24 @@ def test_fe_regress_exact_fit():
     res = fe_regress(make_frame(y, X, groups))
     assert abs(res.coefficients[0] - 0.5) < 1e-10
     assert res.n_groups == 2
+
+
+def test_fe_regress_exact_fit_has_zero_covariance():
+    res = fe_regress(make_frame([1.0, 1.5, 3.0, 3.5, 2.0, 2.5], [[0], [1], [0], [1], [0], [1]], list("AABBCC")))
+    assert np.allclose(res.covariance, 0.0)
+
+
+def test_fe_regress_requires_two_clusters():
+    with pytest.raises(StatError, match="need >= 2 clusters"):
+        fe_regress(make_frame([1.0, 2.0, 1.5, 2.5], [[0], [1], [0], [1]], list("AAAA")))
+
+
+def test_fe_regress_covariance_psd_on_random_panels():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        res = fe_regress(random_panel_frame(rng, n_docs=10, n_cols=2))
+        kept = np.flatnonzero(res.identified)
+        assert np.linalg.eigvalsh(res.covariance[np.ix_(kept, kept)]).min() >= -1e-10
 
 
 def test_fe_regress_matches_dummy_oracle():
