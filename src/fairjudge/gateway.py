@@ -27,11 +27,11 @@ import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from fairjudge.corpus import Corpus, read_jsonl, read_record
+from fairjudge.corpus import _BUFFER_SIZE, Corpus, read_jsonl, read_record, write_jsonl
 
 DEFAULT_TEMPLATE = (
     "You are an experienced criminal court judge. Read the case facts below and "
@@ -171,7 +171,7 @@ class _WorkItem:
 
 
 class _Cache:
-    """Append-only ``cache.jsonl`` of ``[key, value]`` lines, read once into a dict.
+    """Append-only ``cache.jsonl`` of ``[key, value]`` lines, read once, line by line, into a dict.
 
     Each put is one ``write`` on an ``O_APPEND`` descriptor, so processes
     and instances sharing a directory never interleave lines. A torn last
@@ -184,22 +184,23 @@ class _Cache:
         self.dir.mkdir(parents=True, exist_ok=True)
         path = self.dir / "cache.jsonl"
         self.file = open(path, "ab", buffering=0)
-        data = path.read_bytes()
         self.entries: dict[str, dict] = {}
-        for line in data.splitlines():
-            try:
-                key, value = json.loads(line)
-            except (ValueError, TypeError):
-                continue
-            if (
-                isinstance(key, str)
-                and isinstance(value, dict)
-                and type(value.get("content")) is str
-                and type(value.get("attempts")) is int
-            ):
-                self.entries[key] = value
+        line = b""
+        with open(path, "rb", buffering=_BUFFER_SIZE) as fh:
+            for line in fh:  # lines keep their b"\n"
+                try:
+                    key, value = json.loads(line)
+                except (ValueError, TypeError):
+                    continue
+                if (
+                    isinstance(key, str)
+                    and isinstance(value, dict)
+                    and type(value.get("content")) is str
+                    and type(value.get("attempts")) is int
+                ):
+                    self.entries[key] = value
         # Start the first new line on a line of its own after a torn tail.
-        self.pending_newline = bool(data) and not data.endswith(b"\n")
+        self.pending_newline = bool(line) and not line.endswith(b"\n")
         self.lock = threading.Lock()
 
     @staticmethod
@@ -223,11 +224,38 @@ class _Cache:
         self.file.close()
 
 
+class _OneWrite:
+    """Send the header block and a ``bytes`` body in one write.
+
+    ``http.client`` sends them in two, so the server wakes and reads twice
+    per request. The bytes on the wire are the same: the headers, a blank
+    line, then the body. Any other body (none, a file, an iterable, or
+    chunked encoding) goes through ``http.client`` unchanged.
+    """
+
+    def _send_output(self, message_body=None, encode_chunked=False):
+        if not isinstance(message_body, bytes) or encode_chunked:
+            return super()._send_output(message_body, encode_chunked)
+        self._buffer.extend((b"", b""))
+        msg = b"\r\n".join(self._buffer) + message_body
+        del self._buffer[:]
+        self.send(msg)
+
+
+class _HTTPConnection(_OneWrite, http.client.HTTPConnection):
+    pass
+
+
+class _HTTPSConnection(_OneWrite, http.client.HTTPSConnection):
+    pass
+
+
 class _Client:
     """HTTP worker shared by the pool: one keep-alive connection per thread.
 
     The endpoint URL and any proxy from the environment are resolved once;
     audit writes are serialized on one handle kept open until ``close``.
+    Retry backoff draws its jitter from one RNG per run.
     """
 
     def __init__(self, config: ModelConfig, cache: _Cache, audit_path: Path, api_key: str) -> None:
@@ -237,6 +265,7 @@ class _Client:
         self.audit_file = None
         self.lock = threading.Lock()
         self.local = threading.local()
+        self.rng = random.Random()  # its random() is thread-safe, so the pool threads share it
         self.connections: list[http.client.HTTPConnection] = []
         self.headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
 
@@ -271,11 +300,11 @@ class _Client:
             host, port = self.proxy or (self.host, self.port)
             timeout = self.config.timeout_s
             if self.https:
-                conn = http.client.HTTPSConnection(host, port, timeout=timeout, context=self.ssl_context)
+                conn = _HTTPSConnection(host, port, timeout=timeout, context=self.ssl_context)
                 if self.proxy:
                     conn.set_tunnel(self.host, self.port, headers=self.tunnel_headers)
             else:
-                conn = http.client.HTTPConnection(host, port, timeout=timeout)
+                conn = _HTTPConnection(host, port, timeout=timeout)
             self.local.conn = conn
             with self.lock:
                 self.connections.append(conn)
@@ -352,14 +381,13 @@ class _Client:
         entry is raised, not taken for a transport error.
         """
         cfg = self.config
-        rng = random.Random()
         for attempt in range(cfg.max_retries + 1):
             try:
                 body, content = self._post_once(prompt)
             except (OSError, http.client.HTTPException, _RetryableReply) as exc:
                 if attempt == cfg.max_retries:
                     break
-                delay = cfg.retry_base_delay_s * (2**attempt) * (1 + rng.random())
+                delay = cfg.retry_base_delay_s * (2**attempt) * (1 + self.rng.random())
                 retry_after = getattr(exc, "retry_after", None)
                 if retry_after is not None:
                     delay = max(delay, min(retry_after, cfg.timeout_s))
@@ -473,8 +501,7 @@ def run_generation(
 
 def write_predictions(records: list[PredictionRecord], path: str | Path) -> None:
     """Write predictions.jsonl (also the manual-upload ingestion format), one record per line."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(asdict(r), sort_keys=True) + "\n" for r in records)
+    write_jsonl(records, path)
 
 
 class PredictionFormatError(Exception):

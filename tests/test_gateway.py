@@ -1,6 +1,10 @@
 """Gateway contract tests against a local stub server."""
 
+import http.client
+import io
 import json
+import random
+import re
 import select
 import shutil
 import socket
@@ -9,6 +13,8 @@ import subprocess
 import sys
 import threading
 import time
+import types
+from contextlib import closing
 
 import pytest
 
@@ -228,6 +234,30 @@ def test_retry_after_on_429(tmp_path, retry_after, overrides, min_gap, max_gap):
     assert sorted(r.attempt_count for r in records) == [1, 2]
 
 
+def test_one_backoff_rng_per_run(tmp_path, monkeypatch):
+    corpus = small_corpus(n_docs=2, n_labels=1)  # 4 prompts, each rate limited once
+    made = []
+
+    def counting_random(*args):
+        made.append(random.Random(*args))
+        return made[-1]
+
+    monkeypatch.setattr(gateway, "random", types.SimpleNamespace(Random=counting_random))
+    seen = set()
+
+    def responder(prompt):
+        if prompt not in seen:
+            seen.add(prompt)
+            return 429, json.dumps({"error": "rate limited"})
+        return 200, json.dumps({"sentence_months": 7})
+
+    with StubServer(responder) as server:
+        records = run_generation(corpus, make_config(server.url, max_concurrency=2), tmp_path)
+        assert server.request_count == 8
+    assert all(r.predicted_months == 7 and r.attempt_count == 2 for r in records)
+    assert len(made) == 1
+
+
 @pytest.mark.parametrize("status", [302, 400, 404, 500])
 def test_non_2xx_status_is_retried(tmp_path, status):
     corpus = small_corpus(n_docs=1, n_labels=1)
@@ -350,21 +380,32 @@ class ConnectProxy:
         self.sock.close()
 
 
-@pytest.mark.skipif(shutil.which("openssl") is None, reason="needs the openssl command")
-def test_https_trusts_ssl_cert_file_directly_and_through_a_connect_proxy(tmp_path, monkeypatch):
+def serve_tls(server, tmp_path):
+    """Wrap a StubServer's socket in TLS with a new self-signed loopback certificate; return its path."""
     cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
     subprocess.run(
         ["openssl", "req", "-x509", "-newkey", "rsa:2048", "-nodes", "-days", "1", "-subj", "/CN=127.0.0.1",
          "-addext", "subjectAltName=IP:127.0.0.1", "-keyout", str(key), "-out", str(cert)],
         check=True, capture_output=True,
     )
-    for name in ("HTTPS_PROXY", "https_proxy", "NO_PROXY", "no_proxy", "SSL_CERT_FILE", "SSL_CERT_DIR"):
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+    server.server.socket = context.wrap_socket(server.server.socket, server_side=True)
+    return cert
+
+
+needs_openssl = pytest.mark.skipif(shutil.which("openssl") is None, reason="needs the openssl command")
+PROXY_AND_TLS_ENV = ("HTTP_PROXY", "http_proxy", "HTTPS_PROXY", "https_proxy", "NO_PROXY", "no_proxy",
+                     "SSL_CERT_FILE", "SSL_CERT_DIR")
+
+
+@needs_openssl
+def test_https_trusts_ssl_cert_file_directly_and_through_a_connect_proxy(tmp_path, monkeypatch):
+    for name in PROXY_AND_TLS_ENV:
         monkeypatch.delenv(name, raising=False)
     corpus = small_corpus(n_docs=2, n_labels=1)
     with StubServer() as server:
-        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-        context.load_cert_chain(cert, key)
-        server.server.socket = context.wrap_socket(server.server.socket, server_side=True)
+        cert = serve_tls(server, tmp_path)
         config = make_config(server.url.replace("http://", "https://"), max_retries=0)
         untrusted = run_generation(corpus, config, tmp_path / "untrusted")
         assert server.request_count == 0
@@ -383,6 +424,94 @@ def test_https_trusts_ssl_cert_file_directly_and_through_a_connect_proxy(tmp_pat
     assert proxy.heads and all(
         head.startswith("CONNECT 127.0.0.1:") and "Proxy-Authorization: Basic dTpw" in head for head in proxy.heads
     )
+
+
+@pytest.fixture
+def sends(monkeypatch):
+    """The data of every ``send`` an HTTP(S) connection makes, in order."""
+    sent = []
+    send = http.client.HTTPConnection.send
+
+    def record(conn, data):
+        sent.append(data)
+        return send(conn, data)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "send", record)
+    return sent
+
+
+def is_whole_request(data):
+    """True if ``data`` is a POST's header block and its whole JSON body."""
+    head, blank, body = data.partition(b"\r\n\r\n")
+    length = re.search(rb"\r\nContent-Length: (\d+)\r\n", head + b"\r\n")
+    return data.startswith(b"POST ") and blank and length and int(length[1]) == len(body) and json.loads(body)
+
+
+@pytest.mark.parametrize(
+    "route", ["http", pytest.param("https", marks=needs_openssl), pytest.param("connect-proxy", marks=needs_openssl)]
+)
+def test_each_request_is_one_write(tmp_path, monkeypatch, sends, route):
+    for name in PROXY_AND_TLS_ENV:
+        monkeypatch.delenv(name, raising=False)
+    corpus = small_corpus(n_docs=2, n_labels=1)
+    proxy = None
+    with StubServer() as server:
+        url = server.url
+        if route != "http":
+            monkeypatch.setenv("SSL_CERT_FILE", str(serve_tls(server, tmp_path)))
+            url = url.replace("http://", "https://")
+        if route == "connect-proxy":
+            proxy = ConnectProxy()
+            monkeypatch.setenv("HTTPS_PROXY", proxy.url)
+        try:
+            records = run_generation(corpus, make_config(url, max_retries=0, max_concurrency=2), tmp_path)
+        finally:
+            if proxy is not None:
+                proxy.close()
+        assert server.request_count == 4
+    assert all(r.predicted_months == 36 for r in records)
+    tunnels = [data for data in sends if data.startswith(b"CONNECT ")]
+    requests = [data for data in sends if not data.startswith(b"CONNECT ")]
+    assert len(requests) == 4 and all(map(is_whole_request, requests))
+    assert bool(tunnels) == (route == "connect-proxy")
+
+
+class RecordingSocket:
+    """Stands in for a connected socket and keeps each ``sendall``'s data."""
+
+    def __init__(self):
+        self.writes = []
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+
+    def close(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "body, one_write",
+    [
+        (lambda: b'{"model": "m", "messages": [{"role": "user", "content": "\\u00e9"}]}', True),
+        (lambda: "Stra\u00dfe \u2028 caf\u00e9".encode(), True),
+        (lambda: b"", True),
+        (lambda: None, True),
+        (lambda: io.BytesIO(b"from a file"), False),
+        (lambda: [b"an ", b"iterable"], False),
+    ],
+    ids=["json", "non-ascii", "empty", "none", "file", "iterable"],
+)
+def test_one_write_sends_the_bytes_http_client_sends(body, one_write):
+    headers = {"Authorization": "Bearer k", "Content-Type": "application/json"}
+    writes = []
+    for cls in (http.client.HTTPConnection, gateway._HTTPConnection):
+        conn = cls("upstream.invalid", 80)
+        conn.sock = RecordingSocket()
+        conn.request("POST", "/v1/chat/completions", body(), headers)
+        writes.append(conn.sock.writes)
+    stdlib, ours = writes
+    assert b"".join(ours) == b"".join(stdlib)
+    assert ours == ([b"".join(stdlib)] if one_write else stdlib)
 
 
 @pytest.mark.parametrize("url", ["ftp://host/x", "host/x", "http://host:99999/x", "http://[::1/x"])
@@ -460,6 +589,16 @@ def test_closed_keep_alive_connection_reconnects_without_backoff(tmp_path):
     assert server.requests == server.connections == 4
 
 
+def test_stale_keep_alive_resend_is_one_write_per_attempt(tmp_path, sends):
+    corpus = small_corpus(n_docs=2, n_labels=1)  # 4 requests on one worker
+    with OneRequestPerConnectionServer() as server:
+        records = run_generation(corpus, make_config(server.url, max_concurrency=1), tmp_path)
+    assert all(r.attempt_count == 1 for r in records)
+    # The first request goes out once; each later one once on the closed connection and once more.
+    assert server.requests == 4 and len(sends) == 7
+    assert all(map(is_whole_request, sends))
+
+
 def test_torn_cache_tail_is_asked_again(tmp_path):
     corpus = small_corpus(n_docs=2, n_labels=1)
     log = tmp_path / "cache.jsonl"
@@ -477,6 +616,20 @@ def test_torn_cache_tail_is_asked_again(tmp_path):
     lines = log.read_bytes().split(b"\n")
     assert lines[3] == torn and lines[-1] == b""
     assert all(len(json.loads(line)) == 2 for line in lines[:3] + lines[4:-1])
+
+
+def test_cache_keeps_a_last_entry_without_its_newline(tmp_path):
+    log = tmp_path / "cache.jsonl"
+    entries = [[f"k{i}", {"attempts": 1, "content": f"c{i}"}] for i in range(3)]
+    log.write_bytes(b"\n".join(json.dumps(e).encode() for e in entries[:2]))
+    with closing(_Cache(tmp_path)) as cache:
+        assert cache.entries == dict(entries[:2]) and cache.pending_newline
+        cache.put(*entries[2])
+    assert log.read_bytes().split(b"\n") == [json.dumps(e).encode() for e in entries] + [b""]
+    with closing(_Cache(tmp_path)) as cache:
+        assert cache.entries == dict(entries) and not cache.pending_newline
+    with closing(_Cache(tmp_path / "empty")) as cache:
+        assert cache.entries == {} and not cache.pending_newline
 
 
 def test_two_caches_appending_from_eight_threads(tmp_path):

@@ -8,6 +8,8 @@ import math
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairjudge.corpus import (
     CaseDocument,
@@ -118,6 +120,55 @@ def summary_entry(*path):
 )
 def test_record_line_is_exact(tmp_path, write, line):
     assert write(tmp_path) == line + "\n"
+
+
+TEXT = st.text(max_size=12)  # non-ASCII, quotes, backslashes and control characters included
+MONTHS = st.floats(min_value=0, allow_nan=False, allow_infinity=False)
+
+
+def asdict_lines(records) -> str:
+    return "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in records)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            lambda key, *rest: PredictionRecord(*rest[:2], *(key or (None, None)), *rest[2:]),
+            st.none() | st.tuples(TEXT, TEXT),
+            TEXT,
+            TEXT,
+            st.none() | st.integers(0, 10**6) | MONTHS,
+            TEXT,
+            st.integers(0, 10),
+        ),
+        max_size=4,
+    )
+)
+def test_write_predictions_writes_asdict_of_each_record(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("predictions") / "p.jsonl"
+    write_predictions(records, path)
+    assert path.read_text(encoding="utf-8") == asdict_lines(records)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    label_id=TEXT,
+    values=st.lists(TEXT, min_size=2, max_size=2, unique=True),
+    texts=st.lists(TEXT, min_size=4, max_size=4),
+    months=MONTHS.filter(lambda m: m > 0),
+)
+def test_save_corpus_writes_asdict_of_each_record(tmp_path_factory, label_id, values, texts, months):
+    description, doc_id, facts, variant_facts = texts
+    corpus = Corpus(
+        [LabelDefinition(label_id, "binary", tuple(values), values[0], description)],
+        [CaseDocument(doc_id, facts, months, {label_id: values[0]})],
+        [CounterfactualVariant(doc_id, label_id, values[1], variant_facts)],
+    )
+    root = tmp_path_factory.mktemp("corpus")
+    save_corpus(corpus, root)
+    for name, records in (("labels", corpus.labels), ("documents", corpus.documents), ("variants", corpus.variants)):
+        assert (root / f"{name}.jsonl").read_text(encoding="utf-8") == asdict_lines(records)
 
 
 FINDING = LabelFinding("gender", "bias", 0.04, 0.03, True, (("male", 0.25), ("other", -0.5)))
