@@ -509,11 +509,6 @@ def index_corpus(path: str | Path, keep_facts: bool = False) -> tuple[Corpus, Ca
     return corpus, load_variants
 
 
-@functools.cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
-
-
 def write_jsonl(records: Iterable, path: str | Path) -> None:
     """Write one line per flat dataclass record: ``json.dumps(asdict(r), sort_keys=True)``, without the copy.
 
@@ -523,7 +518,7 @@ def write_jsonl(records: Iterable, path: str | Path) -> None:
     """
     with Path(path).open("w", encoding="utf-8") as fh:
         for r in records:
-            fh.write(json.dumps({name: getattr(r, name) for name in _field_names(type(r))}, sort_keys=True) + "\n")
+            fh.write(json.dumps({name: getattr(r, name) for name, _, _, _ in _fields(type(r))}, sort_keys=True) + "\n")
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
