@@ -99,7 +99,7 @@ class Corpus:
         variants: list[CounterfactualVariant],
     ) -> None:
         self._index(labels, documents)
-        self._encode_variants("variants", enumerate(map(vars, variants), start=1), keep_facts=True)
+        self._encode_variants("variants", enumerate(map(record_fields, variants), start=1), keep_facts=True)
 
     def _index(self, labels: list[LabelDefinition], documents: list[CaseDocument]) -> None:
         """Validate labels and documents and assign the integer codes of the prediction table.
@@ -509,16 +509,21 @@ def index_corpus(path: str | Path, keep_facts: bool = False) -> tuple[Corpus, Ca
     return corpus, load_variants
 
 
-def write_jsonl(records: Iterable, path: str | Path) -> None:
-    """Write one line per flat dataclass record: ``json.dumps(asdict(r), sort_keys=True)``, without the copy.
+def record_fields(r) -> dict:
+    """A flat dataclass record's fields by name: ``asdict(r)``, without the copy.
 
     Each field is read with ``getattr``. ``asdict`` deep-copies every
     record, and ``vars`` gives each record on CPython 3.11 a ``__dict__``
     that it keeps, about 64 bytes a record.
     """
+    return {name: getattr(r, name) for name, _, _, _ in _fields(type(r))}
+
+
+def write_jsonl(records: Iterable, path: str | Path) -> None:
+    """Write one line per flat dataclass record: ``json.dumps(asdict(r), sort_keys=True)`` (see ``record_fields``)."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for r in records:
-            fh.write(json.dumps({name: getattr(r, name) for name, _, _, _ in _fields(type(r))}, sort_keys=True) + "\n")
+            fh.write(json.dumps(record_fields(r), sort_keys=True) + "\n")
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:

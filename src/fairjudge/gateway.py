@@ -145,7 +145,7 @@ def parse_prediction(raw: str) -> Optional[float]:
             continue
         try:
             obj, _ = decoder.raw_decode(text, pos)
-        except ValueError:  # also an integer longer than int's digit limit
+        except (ValueError, RecursionError):  # also an integer longer than int's digit limit, or deep nesting
             continue
         if not isinstance(obj, dict) or "sentence_months" not in obj:
             continue
@@ -160,14 +160,6 @@ def parse_prediction(raw: str) -> Optional[float]:
             return value
         return None
     return None
-
-
-@dataclass
-class _WorkItem:
-    doc_id: str
-    label_id: Optional[str]
-    variant_value: Optional[str]
-    facts: str
 
 
 class _Cache:
@@ -190,7 +182,7 @@ class _Cache:
             for line in fh:  # lines keep their b"\n"
                 try:
                     key, value = json.loads(line)
-                except (ValueError, TypeError):
+                except (ValueError, TypeError, RecursionError):
                     continue
                 if (
                     isinstance(key, str)
@@ -251,18 +243,18 @@ class _HTTPSConnection(_OneWrite, http.client.HTTPSConnection):
 
 
 class _Client:
-    """HTTP worker shared by the pool: one keep-alive connection per thread.
+    """One ``generate`` run's owner: its cache, its audit log and one keep-alive connection per pool thread.
 
-    The endpoint URL and any proxy from the environment are resolved once;
-    audit writes are serialized on one handle kept open until ``close``.
-    Retry backoff draws its jitter from one RNG per run.
+    The endpoint URL and any proxy from the environment are resolved once,
+    then ``cache.jsonl`` and ``audit.jsonl`` are opened, so a cache
+    directory that cannot be written fails before the first request. Audit
+    writes are serialized on the one handle; ``close`` closes the
+    connections and both logs. Retry backoff draws its jitter from one RNG
+    per run.
     """
 
-    def __init__(self, config: ModelConfig, cache: _Cache, audit_path: Path, api_key: str) -> None:
+    def __init__(self, config: ModelConfig, cache_dir: str | Path, api_key: str) -> None:
         self.config = config
-        self.cache = cache
-        self.audit_path = audit_path
-        self.audit_file = None
         self.lock = threading.Lock()
         self.local = threading.local()
         self.rng = random.Random()  # its random() is thread-safe, so the pool threads share it
@@ -293,6 +285,12 @@ class _Client:
                 self.target = f"http://{url.netloc.rpartition('@')[2]}{self.target}"
                 self.headers.update(auth)
         self.ssl_context = ssl.create_default_context() if self.https else None
+        self.cache = _Cache(cache_dir)
+        try:
+            self.audit_file = open(self.cache.dir / "audit.jsonl", "a", encoding="utf-8")
+        except BaseException:
+            self.cache.close()
+            raise
 
     def _connection(self) -> http.client.HTTPConnection:
         conn = getattr(self.local, "conn", None)
@@ -313,8 +311,6 @@ class _Client:
     def _audit(self, entry: dict) -> None:
         line = json.dumps(entry, sort_keys=True) + "\n"
         with self.lock:
-            if self.audit_file is None:
-                self.audit_file = self.audit_path.open("a", encoding="utf-8")
             self.audit_file.write(line)
             self.audit_file.flush()
 
@@ -322,8 +318,8 @@ class _Client:
         with self.lock:
             for conn in self.connections:
                 conn.close()
-            if self.audit_file is not None:
-                self.audit_file.close()
+            self.cache.close()
+            self.audit_file.close()  # last: it raises if an audit write failed partway
 
     def _exchange(self, data: bytes) -> tuple[int, str, bytes]:
         """POST once; return (status, Retry-After header, body).
@@ -368,7 +364,7 @@ class _Client:
             raise _RetryableReply(f"HTTP {status}", _retry_after_s(retry_after) if status == 429 else None)
         try:
             content = json.loads(data)["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError):
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError):
             raise _RetryableReply("malformed chat-completions response body") from None
         if not isinstance(content, str):
             raise _RetryableReply("malformed chat-completions response body")
@@ -431,11 +427,12 @@ def _retry_after_s(value: str) -> Optional[float]:
     return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 
-def build_work_items(corpus: Corpus, labels: Optional[list[str]] = None) -> list[_WorkItem]:
-    """Baseline document queries plus variant queries for the requested labels, in the corpus's order."""
+def build_work_items(corpus: Corpus, labels: Optional[list[str]] = None) -> list[tuple]:
+    """(doc_id, label_id, variant_value, facts) of each baseline query, then of each variant query for the
+    requested labels, in the corpus's order."""
     wanted = corpus.select_labels(labels)
-    return [_WorkItem(d.doc_id, None, None, d.facts) for d in corpus.documents] + [
-        _WorkItem(v.doc_id, v.label_id, v.variant_value, v.facts) for v in corpus.variants if v.label_id in wanted
+    return [(d.doc_id, None, None, d.facts) for d in corpus.documents] + [
+        (v.doc_id, v.label_id, v.variant_value, v.facts) for v in corpus.variants if v.label_id in wanted
     ]
 
 
@@ -451,20 +448,19 @@ def run_generation(
 
     Cached results are reused (resumability); parse failures get one
     stricter re-ask before being recorded with a missing marker. Returns
-    records in deterministic key order.
+    records in deterministic key order. ``progress(done, total)`` is
+    called from this thread as each record arrives.
     """
     api_key = os.environ.get(config.api_key_env)
     if not api_key:
         raise GatewayError(f"API key environment variable {config.api_key_env} is not set")
     build_prompt("probe", template)  # validate template up front
 
-    cache_dir = Path(cache_dir)
     items = build_work_items(corpus, labels)
-    done = [0]
-    done_lock = threading.Lock()
 
-    def process(item: _WorkItem) -> PredictionRecord:
-        prompt = build_prompt(item.facts, template)
+    def process(item: tuple) -> PredictionRecord:
+        doc_id, label_id, variant_value, facts = item
+        prompt = build_prompt(facts, template)
         raw, attempts = client.fetch(prompt)
         months = parse_prediction(raw)
         if months is None and raw != "":
@@ -475,25 +471,23 @@ def run_generation(
             if months2 is not None:
                 raw = raw2
                 months = months2
-        record = PredictionRecord(
+        return PredictionRecord(
             model_name=config.model_name,
-            doc_id=item.doc_id,
-            label_id=item.label_id,
-            variant_value=item.variant_value,
+            doc_id=doc_id,
+            label_id=label_id,
+            variant_value=variant_value,
             predicted_months=months,
             raw_response=raw,
             attempt_count=attempts,
         )
-        if progress is not None:
-            with done_lock:
-                done[0] += 1
-                progress(done[0], len(items))
-        return record
 
-    with closing(_Cache(cache_dir)) as cache, \
-            closing(_Client(config, cache, cache_dir / "audit.jsonl", api_key)) as client, \
+    records = []
+    with closing(_Client(config, cache_dir, api_key)) as client, \
             ThreadPoolExecutor(max_workers=config.max_concurrency) as pool:
-        records = list(pool.map(process, items))
+        for record in pool.map(process, items):
+            records.append(record)
+            if progress is not None:
+                progress(len(records), len(items))
 
     records.sort(key=PredictionRecord.sort_key)
     return records

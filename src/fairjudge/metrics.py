@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
-from fairjudge.corpus import Corpus, CorpusError, read_jsonl
+from fairjudge.corpus import Corpus, CorpusError, read_jsonl, record_fields
 from fairjudge.fanout import fan_out
 from fairjudge.gateway import PredictionFormatError, PredictionRecord, read_prediction
 from fairjudge.statcore import BernoulliTestResult, RegressionFrame, StatError, bernoulli_test
@@ -98,7 +98,7 @@ class PredictionTable:
     ) -> PredictionTable:
         """The table of in-memory records (see ``_encode_source``)."""
         label_ids = corpus.select_labels(labels)
-        return cls._merge([_encode_source("records", enumerate(map(vars, records), 1), corpus)], corpus, label_ids)
+        return cls._merge([_encode_source("records", enumerate(map(record_fields, records), 1), corpus)], corpus, label_ids)
 
     @classmethod
     def read(

@@ -12,14 +12,17 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 class StubServer:
     """OpenAI-shape endpoint with per-test behavior hooks and traffic counters.
 
-    `responder(prompt) -> (status, content_str[, headers])` decides each
-    reply; counters track total requests and the concurrent in-flight
-    high-water mark.
+    `responder(prompt) -> (status, content[, headers])` decides each
+    reply: a str content of a 200 is wrapped in the chat-completions shape,
+    bytes are sent as the body unchanged. It speaks HTTP/1.1, so a client
+    keeps its connection alive; counters track accepted connections, total
+    requests and the concurrent in-flight high-water mark.
     """
 
     def __init__(self, responder=None, delay_s: float = 0.0):
         self.responder = responder or (lambda prompt: (200, json.dumps({"sentence_months": 36})))
         self.delay_s = delay_s
+        self.connection_count = 0
         self.request_count = 0
         self.last_headers = {}
         self.in_flight = 0
@@ -28,6 +31,13 @@ class StubServer:
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def setup(self):
+                super().setup()
+                with outer.lock:
+                    outer.connection_count += 1
+
             def do_POST(self):
                 with outer.lock:
                     outer.request_count += 1
@@ -41,7 +51,9 @@ class StubServer:
                     if outer.delay_s:
                         time.sleep(outer.delay_s)
                     status, content, *extra = outer.responder(prompt)
-                    if status == 200:
+                    if isinstance(content, bytes):
+                        data = content
+                    elif status == 200:
                         payload = {"choices": [{"message": {"content": content}}]}
                         data = json.dumps(payload).encode()
                     else:

@@ -889,6 +889,7 @@ def test_unwritable_cache_dir_exits_1_with_one_line(fixture_dir, tmp_path, capsy
 
 
 def test_unwritable_audit_log_exits_1_with_one_line(fixture_dir, tmp_path, capsys, monkeypatch):
+    """The audit log is opened with the cache, before any request."""
     monkeypatch.setenv("FAIRJUDGE_API_KEY", "x")
     cache = tmp_path / "cache"
     (cache / "audit.jsonl").mkdir(parents=True)
@@ -897,7 +898,27 @@ def test_unwritable_audit_log_exits_1_with_one_line(fixture_dir, tmp_path, capsy
                 "--out", str(tmp_path / "p.jsonl"), "--cache-dir", str(cache)]
         capsys.readouterr()
         assert main(argv) == EXIT_USAGE
+        assert server.request_count == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: cannot write {cache}: Is a directory ({cache / 'audit.jsonl'})"]
+
+
+@pytest.mark.parametrize("poisoned", ["reply", "cache line"])
+def test_deeply_nested_json_ends_in_one_error_line(fixture_dir, tmp_path, capsys, monkeypatch, poisoned):
+    """A reply body or a cache line nested past the recursion limit is malformed, not a traceback."""
+    monkeypatch.setenv("FAIRJUDGE_API_KEY", "x")
+    deep = "[" * 200000
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    if poisoned == "cache line":
+        (cache / "cache.jsonl").write_text(deep + "\n")
+    with StubServer(lambda prompt: (200, deep.encode())) as server:
+        api_url = server.url if poisoned == "reply" else "http://127.0.0.1:9/v1"
+        argv = ["generate", "--corpus", str(fixture_dir), "--api-url", api_url, "--model", "m",
+                "--out", str(tmp_path / "p.jsonl"), "--cache-dir", str(cache), "--retries", "0"]
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if line.startswith("error: ")] == [err[-1]]
-    assert err[-1] == f"error: cannot write {cache}: Is a directory ({cache / 'audit.jsonl'})"
+    assert err[-1] == "error: no record produced a usable prediction; endpoint unreachable or misconfigured"
     assert not any("Traceback" in line for line in err)

@@ -1,5 +1,6 @@
 """Gateway contract tests against a local stub server."""
 
+import errno
 import http.client
 import io
 import json
@@ -38,6 +39,7 @@ from fairjudge.gateway import (
 from stub_server import StubServer
 
 KEY_ENV = "FAIRJUDGE_TEST_KEY"
+DEEP = "[" * 200000  # JSON nested far past the interpreter's recursion limit
 
 
 @pytest.fixture(autouse=True)
@@ -96,11 +98,13 @@ def test_parse_failure_is_a_value():
     assert parse_prediction("") is None
     assert parse_prediction('{"sentence_months": 1' + "0" * 400 + "}") is None  # too large for a float
     assert parse_prediction('{"sentence_months": 1' + "0" * 5000 + "}") is None  # too long for an int
+    assert parse_prediction('{"sentence_months": ' + DEEP) is None
 
 
 def test_parse_takes_first_matching_object():
     raw = '{"other": 1} {"sentence_months": 10} {"sentence_months": 99}'
     assert parse_prediction(raw) == 10
+    assert parse_prediction('{"other": ' + DEEP + ' {"sentence_months": 3}') == 3  # scanning goes on
 
 
 def test_parse_numeric_string_tolerated():
@@ -200,6 +204,59 @@ def test_auth_error_aborts_immediately(tmp_path):
     with StubServer(responder) as server:
         with pytest.raises(AuthenticationError, match=KEY_ENV):
             run_generation(corpus, make_config(server.url), tmp_path)
+
+
+def test_progress_reported_once_per_record_from_the_calling_thread(tmp_path):
+    corpus = small_corpus(n_docs=3, n_labels=2)  # 15 records
+    calls = []
+
+    def progress(done, total):
+        calls.append((done, total, threading.get_ident()))
+
+    with StubServer(delay_s=0.01) as server:
+        records = run_generation(corpus, make_config(server.url, max_concurrency=3), tmp_path, progress=progress)
+    n = len(records)
+    assert [(done, total) for done, total, _ in calls] == [(i, n) for i in range(1, n + 1)]
+    assert {thread for _, _, thread in calls} == {threading.get_ident()}
+
+
+def test_keep_alive_connections_are_reused(tmp_path):
+    corpus = small_corpus(n_docs=4, n_labels=1)  # 8 requests
+    with StubServer() as server:
+        records = run_generation(corpus, make_config(server.url, max_concurrency=2), tmp_path)
+        assert server.request_count == 8
+        assert 1 <= server.connection_count <= 2
+    assert all(r.predicted_months == 36 for r in records)
+
+
+def test_deeply_nested_response_body_is_retried(tmp_path):
+    corpus = small_corpus(n_docs=1, n_labels=1)
+    seen = set()
+
+    def responder(prompt):
+        if prompt not in seen:
+            seen.add(prompt)
+            return 200, DEEP.encode()
+        return 200, json.dumps({"sentence_months": 7})
+
+    with StubServer(responder) as server:
+        records = run_generation(corpus, make_config(server.url, max_concurrency=1), tmp_path)
+        assert server.request_count == 4
+    assert all(r.predicted_months == 7 and r.attempt_count == 2 for r in records)
+
+
+def test_deeply_nested_content_gets_the_strict_reask(tmp_path):
+    corpus = small_corpus(n_docs=1, n_labels=1)
+
+    def responder(prompt):
+        if prompt.endswith(gateway.STRICT_SUFFIX):
+            return 200, json.dumps({"sentence_months": 9})
+        return 200, '{"sentence_months": ' + DEEP
+
+    with StubServer(responder) as server:
+        records = run_generation(corpus, make_config(server.url), tmp_path)
+        assert server.request_count == 4
+    assert all(r.predicted_months == 9 and r.attempt_count == 2 for r in records)
 
 
 def test_missing_api_key_env(tmp_path, monkeypatch):
@@ -618,6 +675,13 @@ def test_torn_cache_tail_is_asked_again(tmp_path):
     assert all(len(json.loads(line)) == 2 for line in lines[:3] + lines[4:-1])
 
 
+def test_cache_skips_a_deeply_nested_line(tmp_path):
+    entry = ["k", {"attempts": 1, "content": "c"}]
+    (tmp_path / "cache.jsonl").write_text(DEEP + "\n" + json.dumps(entry) + "\n")
+    with closing(_Cache(tmp_path)) as cache:
+        assert cache.entries == dict([entry])
+
+
 def test_cache_keeps_a_last_entry_without_its_newline(tmp_path):
     log = tmp_path / "cache.jsonl"
     entries = [[f"k{i}", {"attempts": 1, "content": f"c{i}"}] for i in range(3)]
@@ -634,7 +698,7 @@ def test_cache_keeps_a_last_entry_without_its_newline(tmp_path):
 
 def test_two_caches_appending_from_eight_threads(tmp_path):
     corpus = small_corpus(n_docs=10, n_labels=2)  # 30 prompts
-    prompts = [build_prompt(item.facts, DEFAULT_TEMPLATE) for item in build_work_items(corpus)]
+    prompts = [build_prompt(facts, DEFAULT_TEMPLATE) for *_, facts in build_work_items(corpus)]
     content = json.dumps({"sentence_months": 5, "note": "x" * 20000})  # lines longer than a pipe buffer
     caches = [_Cache(tmp_path), _Cache(tmp_path)]
 
@@ -662,6 +726,7 @@ def test_two_caches_appending_from_eight_threads(tmp_path):
         records = run_generation(corpus, make_config(server.url), tmp_path)
         assert server.request_count == 0
     assert [r.predicted_months for r in records] == [5] * len(prompts)
+    assert (tmp_path / "audit.jsonl").read_bytes() == b""  # opened with the cache, though nothing was asked
 
 
 def test_audit_log_appended(tmp_path):
@@ -674,10 +739,19 @@ def test_audit_log_appended(tmp_path):
     assert "request" in entry and "response" in entry
 
 
-def test_audit_write_error_is_raised_not_retried(tmp_path):
+def test_audit_write_error_is_raised_not_retried(tmp_path, monkeypatch):
     """An answer whose audit entry cannot be written is not a transport error to retry."""
     corpus = small_corpus(n_docs=2, n_labels=1)
-    (tmp_path / "audit.jsonl").mkdir()
+    real_init = gateway._Client.__init__
+
+    def no_space(line):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def init(client, *args):
+        real_init(client, *args)
+        client.audit_file.write = no_space
+
+    monkeypatch.setattr(gateway._Client, "__init__", init)
     prompts = []
 
     def responder(prompt):
@@ -685,9 +759,27 @@ def test_audit_write_error_is_raised_not_retried(tmp_path):
         return 200, json.dumps({"sentence_months": 7})
 
     with StubServer(responder) as server:
-        with pytest.raises(IsADirectoryError):
+        with pytest.raises(OSError, match="No space left on device"):
             run_generation(corpus, make_config(server.url, max_concurrency=1), tmp_path)
     assert prompts and len(set(prompts)) == len(prompts)  # no prompt asked twice
+
+
+def test_unopenable_audit_log_fails_before_any_request(tmp_path, monkeypatch):
+    (tmp_path / "audit.jsonl").mkdir()
+    caches = []
+    real_init = _Cache.__init__
+
+    def init(cache, *args):
+        real_init(cache, *args)
+        caches.append(cache)
+
+    monkeypatch.setattr(_Cache, "__init__", init)
+    with StubServer() as server:
+        with pytest.raises(IsADirectoryError):
+            run_generation(small_corpus(), make_config(server.url), tmp_path)
+        assert server.request_count == 0
+    (cache,) = caches
+    assert cache.file.closed
 
 
 # --- predictions.jsonl round trip ------------------------------------------

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,6 +289,22 @@ def test_one_table_serves_every_model():
     summary_m, *rest_m = summarize_model(records, corpus, MODEL)
     assert dataclasses.replace(summary_n, model_name=MODEL) == summary_m
     assert rest_n[:2] == rest_m[:2]
+
+
+def test_table_of_records_leaves_the_records_no_larger():
+    """Reading a record's fields gives it no ``__dict__`` to keep (``vars`` did, about 64 bytes a record)."""
+    corpus = comparison_corpus(n_docs_a=5000, n_docs_b=5000)
+    records = flip_records(corpus, 0, 0)
+    assert len(records) == 20000
+    PredictionTable.build(records[:10], corpus)  # builds the corpus's lookup tables first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        PredictionTable.build(records, corpus)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 100_000, grown
 
 
 @pytest.mark.parametrize(
