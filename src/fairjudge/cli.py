@@ -181,10 +181,13 @@ def generate(config_path, corpus_dir, api_url, model_name, temperature, provider
     def progress(done: int, total: int) -> None:
         click.echo(f"\r{done}/{total} records", err=True, nl=(done == total))
 
+    # Progress only on a terminal, so a log of a failed run holds just its error line.
+    if sys.stderr.isatty():
+        kwargs["progress"] = progress
     # The cache and audit logs are opened before the first request, and the client
     # retries network errors, so an OSError out of the run is a write under the cache.
     with _writing(cache):
-        records = run_generation(corpus, model_config, cache, labels=label_list, progress=progress, **kwargs)
+        records = run_generation(corpus, model_config, cache, labels=label_list, **kwargs)
     if records and all(r.predicted_months is None for r in records):
         raise GatewayError(
             "no record produced a usable prediction; endpoint unreachable or misconfigured"

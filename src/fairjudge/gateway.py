@@ -13,9 +13,11 @@ from __future__ import annotations
 import base64
 import hashlib
 import http.client
+import itertools
 import json
 import math
 import os
+import queue
 import random
 import re
 import reprlib
@@ -449,7 +451,9 @@ def run_generation(
     Cached results are reused (resumability); parse failures get one
     stricter re-ask before being recorded with a missing marker. Returns
     records in deterministic key order. ``progress(done, total)`` is
-    called from this thread as each record arrives.
+    called from this thread as each record finishes. On the first error
+    (the first to happen, not the first in item order) the queued items
+    are cancelled and the error is raised.
     """
     api_key = os.environ.get(config.api_key_env)
     if not api_key:
@@ -481,13 +485,31 @@ def run_generation(
             attempt_count=attempts,
         )
 
+    # At most two items per worker are submitted at a time, so a run holds a
+    # few futures, not one per record. Records are taken as they finish: in
+    # item order, one record in retry backoff would idle the other workers.
     records = []
+    finished = queue.SimpleQueue()  # futures, put there by the thread that finishes them
+    pending = iter(items)
     with closing(_Client(config, cache_dir, api_key)) as client, \
             ThreadPoolExecutor(max_workers=config.max_concurrency) as pool:
-        for record in pool.map(process, items):
-            records.append(record)
-            if progress is not None:
-                progress(len(records), len(items))
+
+        def submit(item: tuple) -> None:
+            pool.submit(process, item).add_done_callback(finished.put)
+
+        try:
+            for item in itertools.islice(pending, 2 * config.max_concurrency):
+                submit(item)
+            while len(records) < len(items):
+                records.append(finished.get().result())
+                if progress is not None:
+                    progress(len(records), len(items))
+                item = next(pending, None)
+                if item is not None:
+                    submit(item)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
     records.sort(key=PredictionRecord.sort_key)
     return records

@@ -1,6 +1,7 @@
 """CLI workflow tests: subcommands, exit codes, offline pipeline."""
 
 import json
+import sys
 
 import pytest
 
@@ -919,6 +920,19 @@ def test_deeply_nested_json_ends_in_one_error_line(fixture_dir, tmp_path, capsys
         capsys.readouterr()
         assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
-    assert [line for line in err if line.startswith("error: ")] == [err[-1]]
-    assert err[-1] == "error: no record produced a usable prediction; endpoint unreachable or misconfigured"
-    assert not any("Traceback" in line for line in err)
+    assert err == ["error: no record produced a usable prediction; endpoint unreachable or misconfigured"]
+
+
+@pytest.mark.parametrize("tty", [False, True])
+def test_generate_shows_progress_only_on_a_terminal(fixture_dir, tmp_path, capsys, monkeypatch, tty):
+    """A failed run that is not on a terminal leaves one stderr line: its error."""
+    monkeypatch.setenv("FAIRJUDGE_API_KEY", "x")
+    argv = ["generate", "--corpus", str(fixture_dir), "--api-url", "http://127.0.0.1:9/v1", "--model", "m",
+            "--out", str(tmp_path / "p.jsonl"), "--cache-dir", str(tmp_path / "cache"), "--retries", "0"]
+    capsys.readouterr()
+    monkeypatch.setattr(sys.stderr, "isatty", lambda: tty)
+    assert main(argv) == EXIT_USAGE
+    n = 36  # 12 documents and one variant of each for each of two labels
+    shown = "".join(f"\r{done}/{n} records" for done in range(1, n + 1)) + "\n" if tty else ""
+    error = "error: no record produced a usable prediction; endpoint unreachable or misconfigured\n"
+    assert capsys.readouterr().err == shown + error

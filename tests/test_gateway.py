@@ -206,8 +206,61 @@ def test_auth_error_aborts_immediately(tmp_path):
             run_generation(corpus, make_config(server.url), tmp_path)
 
 
+def test_fatal_reply_cancels_the_queued_items(tmp_path):
+    corpus = small_corpus(n_docs=10, n_labels=1)  # 20 records
+
+    with StubServer(lambda prompt: (401, "{}")) as server:
+        with pytest.raises(AuthenticationError):
+            run_generation(corpus, make_config(server.url, max_concurrency=2), tmp_path)
+        assert server.request_count <= 4
+
+
+def test_at_most_two_items_per_worker_are_submitted(tmp_path, monkeypatch):
+    corpus = small_corpus(n_docs=10, n_labels=3)  # 40 records
+    lock = threading.Lock()
+    counts = {"outstanding": 0, "most": 0}  # futures submitted and not finished
+
+    def finished(_future):
+        with lock:
+            counts["outstanding"] -= 1
+
+    class CountingExecutor(gateway.ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            with lock:
+                counts["outstanding"] += 1
+                counts["most"] = max(counts["most"], counts["outstanding"])
+            future = super().submit(fn, *args, **kwargs)
+            future.add_done_callback(finished)  # runs before any callback the caller adds
+            return future
+
+    monkeypatch.setattr(gateway, "ThreadPoolExecutor", CountingExecutor)
+    with StubServer() as server:
+        records = run_generation(corpus, make_config(server.url, max_concurrency=2), tmp_path)
+    assert len(records) == 40
+    assert counts == {"outstanding": 0, "most": 4}
+
+
+def test_a_record_in_retry_backoff_does_not_hold_back_the_others(tmp_path):
+    corpus = small_corpus(n_docs=5, n_labels=1)  # 10 records
+    first = build_prompt(corpus.documents[0].facts, DEFAULT_TEMPLATE)
+    asked = []
+
+    def responder(prompt):
+        asked.append(prompt)
+        if prompt == first and asked.count(first) == 1:
+            return 500, "{}"
+        return 200, json.dumps({"sentence_months": 36})
+
+    with StubServer(responder) as server:
+        config = make_config(server.url, max_concurrency=2, retry_base_delay_s=0.3)
+        records = run_generation(corpus, config, tmp_path)
+    assert len(records) == 10 and all(r.predicted_months == 36 for r in records)
+    assert len(asked) == 11
+    assert asked[-1] == first  # the retry comes after every other prompt
+
+
 def test_progress_reported_once_per_record_from_the_calling_thread(tmp_path):
-    corpus = small_corpus(n_docs=3, n_labels=2)  # 15 records
+    corpus = small_corpus(n_docs=3, n_labels=2)  # 9 records
     calls = []
 
     def progress(done, total):
