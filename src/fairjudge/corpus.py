@@ -88,8 +88,9 @@ class Corpus:
     builds the objects from them on first use. A corpus from
     ``index_corpus`` is indexed only until its variants step has run, and
     then holds the code columns without the facts, which ``analyze`` never
-    reads; ``variants`` and ``enumerate_variants`` need the facts, so only
-    ``load_corpus`` and ``Corpus(...)`` give a corpus they work on.
+    reads; ``variants`` needs the facts, so only ``load_corpus`` and
+    ``Corpus(...)`` give a corpus it works on. ``variant_codes`` gives one
+    label's variants as codes, in the order of ``variants`` filtered by label.
     """
 
     def __init__(
@@ -286,12 +287,6 @@ class Corpus:
         known[tuple(self._variant_columns)] = True
         known[:, -1, -1] = True
         return known[doc, label, value]
-
-    def enumerate_variants(self, label_id: str) -> list[tuple[CaseDocument, CounterfactualVariant]]:
-        """All (baseline document, variant) pairs for one label, in (doc_id, variant_value) order."""
-        variants = self.variants  # raises on a corpus without facts
-        rows = self._label_rows[self.label_code(label_id)].tolist()
-        return [(self.document(variants[row].doc_id), variants[row]) for row in rows]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):

@@ -130,6 +130,7 @@ def build_prompt(facts: str, template: str) -> str:
 
 
 _FENCE_RE = re.compile(r"```[a-zA-Z]*\n?|```")
+_JSON_SYNTAX_RE = re.compile(r'\\[^{]|[\\"{}\[\]]')  # an escape pair, or one character
 
 
 def parse_prediction(raw: str) -> Optional[float]:
@@ -137,18 +138,20 @@ def parse_prediction(raw: str) -> Optional[float]:
 
     Tolerates surrounding prose and code fences. Returns None on failure
     instead of raising, so one bad response never aborts a batch run.
+    Each `{` is tried in turn, and after a failed decode only those that
+    ``_decodable_braces`` lists: one scan, not a decode per `{`.
     """
     if not raw:
         return None
     text = _FENCE_RE.sub(" ", raw)
     decoder = json.JSONDecoder()
-    for pos, ch in enumerate(text):
-        if ch != "{":
-            continue
+    pos, rest = text.find("{"), None
+    while pos != -1:
         try:
             obj, _ = decoder.raw_decode(text, pos)
         except (ValueError, RecursionError):  # also an integer longer than int's digit limit, or deep nesting
-            continue
+            obj, rest = None, rest or iter([p for p in _decodable_braces(text) if p > pos])
+        pos = text.find("{", pos + 1) if rest is None else next(rest, -1)
         if not isinstance(obj, dict) or "sentence_months" not in obj:
             continue
         value = obj["sentence_months"]
@@ -162,6 +165,37 @@ def parse_prediction(raw: str) -> Optional[float]:
             return value
         return None
     return None
+
+
+def _decodable_braces(text: str) -> list[int]:
+    """Positions of the `{`s that a bracket closes within the recursion limit, in order.
+
+    A decode from any other `{` fails (json's C scanner counts its depth
+    against that limit). Scans from `{`s that are all outside a string, or
+    all inside one, read the rest alike, so two stacks of open brackets
+    serve them all, and a quote swaps the two. A backslash outside a string
+    or before a `{` is no JSON and ends the scans it meets.
+    """
+    limit = sys.getrecursionlimit()
+    closed, deep = [], set()
+    out, ins = [], []  # open brackets (a `{`'s position, -1 for a `[`) outside a string, and inside one
+    for match in _JSON_SYNTAX_RE.finditer(text):
+        c = match.group()
+        if c == '"':
+            out, ins = ins, out
+        elif c == "\\":  # before a `{`, or last: no escape
+            out, ins = [], []
+        elif c[0] == "\\":  # an escape pair
+            out = []
+        elif c == "{":
+            out.append(match.start())
+            if len(out) > limit:
+                deep.add(out[-limit - 1])
+        elif c == "[" and out:
+            out.append(-1)
+        elif out:
+            closed.append(out.pop())
+    return sorted({p for p in closed if p >= 0} - deep)
 
 
 class _Cache:

@@ -1,6 +1,6 @@
 """The three fairness metrics: inconsistency, bias, and imbalanced inaccuracy.
 
-Predictions enter as one columnar ``PredictionTable`` of corpus codes,
+``summarize_model`` takes one columnar ``PredictionTable`` of corpus codes,
 built once per run. Each model's predictions are scattered into a dense
 [doc, label, value] months grid once, and one loop over the labels
 gathers each label's months from it in corpus order, so outputs are
@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -208,15 +208,6 @@ def _encode_source(
     return list(seen), np.array(codes, dtype=np.int32).reshape(-1, 4), np.array(months, dtype=float)
 
 
-Predictions = Union[PredictionTable, list[PredictionRecord]]
-
-
-def _as_table(predictions: Predictions, corpus: Corpus) -> PredictionTable:
-    if isinstance(predictions, PredictionTable):
-        return predictions
-    return PredictionTable.build(predictions, corpus)
-
-
 def model_grid(table: PredictionTable, corpus: Corpus, model: str) -> np.ndarray:
     """One model's months as a dense grid of ``Corpus.grid_shape``, NaN where absent.
 
@@ -230,7 +221,7 @@ def model_grid(table: PredictionTable, corpus: Corpus, model: str) -> np.ndarray
 
 
 def _inconsistency_row(label_id: str, months: np.ndarray, base: np.ndarray, tolerance: float) -> InconsistencyRow:
-    """One label's change proportion from its variants' months and their baselines' months (see ``inconsistency``)."""
+    """One label's change proportion from its variants' months and their baselines' months (see ``summarize_model``)."""
     usable = ~(np.isnan(base) | np.isnan(months))
     w = int(usable.sum())
     changed = int((np.abs(months[usable] - base[usable]) > tolerance).sum())
@@ -331,22 +322,26 @@ def _finding(result: FitResult, label_id: str, metric: str, tau: float) -> Optio
 
 
 def summarize_model(
-    predictions: Predictions,
+    table: PredictionTable,
     corpus: Corpus,
     model: str,
     tau: float = 0.05,
     log1p: bool = False,
     tolerance: float = 0.0,
 ) -> tuple[ModelFairnessSummary, list[LabelFinding], list[InconsistencyRow], AnalysisDiagnostics]:
-    """All three metrics for one model, in one pass over its labels.
+    """All three metrics for one model of ``table``, in one pass over its labels.
 
     The model's months grid is built once. Each label's variant months are
     gathered once, for its inconsistency row and its regression frame, and
     the frame is fitted for bias and imbalance (see ``_fit``). Findings are
     all bias, then all imbalance, each in label order; a label that either
     metric leaves unidentified is listed in ``diag.unidentified_labels``.
+
+    A comparison counts as changed when |variant - baseline| exceeds
+    ``tolerance`` (default 0: sentences are discrete months), one with a
+    missing side is dropped pairwise, and the summary's inconsistency
+    weights each label's change proportion by its comparisons.
     """
-    table = _as_table(predictions, corpus)
     grid = model_grid(table, corpus, model)
     if np.isnan(grid[:, -1, -1]).all():
         raise MetricsError(f"no baseline predictions for model {model!r}")
@@ -382,38 +377,6 @@ def summarize_model(
         n_labels_tested=bias_bern.n_trials,
     )
     return summary, bias + imbalance, rows, diag
-
-
-def inconsistency(
-    predictions: Predictions,
-    corpus: Corpus,
-    model: str,
-    tolerance: float = 0.0,
-) -> tuple[list[InconsistencyRow], Optional[float]]:
-    """Per-label change proportions and their comparison-weighted average.
-
-    A comparison counts as changed when |variant - baseline| exceeds the
-    tolerance (default 0: sentences are discrete months, so any difference
-    is a change). Comparisons with a missing side are dropped pairwise.
-    """
-    summary, _, rows, _ = summarize_model(predictions, corpus, model, tolerance=tolerance)
-    return rows, summary.inconsistency
-
-
-def bias_analysis(
-    predictions: Predictions, corpus: Corpus, model: str, tau: float = 0.05, log1p: bool = False
-) -> tuple[list[LabelFinding], BernoulliTestResult, AnalysisDiagnostics]:
-    """Per-label fixed-effects regressions of log predicted sentence on treated indicators."""
-    summary, findings, _, diag = summarize_model(predictions, corpus, model, tau=tau, log1p=log1p)
-    return [f for f in findings if f.metric == "bias"], summary.bias_bernoulli, diag
-
-
-def imbalance_analysis(
-    predictions: Predictions, corpus: Corpus, model: str, tau: float = 0.05
-) -> tuple[list[LabelFinding], BernoulliTestResult, AnalysisDiagnostics]:
-    """Same design with absolute prediction error (months) as the outcome."""
-    summary, findings, _, diag = summarize_model(predictions, corpus, model, tau=tau)
-    return [f for f in findings if f.metric == "imbalance"], summary.imbalance_bernoulli, diag
 
 
 def pooled_bernoulli(

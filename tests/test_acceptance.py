@@ -14,7 +14,7 @@ import pytest
 from fairjudge.cli import EXIT_OK, main
 from fairjudge.fixtures import default_label_specs, generate_fixture, simulate_predictions
 from fairjudge.gateway import ModelConfig, run_generation
-from fairjudge.metrics import bias_analysis, imbalance_analysis, inconsistency
+from fairjudge.metrics import PredictionTable, summarize_model
 from fairjudge.statcore import (
     binomial_tail,
     drop_singletons,
@@ -108,7 +108,8 @@ def test_null_calibration_500_replications():
             records = simulate_predictions(
                 corpus, "m", seed=1000 + rep, noise_sigma=0.25, error_scale=0.0
             )
-            findings, bern, _ = bias_analysis(records, corpus, "m", tau=0.05)
+            summary, findings, _, _ = summarize_model(PredictionTable.build(records, corpus), corpus, "m", tau=0.05)
+            findings, bern = [f for f in findings if f.metric == "bias"], summary.bias_bernoulli
             n_tested += len(findings)
             n_rejected += sum(f.significant for f in findings)
             n_bern_below += bern.p_value < 0.05
@@ -130,15 +131,15 @@ def test_power_200_replications():
                 corpus, "m", seed=2000 + rep, bias_effects={"L01": 0.3},
                 noise_sigma=0.25, error_scale=0.0,
             )
-            findings, _, _ = bias_analysis(records, corpus, "m", tau=0.05)
-            bias_hits += {f.label_id: f.significant for f in findings}["L01"]
+            _, findings, _, _ = summarize_model(PredictionTable.build(records, corpus), corpus, "m", tau=0.05)
+            bias_hits += {f.label_id: f.significant for f in findings if f.metric == "bias"}["L01"]
 
             records = simulate_predictions(
                 corpus, "m", seed=3000 + rep, error_multipliers={"L02": 2.0},
                 noise_sigma=0.05, error_scale=0.2,
             )
-            findings, _, _ = imbalance_analysis(records, corpus, "m", tau=0.05)
-            imb_hits += {f.label_id: f.significant for f in findings}["L02"]
+            _, findings, _, _ = summarize_model(PredictionTable.build(records, corpus), corpus, "m", tau=0.05)
+            imb_hits += {f.label_id: f.significant for f in findings if f.metric == "imbalance"}["L02"]
         assert bias_hits / reps >= 0.9, f"bias power {bias_hits / reps}"
         assert imb_hits / reps >= 0.9, f"imbalance power {imb_hits / reps}"
 
@@ -148,7 +149,8 @@ def test_power_200_replications():
 def test_inconsistency_exact_rational():
     with criterion("Inconsistency exactness: w=(10,30), p=(0.1,0.3) -> aggregate exactly 0.25"):
         corpus = comparison_corpus(10, 30)
-        rows, aggregate = inconsistency(flip_records(corpus, 1, 9), corpus, "m")
+        summary, _, rows, _ = summarize_model(PredictionTable.build(flip_records(corpus, 1, 9), corpus), corpus, "m")
+        aggregate = summary.inconsistency
         by_label = {r.label_id: (r.w_l, r.n_changed) for r in rows}
         assert by_label == {"A": (10, 1), "B": (30, 9)}
         assert Fraction(aggregate) == Fraction(1, 4)  # exactly representable, no tolerance

@@ -275,31 +275,35 @@ def test_documents_and_variants_are_held_in_canonical_order():
     assert corpus.variants == sorted(variants, key=lambda v: (v.doc_id, v.label_id, v.variant_value))
 
 
+def label_keys(corpus, label_id):
+    """(doc_id, variant_value) of one label's variants, from its code arrays, in their order."""
+    docs, values = corpus.variant_codes(label_id)
+    label = corpus.label(label_id)
+    return [(corpus.doc_ids[d], label.values[v]) for d, v in zip(docs, values)]
+
+
 def test_enumerate_variants_order_and_coverage(bundle):
     corpus = load_corpus(bundle)
-    pairs = corpus.enumerate_variants("gender")
-    assert [(d.doc_id, v.variant_value) for d, v in pairs] == [("d1", "male"), ("d2", "male")]
+    gender = [("d1", "male"), ("d2", "male")]
     # 3-value label: d1 has two non-baseline variants.
-    court_pairs = corpus.enumerate_variants("court")
-    assert [(d.doc_id, v.variant_value) for d, v in court_pairs] == [
-        ("d1", "military"),
-        ("d1", "rural"),
-    ]
+    court = [("d1", "military"), ("d1", "rural")]
+    assert label_keys(corpus, "gender") == gender
+    assert label_keys(corpus, "court") == court
+    for label_id, keys in (("gender", gender), ("court", court)):
+        assert [(v.doc_id, v.variant_value) for v in corpus.variants if v.label_id == label_id] == keys
 
 
 def test_enumerate_unknown_label_raises(bundle):
     corpus = load_corpus(bundle)
-    with pytest.raises(CorpusError):
-        corpus.enumerate_variants("nope")
+    with pytest.raises(CorpusError, match="^unknown label_id 'nope'$"):
+        corpus.variant_codes("nope")
 
 
 def test_variant_codes_follow_enumeration_order(bundle):
     corpus = load_corpus(bundle)
     for label_id in corpus.label_ids:
-        docs, values = corpus.variant_codes(label_id)
-        label = corpus.label(label_id)
-        assert [(corpus.doc_ids[d], label.values[v]) for d, v in zip(docs, values)] == [
-            (d.doc_id, v.variant_value) for d, v in corpus.enumerate_variants(label_id)
+        assert label_keys(corpus, label_id) == [
+            (v.doc_id, v.variant_value) for v in corpus.variants if v.label_id == label_id
         ]
     # Court values are coded in declared order, not in enumeration order.
     assert corpus.variant_codes("court")[1].tolist() == [2, 1]
@@ -322,9 +326,9 @@ def test_enumerate_variants_partitions_corpus(bundle):
     corpus = load_corpus(bundle)
     union = []
     for label_id in corpus.label_ids:
-        union.extend(v for _, v in corpus.enumerate_variants(label_id))
-    key = lambda v: (v.doc_id, v.label_id, v.variant_value)
-    assert sorted(union, key=key) == sorted(corpus.variants, key=key)
+        union.extend((doc_id, label_id, value) for doc_id, value in label_keys(corpus, label_id))
+    assert sorted(union) == sorted((v.doc_id, v.label_id, v.variant_value) for v in corpus.variants)
+    assert len(union) == len(set(union))
 
 
 def test_label_definition_invariants():
@@ -421,5 +425,3 @@ def test_variants_of_a_corpus_without_facts_raise_instead_of_reading_the_file(bu
     message = "corpus was indexed without its variant facts; read it with load_corpus"
     with pytest.raises(CorpusError, match=f"^{message}$"):
         corpus.variants
-    with pytest.raises(CorpusError, match=f"^{message}$"):
-        corpus.enumerate_variants("gender")

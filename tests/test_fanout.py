@@ -3,8 +3,11 @@
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -256,3 +259,39 @@ def test_workers_do_not_take_interrupts(monkeypatch):
     masks = list(fan_out(lambda i: signal.pthread_sigmask(signal.SIG_BLOCK, ()), range(2)))
     assert all(signal.SIGINT in mask for mask in masks)
     assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+
+
+# One categorical label of 32 values on 2000 documents: a design large enough
+# that a BLAS thread pool sized from the usable CPUs moves a fit's last digits.
+WIDE_SPEC = {"n_docs": 2000, "labels": [{"label_id": "W32", "values": [f"v{i:02d}" for i in range(32)]}]}
+
+# A fresh process, pinned to the CPU given unless that is "all", that runs the CLI.
+PINNED_MAIN = """
+import os, sys
+if sys.argv[1] != "all":
+    os.sched_setaffinity(0, {int(sys.argv[1])})
+from fairjudge.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs 2 usable CPUs")
+def test_wide_label_outputs_are_the_same_bytes_on_one_cpu_and_on_all(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(WIDE_SPEC))
+    fx = tmp_path / "fx"
+    assert main(["fixture", "--seed", "11", "--spec", str(spec), "--out", str(fx)]) == 0
+    # Each child's own import of fairjudge sets its BLAS thread count, as the console script's does.
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {name: value for name, value in os.environ.items() if name not in blas}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(fairjudge.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    for name, cpu in (("one", str(min(os.sched_getaffinity(0)))), ("all", "all")):
+        subprocess.run(
+            [sys.executable, "-c", PINNED_MAIN, cpu, "analyze", "--corpus", str(fx),
+             "--predictions", str(fx / "predictions_stub-model.jsonl"), "--out", str(tmp_path / name)],
+            env=env, check=True, capture_output=True,
+        )
+    names = sorted(path.name for path in (tmp_path / "all").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "one").iterdir()) and "findings.jsonl" in names
+    for name in names:
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name

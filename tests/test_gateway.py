@@ -18,6 +18,8 @@ import types
 from contextlib import closing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairjudge import gateway
 from fairjudge.fixtures import default_label_specs, generate_fixture
@@ -29,6 +31,7 @@ from fairjudge.gateway import (
     PredictionFormatError,
     PredictionRecord,
     _Cache,
+    _decodable_braces,
     build_prompt,
     build_work_items,
     parse_prediction,
@@ -105,10 +108,43 @@ def test_parse_takes_first_matching_object():
     raw = '{"other": 1} {"sentence_months": 10} {"sentence_months": 99}'
     assert parse_prediction(raw) == 10
     assert parse_prediction('{"other": ' + DEEP + ' {"sentence_months": 3}') == 3  # scanning goes on
+    assert parse_prediction('{"x": {"sentence_months": 3}') == 3  # inside an unclosed object
 
 
 def test_parse_numeric_string_tolerated():
     assert parse_prediction('{"sentence_months": "18"}') == 18
+
+
+def test_parse_of_many_unclosed_deep_objects_is_one_scan():
+    raw = '{"a":' * 32000  # 160 KB: at the recursion limit, each `{` was once a decode of its own
+    start = time.perf_counter()
+    assert parse_prediction(raw) is None
+    assert time.perf_counter() - start < 0.05
+    assert parse_prediction(raw + '{"sentence_months": 7}') == 7.0
+
+
+# Answers made of JSON texts, whole or cut short, and stray brackets, quotes and backslashes.
+JSON_VALUES = st.recursive(
+    st.none() | st.integers() | st.text(alphabet='{}[]"\\ a\né', max_size=4),  # json.dumps escapes ", \, \n and é
+    lambda values: st.lists(values, max_size=3) | st.dictionaries(st.text(alphabet='{}"\\a', max_size=3), values, max_size=3),
+    max_leaves=8,
+).map(json.dumps)
+ANSWER_PIECES = JSON_VALUES | st.tuples(JSON_VALUES, st.integers(0, 40)).map(lambda cut: cut[0][: cut[1]]) | st.sampled_from(
+    ['{', '}', '[', ']', '"', '\\', ' ', '{"sentence_months": 3}']
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(ANSWER_PIECES, max_size=6).map("".join))
+def test_every_brace_that_decodes_is_tried(text):
+    decodes = []
+    for pos in (i for i, c in enumerate(text) if c == "{"):
+        try:
+            json.JSONDecoder().raw_decode(text, pos)
+        except (ValueError, RecursionError):
+            continue
+        decodes.append(pos)
+    assert set(decodes) <= set(_decodable_braces(text))
 
 
 # --- run_generation --------------------------------------------------------

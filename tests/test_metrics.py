@@ -15,9 +15,6 @@ from fairjudge.gateway import PredictionFormatError, PredictionRecord, read_pred
 from fairjudge.metrics import (
     MetricsError,
     PredictionTable,
-    bias_analysis,
-    imbalance_analysis,
-    inconsistency,
     mean_inconsistency,
     pooled_bernoulli,
     summarize_model,
@@ -58,38 +55,44 @@ def comparison_corpus(n_docs_a=10, n_docs_b=30):
     return Corpus(labels, docs, variants)
 
 
+def summarize(records, corpus, model=MODEL, **options):
+    """``summarize_model`` on the table of ``records``."""
+    return summarize_model(PredictionTable.build(records, corpus), corpus, model, **options)
+
+
 def flip_records(corpus, flips_a, flips_b):
     """Baselines all 10 months; flip the first k variants of each label to 20."""
     records = [record(d.doc_id, 10.0) for d in corpus.documents]
     counts = {"A": 0, "B": 0}
     for label_id, flips in (("A", flips_a), ("B", flips_b)):
-        for doc, var in corpus.enumerate_variants(label_id):
-            counts[label_id] += 1
-            months = 20.0 if counts[label_id] <= flips else 10.0
-            records.append(record(doc.doc_id, months, label_id, var.variant_value))
+        for var in corpus.variants:
+            if var.label_id == label_id:
+                counts[label_id] += 1
+                months = 20.0 if counts[label_id] <= flips else 10.0
+                records.append(record(var.doc_id, months, label_id, var.variant_value))
     return records
 
 
 def test_inconsistency_no_changes_zero():
     corpus = comparison_corpus()
-    rows, aggregate = inconsistency(flip_records(corpus, 0, 0), corpus, MODEL)
-    assert aggregate == 0.0
+    summary, _, rows, _ = summarize(flip_records(corpus, 0, 0), corpus)
+    assert summary.inconsistency == 0.0
     assert all(r.p_l == 0.0 for r in rows)
 
 
 def test_inconsistency_weighted_aggregate_exact():
     # w = (10, 30), p = (0.1, 0.3) -> (1 + 9) / 40 = 0.25 exactly.
     corpus = comparison_corpus(10, 30)
-    rows, aggregate = inconsistency(flip_records(corpus, 1, 9), corpus, MODEL)
+    summary, _, rows, _ = summarize(flip_records(corpus, 1, 9), corpus)
     by_label = {r.label_id: r for r in rows}
     assert by_label["A"].w_l == 10 and by_label["A"].p_l == 0.1
     assert by_label["B"].w_l == 30 and by_label["B"].p_l == 0.3
-    assert aggregate == 0.25
+    assert summary.inconsistency == 0.25
 
 
 def test_inconsistency_counts_flips_in_fixture():
     corpus = comparison_corpus(20, 0)
-    rows, _ = inconsistency(flip_records(corpus, 3, 0), corpus, MODEL)
+    _, _, rows, _ = summarize(flip_records(corpus, 3, 0), corpus)
     row = next(r for r in rows if r.label_id == "A")
     assert row.p_l == pytest.approx(3 / 20)
     assert row.n_changed == 3
@@ -101,7 +104,7 @@ def test_inconsistency_missing_dropped_pairwise():
     # Null out one variant prediction: w drops, numerator unaffected elsewhere.
     idx = next(i for i, r in enumerate(records) if r.label_id == "A" and r.predicted_months == 10.0)
     records[idx] = record(records[idx].doc_id, None, "A", records[idx].variant_value)
-    rows, _ = inconsistency(records, corpus, MODEL)
+    _, _, rows, _ = summarize(records, corpus)
     row = next(r for r in rows if r.label_id == "A")
     assert row.w_l == 9
     assert row.n_missing == 1
@@ -111,7 +114,7 @@ def test_inconsistency_missing_dropped_pairwise():
 def test_inconsistency_requires_baselines():
     corpus = comparison_corpus(2, 0)
     with pytest.raises(MetricsError, match="no baseline"):
-        inconsistency([record("d000", 5.0, "A", "a1")], corpus, MODEL)
+        summarize([record("d000", 5.0, "A", "a1")], corpus)
 
 
 def test_inconsistency_row_order_invariance():
@@ -119,17 +122,17 @@ def test_inconsistency_row_order_invariance():
     records = flip_records(corpus, 2, 5)
     shuffled = records[:]
     random.Random(4).shuffle(shuffled)
-    assert inconsistency(records, corpus, MODEL) == inconsistency(shuffled, corpus, MODEL)
+    assert summarize(records, corpus) == summarize(shuffled, corpus)
 
 
 def test_inconsistency_aggregate_is_convex_combination():
     corpus = comparison_corpus(10, 30)
-    rows, aggregate = inconsistency(flip_records(corpus, 4, 3), corpus, MODEL)
+    summary, _, rows, _ = summarize(flip_records(corpus, 4, 3), corpus)
     ps = [r.p_l for r in rows if r.w_l > 0]
-    assert min(ps) <= aggregate <= max(ps)
+    assert min(ps) <= summary.inconsistency <= max(ps)
 
 
-# --- bias_analysis ---------------------------------------------------------
+# --- bias --------------------------------------------------------------------
 
 def planted_fixture(n_docs=120, n_labels=4, effect=0.4, seed=5):
     corpus, _ = generate_fixture(seed=seed, n_docs=n_docs, label_specs=default_label_specs(n_labels))
@@ -142,29 +145,29 @@ def planted_fixture(n_docs=120, n_labels=4, effect=0.4, seed=5):
 
 def test_bias_detects_planted_effect():
     corpus, records = planted_fixture()
-    findings, bern, diag = bias_analysis(records, corpus, MODEL, tau=0.05)
-    by_label = {f.label_id: f for f in findings}
+    summary, findings, _, diag = summarize(records, corpus, tau=0.05)
+    by_label = {f.label_id: f for f in findings if f.metric == "bias"}
     assert by_label["L01"].significant
     assert by_label["L01"].direction_summary[0][1] > 0.2  # positive planted effect
-    assert bern.n_trials == 4
+    assert summary.bias_bernoulli.n_trials == 4
     assert diag.unidentified_labels == []
 
 
 def test_bias_zero_k_gives_p_one():
     corpus, records = planted_fixture(effect=0.0, n_docs=30)
-    findings, bern, _ = bias_analysis(records, corpus, MODEL, tau=0.001)
+    bern = summarize(records, corpus, tau=0.001)[0].bias_bernoulli
     if bern.n_significant == 0:
         assert bern.p_value == 1.0
 
 
 def test_bias_document_scaling_invariance():
     corpus, records = planted_fixture(n_docs=60)
-    findings1, _, _ = bias_analysis(records, corpus, MODEL)
+    findings1 = [f for f in summarize(records, corpus)[1] if f.metric == "bias"]
     scaled = []
     scale = {d.doc_id: 1.0 + (i % 7) for i, d in enumerate(corpus.documents)}
     for r in records:
         scaled.append(record(r.doc_id, r.predicted_months * scale[r.doc_id], r.label_id, r.variant_value))
-    findings2, _, _ = bias_analysis(scaled, corpus, MODEL)
+    findings2 = [f for f in summarize(scaled, corpus)[1] if f.metric == "bias"]
     for f1, f2 in zip(findings1, findings2):
         assert f1.label_id == f2.label_id
         for (v1, c1), (v2, c2) in zip(f1.direction_summary, f2.direction_summary):
@@ -175,36 +178,36 @@ def test_bias_zero_predictions_dropped_by_default():
     corpus = comparison_corpus(6, 0)
     records = flip_records(corpus, 0, 0)
     records[0] = record(records[0].doc_id, 0.0)  # one zero baseline
-    _, _, diag = bias_analysis(records, corpus, MODEL)
+    _, _, _, diag = summarize(records, corpus)
     assert diag.n_zero_predictions_dropped == 1
-    _, _, diag1p = bias_analysis(records, corpus, MODEL, log1p=True)
+    _, _, _, diag1p = summarize(records, corpus, log1p=True)
     assert diag1p.n_zero_predictions_dropped == 0
 
 
 def test_bias_unidentified_label_excluded_from_n():
     corpus = comparison_corpus(6, 0)  # label B has no variants
     records = flip_records(corpus, 3, 0)
-    findings, bern, diag = bias_analysis(records, corpus, MODEL)
+    summary, findings, _, diag = summarize(records, corpus)
     assert "B" in diag.unidentified_labels
-    assert bern.n_trials == len(findings) == 1
+    assert summary.bias_bernoulli.n_trials == len([f for f in findings if f.metric == "bias"]) == 1
 
 
 def test_bias_threshold_monotonicity():
     corpus, records = planted_fixture(n_docs=80)
-    _, bern_small, _ = bias_analysis(records, corpus, MODEL, tau=0.01)
-    _, bern_big, _ = bias_analysis(records, corpus, MODEL, tau=0.05)
+    bern_small = summarize(records, corpus, tau=0.01)[0].bias_bernoulli
+    bern_big = summarize(records, corpus, tau=0.05)[0].bias_bernoulli
     assert bern_small.n_significant <= bern_big.n_significant
 
 
-# --- imbalance_analysis ----------------------------------------------------
+# --- imbalance ---------------------------------------------------------------
 
 def test_imbalance_perfect_predictor_all_null():
     corpus = comparison_corpus(8, 8)
     records = [record(d.doc_id, d.true_sentence_months) for d in corpus.documents]
-    for label_id in corpus.label_ids:
-        for doc, var in corpus.enumerate_variants(label_id):
-            records.append(record(doc.doc_id, doc.true_sentence_months, label_id, var.variant_value))
-    findings, bern, _ = imbalance_analysis(records, corpus, MODEL)
+    for var in corpus.variants:
+        doc = corpus.document(var.doc_id)
+        records.append(record(doc.doc_id, doc.true_sentence_months, var.label_id, var.variant_value))
+    bern = summarize(records, corpus)[0].imbalance_bernoulli
     assert bern.n_significant == 0
     assert bern.p_value == 1.0
 
@@ -215,8 +218,8 @@ def test_imbalance_detects_error_doubling():
         corpus, MODEL, seed=10, error_multipliers={"L02": 2.0},
         noise_sigma=0.05, error_scale=0.3,
     )
-    findings, _, _ = imbalance_analysis(records, corpus, MODEL)
-    by_label = {f.label_id: f for f in findings}
+    _, findings, _, _ = summarize(records, corpus)
+    by_label = {f.label_id: f for f in findings if f.metric == "imbalance"}
     assert by_label["L02"].significant
 
 
@@ -260,7 +263,7 @@ def test_pooled_all_zero_is_one():
 
 def test_summarize_model_counts_match_findings():
     corpus, records = planted_fixture(n_docs=100)
-    summary, findings, rows, diag = summarize_model(records, corpus, MODEL)
+    summary, findings, rows, diag = summarize(records, corpus)
     bias_sig = sum(1 for f in findings if f.metric == "bias" and f.significant)
     imb_sig = sum(1 for f in findings if f.metric == "imbalance" and f.significant)
     assert summary.bias_count == bias_sig == summary.bias_bernoulli.n_significant
@@ -276,7 +279,7 @@ def test_one_missing_variant_counts_once():
     records = flip_records(corpus, 2, 0)
     idx = next(i for i, r in enumerate(records) if r.label_id == "A")
     records[idx] = record(records[idx].doc_id, None, "A", records[idx].variant_value)
-    _, _, _, diag = summarize_model(records, corpus, MODEL)
+    _, _, _, diag = summarize(records, corpus)
     assert diag.n_missing_predictions == 1
 
 
@@ -286,7 +289,7 @@ def test_one_table_serves_every_model():
     table = PredictionTable.build(records + other, corpus)
     assert table.models == (MODEL, "n")
     summary_n, *rest_n = summarize_model(table, corpus, "n")
-    summary_m, *rest_m = summarize_model(records, corpus, MODEL)
+    summary_m, *rest_m = summarize(records, corpus)
     assert dataclasses.replace(summary_n, model_name=MODEL) == summary_m
     assert rest_n[:2] == rest_m[:2]
 
@@ -331,7 +334,7 @@ def test_duplicate_prediction_keys_rejected(duplicate, message):
     corpus = comparison_corpus(4, 0)
     records = flip_records(corpus, 0, 0)
     with pytest.raises(MetricsError, match=re.escape(message)):
-        summarize_model(records + [records[duplicate]], corpus, MODEL)
+        summarize(records + [records[duplicate]], corpus)
 
 
 @pytest.mark.parametrize("labels", [None, ["A"]])
@@ -355,9 +358,9 @@ def test_label_filter_keeps_only_requested_labels():
     records = flip_records(corpus, 2, 5)
     table = PredictionTable.build(records, corpus, labels=["B"])
     assert table.label_ids == ("B",)
-    rows, _ = inconsistency(table, corpus, MODEL)
+    _, _, rows, _ = summarize_model(table, corpus, MODEL)
     assert [r.label_id for r in rows] == ["B"]
-    assert rows == [r for r in inconsistency(records, corpus, MODEL)[0] if r.label_id == "B"]
+    assert rows == [r for r in summarize(records, corpus)[2] if r.label_id == "B"]
 
 
 @pytest.mark.parametrize("labels", [None, ["L03", "L01"]])
@@ -419,11 +422,13 @@ def loop_reference(records, corpus, model, log1p=False):
     results, n_missing = {}, 0
     for label_id in sorted(corpus.label_ids):
         rows = []
-        for doc, var in corpus.enumerate_variants(label_id):
-            months = variants.get((doc.doc_id, label_id, var.variant_value))
+        for var in corpus.variants:
+            if var.label_id != label_id:
+                continue
+            months = variants.get((var.doc_id, label_id, var.variant_value))
             n_missing += months is None
             if months is not None:
-                rows.append((doc.doc_id, var.variant_value, months))
+                rows.append((var.doc_id, var.variant_value, months))
         for doc_id in sorted({d for d, _, _ in rows}):
             n_missing += baseline[doc_id] is None
             if baseline[doc_id] is not None:
@@ -445,7 +450,7 @@ def test_table_path_equals_loop_reference_exactly():
         dataclasses.replace(r, predicted_months=None if i % 17 == 4 else 0.0 if i % 23 == 6 else r.predicted_months)
         for i, r in enumerate(records)
     ]
-    _, findings, _, diag = summarize_model(records, corpus, MODEL)
+    _, findings, _, diag = summarize(records, corpus)
     reference, n_missing = loop_reference(records, corpus, MODEL)
     assert diag.n_missing_predictions == n_missing > 0
     assert diag.n_zero_predictions_dropped > 0
@@ -469,7 +474,7 @@ def test_metrics_share_a_fit_only_when_they_keep_the_same_rows(monkeypatch, zero
         return fit(frame, outcomes)
 
     monkeypatch.setattr(statcore, "fe_regress", counted)
-    _, findings, _, diag = summarize_model(records, corpus, MODEL, log1p=log1p)
+    _, findings, _, diag = summarize(records, corpus, log1p=log1p)
     monkeypatch.undo()
     # bias drops the zero rows unless log1p, and then each metric is fitted on its own
     assert calls == ([1, 1] if zeros and not log1p else [2]) * len(corpus.labels)
