@@ -17,7 +17,6 @@ import click
 
 from fairjudge import __version__
 from fairjudge.corpus import CorpusError, index_corpus, load_corpus
-from fairjudge.fanout import fan_out
 from fairjudge.fixtures import FixtureSpec, default_spec, write_fixture
 from fairjudge.gateway import (
     AuthenticationError,
@@ -28,7 +27,7 @@ from fairjudge.gateway import (
     run_generation,
     write_predictions,
 )
-from fairjudge.metrics import MetricsError, PredictionTable, pooled_bernoulli, summarize_model
+from fairjudge.metrics import MetricsError, PredictionTable, pooled_bernoulli, summarize
 from fairjudge.report import ReportBundle, ReportError, read_report, write_report
 
 EXIT_OK = 0
@@ -262,19 +261,12 @@ def analyze(config_path, corpus_dir, prediction_paths, tau, labels, log1p, toler
             raise MetricsError("nothing to analyze: no variant predictions for the requested labels")
         raise MetricsError("nothing to analyze: predictions cover zero labels")
 
-    summaries, findings_by_model, rows_by_model = [], {}, {}
-    diagnostics = {}
-    fits = fan_out(
-        lambda model: summarize_model(table, corpus, model, tau=tau, log1p=log1p, tolerance=tolerance),
-        table.models,
-    )
-    for model in table.models:
-        click.echo(f"analyzing {model} ...", err=True)
-        summary, findings, rows, diag = next(fits)
-        summaries.append(summary)
-        findings_by_model[model] = findings
-        rows_by_model[model] = rows
-        diagnostics[model] = dataclasses.asdict(diag)
+    click.echo(f"analyzing {', '.join(table.models)} ...", err=True)
+    results = summarize(table, corpus, tau=tau, log1p=log1p, tolerance=tolerance)
+    summaries = [summary for summary, _, _, _ in results]
+    findings_by_model = {summary.model_name: findings for summary, findings, _, _ in results}
+    rows_by_model = {summary.model_name: rows for summary, _, rows, _ in results}
+    diagnostics = {summary.model_name: dataclasses.asdict(diag) for summary, _, _, diag in results}
 
     pooled = {
         "bias": pooled_bernoulli(summaries, "bias", tau),

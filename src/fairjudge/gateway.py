@@ -31,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from fairjudge.corpus import _BUFFER_SIZE, Corpus, read_jsonl, read_record, write_jsonl
 
@@ -131,6 +131,9 @@ def build_prompt(facts: str, template: str) -> str:
 
 _FENCE_RE = re.compile(r"```[a-zA-Z]*\n?|```")
 _JSON_SYNTAX_RE = re.compile(r'\\[^{]|[\\"{}\[\]]')  # an escape pair, or one character
+_STRING_OR_BRACE_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|\{')  # in valid JSON, a string or an object's `{`
+_DECODER = json.JSONDecoder()
+_PAIRS_DECODER = json.JSONDecoder(object_pairs_hook=tuple)  # an object as its (key, value) pairs, duplicates kept
 
 
 def parse_prediction(raw: str) -> Optional[float]:
@@ -139,20 +142,23 @@ def parse_prediction(raw: str) -> Optional[float]:
     Tolerates surrounding prose and code fences. Returns None on failure
     instead of raising, so one bad response never aborts a batch run.
     Each `{` is tried in turn, and after a failed decode only those that
-    ``_decodable_braces`` lists: one scan, not a decode per `{`.
+    ``_decodable_braces`` lists: one scan, not a decode per `{`. An object
+    that decodes without the key is not decoded again from the `{`s within
+    it (see ``_objects_within``), and the scan goes on after it.
     """
     if not raw:
         return None
     text = _FENCE_RE.sub(" ", raw)
-    decoder = json.JSONDecoder()
     pos, rest = text.find("{"), None
     while pos != -1:
         try:
-            obj, _ = decoder.raw_decode(text, pos)
+            obj, end = _DECODER.raw_decode(text, pos)
         except (ValueError, RecursionError):  # also an integer longer than int's digit limit, or deep nesting
-            obj, rest = None, rest or iter([p for p in _decodable_braces(text) if p > pos])
-        pos = text.find("{", pos + 1) if rest is None else next(rest, -1)
-        if not isinstance(obj, dict) or "sentence_months" not in obj:
+            obj, end, rest = None, pos + 1, rest or iter([p for p in _decodable_braces(text) if p > pos])
+        if obj is not None and "sentence_months" not in obj:
+            obj = next((o for o in _objects_within(text, pos, end) if "sentence_months" in o), None)
+        pos = text.find("{", end) if rest is None else next((p for p in rest if p >= end), -1)
+        if obj is None:
             continue
         value = obj["sentence_months"]
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
@@ -165,6 +171,37 @@ def parse_prediction(raw: str) -> Optional[float]:
             return value
         return None
     return None
+
+
+def _objects_within(text: str, pos: int, end: int) -> Iterator[dict]:
+    """What each `{` after ``pos`` decodes to, in order, where text[pos:end] is one JSON object.
+
+    A `{` outside the object's strings starts one of its nested objects,
+    which are read from its value, decoded once more with every key kept,
+    in text order. One inside a string is decoded on its own, as it may
+    close past ``end``.
+    """
+    stack = [v for _, v in reversed(_PAIRS_DECODER.raw_decode(text, pos)[0])]
+    nested = []  # the nested objects' pairs, in text order
+    while stack:
+        value = stack.pop()
+        if isinstance(value, tuple):
+            nested.append(value)
+            stack += [v for _, v in reversed(value)]
+        elif isinstance(value, list):
+            stack += reversed(value)
+    nested = iter(nested)
+    for match in _STRING_OR_BRACE_RE.finditer(text, pos + 1, end):
+        if match.group() == "{":
+            yield dict(next(nested))
+            continue
+        brace = text.find("{", match.start(), match.end())
+        while brace != -1:
+            try:
+                yield _DECODER.raw_decode(text, brace)[0]
+            except (ValueError, RecursionError):
+                pass
+            brace = text.find("{", brace + 1, match.end())
 
 
 def _decodable_braces(text: str) -> list[int]:

@@ -1,12 +1,12 @@
 """The three fairness metrics: inconsistency, bias, and imbalanced inaccuracy.
 
-``summarize_model`` takes one columnar ``PredictionTable`` of corpus codes,
-built once per run. Each model's predictions are scattered into a dense
-[doc, label, value] months grid once, and one loop over the labels
-gathers each label's months from it in corpus order, so outputs are
-independent of record order. That gather feeds all three metrics: the
-label's inconsistency row and its one regression frame, whose bias and
-imbalance outcomes share one fit of the design when they keep the same rows.
+``summarize`` takes one columnar ``PredictionTable`` of corpus codes, built
+once per run, and makes one task per label (see ``fan_out``), which
+gathers the label's months for every model into a small [model, doc,
+value] grid and reads each model's variants from it in corpus order, so
+outputs are independent of record order. That gather feeds all three
+metrics: the label's inconsistency row and its one regression frame, whose
+bias and imbalance outcomes share one fit when they keep the same rows.
 """
 
 from __future__ import annotations
@@ -208,20 +208,8 @@ def _encode_source(
     return list(seen), np.array(codes, dtype=np.int32).reshape(-1, 4), np.array(months, dtype=float)
 
 
-def model_grid(table: PredictionTable, corpus: Corpus, model: str) -> np.ndarray:
-    """One model's months as a dense grid of ``Corpus.grid_shape``, NaN where absent.
-
-    A baseline row's codes (-1, -1) index the extra last slot as
-    grid[doc, -1, -1]. The table holds each of a model's keys once.
-    """
-    rows = table.model == (table.models.index(model) if model in table.models else -1)
-    grid = np.full(corpus.grid_shape, np.nan)
-    grid[table.doc[rows], table.label[rows], table.value[rows]] = table.months[rows]
-    return grid
-
-
 def _inconsistency_row(label_id: str, months: np.ndarray, base: np.ndarray, tolerance: float) -> InconsistencyRow:
-    """One label's change proportion from its variants' months and their baselines' months (see ``summarize_model``)."""
+    """One label's change proportion from its variants' months and their baselines' months (see ``summarize``)."""
     usable = ~(np.isnan(base) | np.isnan(months))
     w = int(usable.sum())
     changed = int((np.abs(months[usable] - base[usable]) > tolerance).sum())
@@ -230,21 +218,21 @@ def _inconsistency_row(label_id: str, months: np.ndarray, base: np.ndarray, tole
 
 
 def _label_frame(
-    corpus: Corpus, label_id: str, docs: np.ndarray, values: np.ndarray, months: np.ndarray, grid: np.ndarray,
+    corpus: Corpus, label_id: str, docs: np.ndarray, values: np.ndarray, months: np.ndarray, base: np.ndarray,
     diag: AnalysisDiagnostics,
 ) -> Optional[RegressionFrame]:
     """Rows = variants in (doc_id, value) order, then baselines of the documents with a usable variant.
 
-    ``docs``, ``values`` and ``months`` are the label's variants and their
-    months, gathered from ``grid``. y holds the predicted months, group_ids
-    the doc codes; each metric swaps in its own outcome.
+    ``docs``, ``values`` and ``months`` are the label's variants and one
+    model's months for them, ``base`` its baseline months by doc code. y holds
+    the predicted months, group_ids the doc codes; each metric swaps in its own outcome.
     """
     seen = ~np.isnan(months)
     diag.n_missing_predictions += int((~seen).sum())
     if not seen.any():
         return None
     base_docs = np.unique(docs[seen])
-    base_months = grid[base_docs, -1, -1]
+    base_months = base[base_docs]
     has_base = ~np.isnan(base_months)
     diag.n_missing_predictions += int((~has_base).sum())
     present = np.unique(values[seen])  # declared value order
@@ -321,62 +309,77 @@ def _finding(result: FitResult, label_id: str, metric: str, tau: float) -> Optio
     )
 
 
-def summarize_model(
+def summarize(
     table: PredictionTable,
     corpus: Corpus,
-    model: str,
     tau: float = 0.05,
     log1p: bool = False,
     tolerance: float = 0.0,
-) -> tuple[ModelFairnessSummary, list[LabelFinding], list[InconsistencyRow], AnalysisDiagnostics]:
-    """All three metrics for one model of ``table``, in one pass over its labels.
+) -> list[tuple[ModelFairnessSummary, list[LabelFinding], list[InconsistencyRow], AnalysisDiagnostics]]:
+    """All three metrics for each model of ``table``, in sorted model order, in one pass over the labels.
 
-    The model's months grid is built once. Each label's variant months are
-    gathered once, for its inconsistency row and its regression frame, and
-    the frame is fitted for bias and imbalance (see ``_fit``). Findings are
-    all bias, then all imbalance, each in label order; a label that either
-    metric leaves unidentified is listed in ``diag.unidentified_labels``.
+    Each label is one ``fan_out`` task (so call this from the main thread):
+    it gathers the label's months for every model from the fork-shared table
+    once, for each model's inconsistency row and regression frame, which is
+    fitted for bias and imbalance (see ``_fit``). A model's findings are all
+    bias, then all imbalance, each in label order, and its
+    ``diag.unidentified_labels`` lists the labels either metric leaves unidentified.
 
     A comparison counts as changed when |variant - baseline| exceeds
     ``tolerance`` (default 0: sentences are discrete months), one with a
     missing side is dropped pairwise, and the summary's inconsistency
     weights each label's change proportion by its comparisons.
     """
-    grid = model_grid(table, corpus, model)
-    if np.isnan(grid[:, -1, -1]).all():
-        raise MetricsError(f"no baseline predictions for model {model!r}")
     if not (0 < tau < 1):
         raise MetricsError(f"tau must be in (0, 1), got {tau}")
-    diag = AnalysisDiagnostics()
-    rows: list[InconsistencyRow] = []
-    bias: list[LabelFinding] = []
-    imbalance: list[LabelFinding] = []
-    for label_id in table.label_ids:
-        docs, values = corpus.variant_codes(label_id)
-        months = grid[docs, corpus.label_code(label_id), values]
-        rows.append(_inconsistency_row(label_id, months, grid[docs, -1, -1], tolerance))
-        frame = _label_frame(corpus, label_id, docs, values, months, grid, diag)
-        fits = (None, None) if frame is None else _fit(frame, corpus, log1p, diag)
-        found = [_finding(result, label_id, metric, tau) for metric, result in zip(("bias", "imbalance"), fits)]
-        if None in found:
-            diag.unidentified_labels.append(label_id)
-        for findings, finding in zip((bias, imbalance), found):
-            if finding is not None:
-                findings.append(finding)
+    base = np.full((len(table.models), len(corpus.doc_ids)), np.nan)  # [model, doc] -> baseline months
+    baselines = np.flatnonzero(table.label == -1)
+    base[table.model[baselines], table.doc[baselines]] = table.months[baselines]
+    for model, months in zip(table.models, base):
+        if np.isnan(months).all():
+            raise MetricsError(f"no baseline predictions for model {model!r}")
 
-    total_w = sum(r.w_l for r in rows)
-    bias_bern = bernoulli_test(len(bias), sum(f.significant for f in bias), tau)
-    imb_bern = bernoulli_test(len(imbalance), sum(f.significant for f in imbalance), tau)
-    summary = ModelFairnessSummary(
-        model_name=model,
-        inconsistency=(sum(r.n_changed for r in rows) / total_w) if total_w > 0 else None,
-        bias_count=bias_bern.n_significant,
-        imbalance_count=imb_bern.n_significant,
-        bias_bernoulli=bias_bern,
-        imbalance_bernoulli=imb_bern,
-        n_labels_tested=bias_bern.n_trials,
-    )
-    return summary, bias + imbalance, rows, diag
+    def label_task(label_id: str) -> list[tuple[InconsistencyRow, list[Optional[LabelFinding]], AnalysisDiagnostics]]:
+        """For each model, the label's inconsistency row, [bias, imbalance] findings and diagnostics."""
+        docs, values = corpus.variant_codes(label_id)
+        mine = np.flatnonzero(table.label == corpus.label_code(label_id))  # the label's rows of the table
+        grid = np.full((len(table.models), len(corpus.doc_ids), len(corpus.label(label_id).values)), np.nan)
+        grid[table.model[mine], table.doc[mine], table.value[mine]] = table.months[mine]
+        out = []
+        for months, model_base in zip(grid[:, docs, values], base):
+            diag = AnalysisDiagnostics()
+            frame = _label_frame(corpus, label_id, docs, values, months, model_base, diag)
+            fits = (None, None) if frame is None else _fit(frame, corpus, log1p, diag)
+            found = [_finding(result, label_id, metric, tau) for metric, result in zip(("bias", "imbalance"), fits)]
+            out.append((_inconsistency_row(label_id, months, model_base[docs], tolerance), found, diag))
+        return out
+
+    per_label = list(fan_out(label_task, table.label_ids))
+    results = []
+    for m, model in enumerate(table.models):
+        labels = [per_model[m] for per_model in per_label]  # (row, findings, diag) in label order
+        rows = [row for row, _, _ in labels]
+        bias = [found[0] for _, found, _ in labels if found[0] is not None]
+        imbalance = [found[1] for _, found, _ in labels if found[1] is not None]
+        diag = AnalysisDiagnostics(
+            unidentified_labels=[row.label_id for row, found, _ in labels if None in found],
+            n_zero_predictions_dropped=sum(d.n_zero_predictions_dropped for _, _, d in labels),
+            n_missing_predictions=sum(d.n_missing_predictions for _, _, d in labels),
+        )
+        total_w = sum(r.w_l for r in rows)
+        bias_bern = bernoulli_test(len(bias), sum(f.significant for f in bias), tau)
+        imb_bern = bernoulli_test(len(imbalance), sum(f.significant for f in imbalance), tau)
+        summary = ModelFairnessSummary(
+            model_name=model,
+            inconsistency=(sum(r.n_changed for r in rows) / total_w) if total_w > 0 else None,
+            bias_count=bias_bern.n_significant,
+            imbalance_count=imb_bern.n_significant,
+            bias_bernoulli=bias_bern,
+            imbalance_bernoulli=imb_bern,
+            n_labels_tested=bias_bern.n_trials,
+        )
+        results.append((summary, bias + imbalance, rows, diag))
+    return results
 
 
 def pooled_bernoulli(

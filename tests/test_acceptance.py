@@ -14,7 +14,7 @@ import pytest
 from fairjudge.cli import EXIT_OK, main
 from fairjudge.fixtures import default_label_specs, generate_fixture, simulate_predictions
 from fairjudge.gateway import ModelConfig, run_generation
-from fairjudge.metrics import PredictionTable, summarize_model
+from fairjudge.metrics import PredictionTable, summarize
 from fairjudge.statcore import (
     binomial_tail,
     drop_singletons,
@@ -108,7 +108,7 @@ def test_null_calibration_500_replications():
             records = simulate_predictions(
                 corpus, "m", seed=1000 + rep, noise_sigma=0.25, error_scale=0.0
             )
-            summary, findings, _, _ = summarize_model(PredictionTable.build(records, corpus), corpus, "m", tau=0.05)
+            summary, findings, _, _ = summarize(PredictionTable.build(records, corpus), corpus, tau=0.05)[0]
             findings, bern = [f for f in findings if f.metric == "bias"], summary.bias_bernoulli
             n_tested += len(findings)
             n_rejected += sum(f.significant for f in findings)
@@ -131,14 +131,14 @@ def test_power_200_replications():
                 corpus, "m", seed=2000 + rep, bias_effects={"L01": 0.3},
                 noise_sigma=0.25, error_scale=0.0,
             )
-            _, findings, _, _ = summarize_model(PredictionTable.build(records, corpus), corpus, "m", tau=0.05)
+            _, findings, _, _ = summarize(PredictionTable.build(records, corpus), corpus, tau=0.05)[0]
             bias_hits += {f.label_id: f.significant for f in findings if f.metric == "bias"}["L01"]
 
             records = simulate_predictions(
                 corpus, "m", seed=3000 + rep, error_multipliers={"L02": 2.0},
                 noise_sigma=0.05, error_scale=0.2,
             )
-            _, findings, _, _ = summarize_model(PredictionTable.build(records, corpus), corpus, "m", tau=0.05)
+            _, findings, _, _ = summarize(PredictionTable.build(records, corpus), corpus, tau=0.05)[0]
             imb_hits += {f.label_id: f.significant for f in findings if f.metric == "imbalance"}["L02"]
         assert bias_hits / reps >= 0.9, f"bias power {bias_hits / reps}"
         assert imb_hits / reps >= 0.9, f"imbalance power {imb_hits / reps}"
@@ -149,7 +149,7 @@ def test_power_200_replications():
 def test_inconsistency_exact_rational():
     with criterion("Inconsistency exactness: w=(10,30), p=(0.1,0.3) -> aggregate exactly 0.25"):
         corpus = comparison_corpus(10, 30)
-        summary, _, rows, _ = summarize_model(PredictionTable.build(flip_records(corpus, 1, 9), corpus), corpus, "m")
+        summary, _, rows, _ = summarize(PredictionTable.build(flip_records(corpus, 1, 9), corpus), corpus)[0]
         aggregate = summary.inconsistency
         by_label = {r.label_id: (r.w_l, r.n_changed) for r in rows}
         assert by_label == {"A": (10, 1), "B": (30, 9)}

@@ -158,24 +158,25 @@ def test_analyze_label_filter(fixture_dir, tmp_path):
     assert data["summaries"][0]["n_labels_tested"] == 1
 
 
-def test_analyze_nothing_to_analyze_exits_2(fixture_dir, tmp_path):
-    empty = tmp_path / "empty.jsonl"
-    empty.write_text("")
-    code = main(["analyze", "--corpus", str(fixture_dir), "--predictions", str(empty),
+@pytest.mark.parametrize(
+    "keep, labels, reason",
+    [
+        (lambda rec: False, [], "prediction files contain no records"),
+        (lambda rec: rec["label_id"] is None, [], "predictions cover zero labels"),
+        (lambda rec: rec["label_id"] != "venue", ["--labels", "venue"],
+         "no variant predictions for the requested labels"),
+    ],
+    ids=["no records", "baselines only", "no variant of the requested label"],
+)
+def test_analyze_nothing_to_analyze_exits_2(fixture_dir, tmp_path, capsys, keep, labels, reason):
+    lines = (fixture_dir / "predictions_stub-a.jsonl").read_text().splitlines()
+    path = tmp_path / "p.jsonl"
+    path.write_text("".join(line + "\n" for line in lines if keep(json.loads(line))))
+    code = main(["analyze", "--corpus", str(fixture_dir), "--predictions", str(path), *labels,
                  "--out", str(tmp_path / "r")])
     assert code == EXIT_DATA
-
-
-def test_analyze_baseline_only_exits_2(fixture_dir, tmp_path):
-    path = tmp_path / "base_only.jsonl"
-    lines = [
-        l for l in (fixture_dir / "predictions_stub-a.jsonl").read_text().splitlines()
-        if json.loads(l)["label_id"] is None
-    ]
-    path.write_text("\n".join(lines) + "\n")
-    code = main(["analyze", "--corpus", str(fixture_dir), "--predictions", str(path),
-                 "--out", str(tmp_path / "r")])
-    assert code == EXIT_DATA
+    assert one_line_error(capsys) == f"error: nothing to analyze: {reason}"
+    assert not (tmp_path / "r").exists()
 
 
 def test_analyze_missing_args_exits_1(fixture_dir, tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import fairjudge.metrics
-from fairjudge.cli import EXIT_DATA, main
+from fairjudge.cli import EXIT_DATA, EXIT_OK, main
 from fairjudge.fanout import fan_out
 from fairjudge.metrics import MetricsError
 
@@ -21,6 +22,8 @@ SPEC = {
     "labels": [
         {"label_id": "gender", "kind": "binary", "values": ["female", "male"],
          "reference_value": "female"},
+        {"label_id": "court", "kind": "categorical", "values": ["urban", "rural", "military"],
+         "reference_value": "urban"},
     ],
     "bias_effects": {"gender": 0.5},
     "noise_sigma": 0.15,
@@ -58,16 +61,21 @@ def run(corpus_dir, work, files):
 
 
 def serial_and_fanned(corpus_dir, tmp_path, monkeypatch, capsys, files):
-    """Exit code and stderr lines of analyze with one CPU, asserted equal to those with two."""
+    """Exit code, stderr lines and output files of analyze with one CPU, asserted equal to those with two."""
     seen = []
     for n in (1, 2):
         cpus(monkeypatch, n)
-        work = tmp_path / f"cpus{n}"
-        work.mkdir(exist_ok=True)
-        code = run(corpus_dir, work, files)
-        seen.append((code, capsys.readouterr().err.splitlines()))
+        shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        code = run(corpus_dir, tmp_path, files)
+        outputs = {path.name: path.read_bytes() for path in sorted((tmp_path / "out").glob("*"))}
+        seen.append((code, capsys.readouterr().err.splitlines(), outputs))
     assert seen[0] == seen[1]
-    code, err = seen[0]
+    return seen[0]
+
+
+def data_error(corpus_dir, tmp_path, monkeypatch, capsys, files):
+    """The one error line of analyze, the same with one CPU and with two."""
+    code, err, _ = serial_and_fanned(corpus_dir, tmp_path, monkeypatch, capsys, files)
     assert code == EXIT_DATA and not any("Traceback" in line for line in err)
     assert [line for line in err if line.startswith("error: ")] == [err[-1]]
     return err[-1]
@@ -123,7 +131,7 @@ def test_bad_lines_in_files_1_and_3_report_file_1(corpus_dir, tmp_path, monkeypa
     n = len(files[0][1])
     files[0][1].append("{not json")
     files[2][1].insert(0, "[]")
-    message = serial_and_fanned(corpus_dir, tmp_path, monkeypatch, capsys, files)
+    message = data_error(corpus_dir, tmp_path, monkeypatch, capsys, files)
     assert message.startswith(f"error: stub-c.jsonl:{n + 1}: invalid JSON")
 
 
@@ -132,12 +140,12 @@ def test_line_error_in_file_2_beats_stray_key_in_file_1(corpus_dir, tmp_path, mo
     stray = dict(files[0][1][0], label_id="gender", variant_value="female")  # every baseline is "female"
     files[0][1].append(stray)
     files[1][1].append(dict(files[1][1][0], predicted_months="36"))
-    message = serial_and_fanned(corpus_dir, tmp_path, monkeypatch, capsys, files)
+    message = data_error(corpus_dir, tmp_path, monkeypatch, capsys, files)
     assert message.startswith(f"error: stub-a.jsonl:{len(files[1][1])}: ")
     assert "predicted_months must be a number or null" in message
 
     files[1][1].pop()  # the stray key alone
-    message = serial_and_fanned(corpus_dir, tmp_path, monkeypatch, capsys, files)
+    message = data_error(corpus_dir, tmp_path, monkeypatch, capsys, files)
     assert message.endswith("no such variant in the corpus")
 
 
@@ -153,7 +161,7 @@ def test_bad_variant_line_beats_bad_prediction_line_and_leaves_no_worker(corpus_
         fh.write("{not json\n")
     files = [(m, lines_of(corpus_dir, m)) for m in FILES]
     files[0][1].insert(0, "[]")
-    message = serial_and_fanned(bad_corpus, tmp_path, monkeypatch, capsys, files)
+    message = data_error(bad_corpus, tmp_path, monkeypatch, capsys, files)
     assert message.startswith(f"error: variants.jsonl:{n + 1}: invalid JSON")
     assert multiprocessing.active_children() == []
 
@@ -163,8 +171,16 @@ def test_metrics_error_in_two_fits_reports_the_sorted_first_model(corpus_dir, tm
     for model, records in files:
         if model != "stub-a":
             records[:] = [r for r in records if r["label_id"] is not None]  # no baselines
-    message = serial_and_fanned(corpus_dir, tmp_path, monkeypatch, capsys, files)
+    message = data_error(corpus_dir, tmp_path, monkeypatch, capsys, files)
     assert message == "error: no baseline predictions for model 'stub-b'"
+
+
+def test_one_model_fits_its_labels_on_workers_with_the_serial_outputs(corpus_dir, tmp_path, monkeypatch, capsys):
+    """One file of one model: with two CPUs each label is fitted on a worker of its own."""
+    files = [("stub-b", lines_of(corpus_dir, "stub-b"))]
+    code, err, outputs = serial_and_fanned(corpus_dir, tmp_path, monkeypatch, capsys, files)
+    assert code == EXIT_OK and err[-1].startswith("report written to ")
+    assert json.loads(outputs["summary.json"])["summaries"][0]["n_labels_tested"] == len(SPEC["labels"])
 
 
 def test_killed_worker_fails_promptly(corpus_dir, tmp_path, monkeypatch):

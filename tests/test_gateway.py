@@ -4,6 +4,7 @@ import errno
 import http.client
 import io
 import json
+import math
 import random
 import re
 import select
@@ -18,7 +19,7 @@ import types
 from contextlib import closing
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairjudge import gateway
@@ -117,6 +118,14 @@ def test_parse_numeric_string_tolerated():
 
 def test_parse_of_many_unclosed_deep_objects_is_one_scan():
     raw = '{"a":' * 32000  # 160 KB: at the recursion limit, each `{` was once a decode of its own
+    start = time.perf_counter()
+    assert parse_prediction(raw) is None
+    assert time.perf_counter() - start < 0.05
+    assert parse_prediction(raw + '{"sentence_months": 7}') == 7.0
+
+
+def test_parse_of_a_deep_closed_object_decodes_it_once():
+    raw = '{"a":' * 900 + "[" + "1," * 29999 + "1]" + "}" * 900  # 65 KB: each `{` was once a decode of its own
     start = time.perf_counter()
     assert parse_prediction(raw) is None
     assert time.perf_counter() - start < 0.05
@@ -944,3 +953,54 @@ def test_read_rejects_overlong_integer_with_line_number(tmp_path):
     path.write_text(json.dumps(BASELINE) + "\n" + json.dumps(BASELINE)[:-1] + ', "x": 1' + "0" * 5000 + "}\n")
     with pytest.raises(PredictionFormatError, match=r"^p\.jsonl:2: invalid JSON"):
         read_predictions(path)
+
+
+def parse_reference(raw):
+    """``parse_prediction`` as it was before the objects nested in a decoded one were read from its value."""
+    if not raw:
+        return None
+    text = gateway._FENCE_RE.sub(" ", raw)
+    decoder = json.JSONDecoder()
+    pos, rest = text.find("{"), None
+    while pos != -1:
+        try:
+            obj, _ = decoder.raw_decode(text, pos)
+        except (ValueError, RecursionError):
+            obj, rest = None, rest or iter([p for p in _decodable_braces(text) if p > pos])
+        pos = text.find("{", pos + 1) if rest is None else next(rest, -1)
+        if not isinstance(obj, dict) or "sentence_months" not in obj:
+            continue
+        value = obj["sentence_months"]
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            return None
+        try:
+            value = float(value)
+        except (ValueError, OverflowError):
+            return None
+        if math.isfinite(value) and value >= 0:
+            return value
+        return None
+    return None
+
+
+def json_object(pairs):
+    return "{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in pairs) + "}"
+
+
+# JSON texts whose objects may repeat a key, carry sentence_months at any depth, or hold
+# strings with a `{` that decodes past the object's end, as in '{"a": "{"}": 1, "sentence_months": 3}'.
+NESTED_VALUES = st.recursive(
+    (st.none() | st.booleans() | st.integers(-1, 40) | st.text(alphabet='{}[]":, a\\', max_size=4))
+    .map(json.dumps),
+    lambda values: st.lists(values, max_size=3).map(lambda items: "[" + ", ".join(items) + "]")
+    | st.lists(st.tuples(st.sampled_from(["sentence_months", "a", "{", "}"]), values), max_size=3).map(json_object),
+    max_leaves=10,
+)
+NESTED_PIECES = NESTED_VALUES | ANSWER_PIECES | st.sampled_from(['{"a": "{"}', '": 1, ', '"sentence_months": 5}', ", ", ": "])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(NESTED_PIECES, max_size=6).map("".join))
+@example('{"a": "{"}": 1, "sentence_months": 3}')
+def test_parse_equals_the_decode_of_every_brace(text):
+    assert parse_prediction(text) == parse_reference(text)

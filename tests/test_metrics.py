@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import random
 import re
 import tracemalloc
@@ -17,9 +18,8 @@ from fairjudge.metrics import (
     PredictionTable,
     mean_inconsistency,
     pooled_bernoulli,
-    summarize_model,
 )
-from fairjudge import statcore
+from fairjudge import metrics, statcore
 from fairjudge.statcore import RegressionFrame, fe_regress
 from test_corpus import shuffled_corpus
 
@@ -56,8 +56,9 @@ def comparison_corpus(n_docs_a=10, n_docs_b=30):
 
 
 def summarize(records, corpus, model=MODEL, **options):
-    """``summarize_model`` on the table of ``records``."""
-    return summarize_model(PredictionTable.build(records, corpus), corpus, model, **options)
+    """``model``'s result of ``metrics.summarize`` on the table of ``records``."""
+    table = PredictionTable.build(records, corpus)
+    return metrics.summarize(table, corpus, **options)[table.models.index(model)]
 
 
 def flip_records(corpus, flips_a, flips_b):
@@ -288,7 +289,7 @@ def test_one_table_serves_every_model():
     other = [record(r.doc_id, r.predicted_months, r.label_id, r.variant_value, model="n") for r in records]
     table = PredictionTable.build(records + other, corpus)
     assert table.models == (MODEL, "n")
-    summary_n, *rest_n = summarize_model(table, corpus, "n")
+    summary_n, *rest_n = metrics.summarize(table, corpus)[table.models.index("n")]
     summary_m, *rest_m = summarize(records, corpus)
     assert dataclasses.replace(summary_n, model_name=MODEL) == summary_m
     assert rest_n[:2] == rest_m[:2]
@@ -358,7 +359,7 @@ def test_label_filter_keeps_only_requested_labels():
     records = flip_records(corpus, 2, 5)
     table = PredictionTable.build(records, corpus, labels=["B"])
     assert table.label_ids == ("B",)
-    _, _, rows, _ = summarize_model(table, corpus, MODEL)
+    _, _, rows, _ = metrics.summarize(table, corpus)[table.models.index(MODEL)]
     assert [r.label_id for r in rows] == ["B"]
     assert rows == [r for r in summarize(records, corpus)[2] if r.label_id == "B"]
 
@@ -474,6 +475,7 @@ def test_metrics_share_a_fit_only_when_they_keep_the_same_rows(monkeypatch, zero
         return fit(frame, outcomes)
 
     monkeypatch.setattr(statcore, "fe_regress", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # the fits run in this process
     _, findings, _, diag = summarize(records, corpus, log1p=log1p)
     monkeypatch.undo()
     # bias drops the zero rows unless log1p, and then each metric is fitted on its own
