@@ -132,8 +132,7 @@ def build_prompt(facts: str, template: str) -> str:
 _FENCE_RE = re.compile(r"```[a-zA-Z]*\n?|```")
 _JSON_SYNTAX_RE = re.compile(r'\\[^{]|[\\"{}\[\]]')  # an escape pair, or one character
 _STRING_OR_BRACE_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|\{')  # in valid JSON, a string or an object's `{`
-_DECODER = json.JSONDecoder()
-_PAIRS_DECODER = json.JSONDecoder(object_pairs_hook=tuple)  # an object as its (key, value) pairs, duplicates kept
+_DECODER = json.JSONDecoder(object_pairs_hook=tuple)  # an object as its (key, value) pairs, duplicates kept
 
 
 def parse_prediction(raw: str) -> Optional[float]:
@@ -152,11 +151,12 @@ def parse_prediction(raw: str) -> Optional[float]:
     pos, rest = text.find("{"), None
     while pos != -1:
         try:
-            obj, end = _DECODER.raw_decode(text, pos)
+            pairs, end = _DECODER.raw_decode(text, pos)
         except (ValueError, RecursionError):  # also an integer longer than int's digit limit, or deep nesting
-            obj, end, rest = None, pos + 1, rest or iter([p for p in _decodable_braces(text) if p > pos])
+            pairs, end, rest = None, pos + 1, rest or iter([p for p in _decodable_braces(text) if p > pos])
+        obj = None if pairs is None else dict(pairs)  # the last of a repeated key wins, as in json.loads
         if obj is not None and "sentence_months" not in obj:
-            obj = next((o for o in _objects_within(text, pos, end) if "sentence_months" in o), None)
+            obj = next((o for o in _objects_within(text, pos, end, pairs) if "sentence_months" in o), None)
         pos = text.find("{", end) if rest is None else next((p for p in rest if p >= end), -1)
         if obj is None:
             continue
@@ -173,15 +173,14 @@ def parse_prediction(raw: str) -> Optional[float]:
     return None
 
 
-def _objects_within(text: str, pos: int, end: int) -> Iterator[dict]:
-    """What each `{` after ``pos`` decodes to, in order, where text[pos:end] is one JSON object.
+def _objects_within(text: str, pos: int, end: int, pairs: tuple) -> Iterator[dict]:
+    """What each `{` after ``pos`` decodes to, in order, where text[pos:end] is the object of ``pairs``.
 
     A `{` outside the object's strings starts one of its nested objects,
-    which are read from its value, decoded once more with every key kept,
-    in text order. One inside a string is decoded on its own, as it may
-    close past ``end``.
+    which are read from ``pairs`` in text order, with no decode. One inside
+    a string is decoded on its own, as it may close past ``end``.
     """
-    stack = [v for _, v in reversed(_PAIRS_DECODER.raw_decode(text, pos)[0])]
+    stack = [v for _, v in reversed(pairs)]
     nested = []  # the nested objects' pairs, in text order
     while stack:
         value = stack.pop()
@@ -198,7 +197,7 @@ def _objects_within(text: str, pos: int, end: int) -> Iterator[dict]:
         brace = text.find("{", match.start(), match.end())
         while brace != -1:
             try:
-                yield _DECODER.raw_decode(text, brace)[0]
+                yield dict(_DECODER.raw_decode(text, brace)[0])
             except (ValueError, RecursionError):
                 pass
             brace = text.find("{", brace + 1, match.end())

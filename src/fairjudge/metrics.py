@@ -1,12 +1,12 @@
 """The three fairness metrics: inconsistency, bias, and imbalanced inaccuracy.
 
 ``summarize`` takes one columnar ``PredictionTable`` of corpus codes, built
-once per run, and makes one task per label (see ``fan_out``), which
-gathers the label's months for every model into a small [model, doc,
-value] grid and reads each model's variants from it in corpus order, so
-outputs are independent of record order. That gather feeds all three
-metrics: the label's inconsistency row and its one regression frame, whose
-bias and imbalance outcomes share one fit when they keep the same rows.
+once per run, and makes one task per label, which gathers the label's
+months for every model into a small [model, doc, value] grid and reads
+each model's variants from it in corpus order, so outputs are independent
+of record order. That gather feeds all three metrics: the label's
+inconsistency row and its one regression frame, whose bias and imbalance
+outcomes share one fit when they keep the same rows.
 """
 
 from __future__ import annotations
@@ -309,6 +309,9 @@ def _finding(result: FitResult, label_id: str, metric: str, tau: float) -> Optio
     )
 
 
+_FORK_ROWS = 80_000  # below this, forking a pool costs more than the fits it spreads over two CPUs
+
+
 def summarize(
     table: PredictionTable,
     corpus: Corpus,
@@ -318,12 +321,13 @@ def summarize(
 ) -> list[tuple[ModelFairnessSummary, list[LabelFinding], list[InconsistencyRow], AnalysisDiagnostics]]:
     """All three metrics for each model of ``table``, in sorted model order, in one pass over the labels.
 
-    Each label is one ``fan_out`` task (so call this from the main thread):
-    it gathers the label's months for every model from the fork-shared table
-    once, for each model's inconsistency row and regression frame, which is
-    fitted for bias and imbalance (see ``_fit``). A model's findings are all
-    bias, then all imbalance, each in label order, and its
-    ``diag.unidentified_labels`` lists the labels either metric leaves unidentified.
+    Each label is one task, a ``fan_out`` one from ``_FORK_ROWS`` rows up
+    (so call this from the main thread): it gathers the label's months for
+    every model from the fork-shared table once, for each model's
+    inconsistency row and regression frame, which is fitted for bias and
+    imbalance (see ``_fit``). A model's findings are all bias, then all
+    imbalance, each in label order, and its ``diag.unidentified_labels``
+    lists the labels either metric leaves unidentified.
 
     A comparison counts as changed when |variant - baseline| exceeds
     ``tolerance`` (default 0: sentences are discrete months), one with a
@@ -354,13 +358,12 @@ def summarize(
             out.append((_inconsistency_row(label_id, months, model_base[docs], tolerance), found, diag))
         return out
 
-    per_label = list(fan_out(label_task, table.label_ids))
+    per_label = list((fan_out if len(table.months) >= _FORK_ROWS else map)(label_task, table.label_ids))
     results = []
     for m, model in enumerate(table.models):
         labels = [per_model[m] for per_model in per_label]  # (row, findings, diag) in label order
         rows = [row for row, _, _ in labels]
-        bias = [found[0] for _, found, _ in labels if found[0] is not None]
-        imbalance = [found[1] for _, found, _ in labels if found[1] is not None]
+        bias, imbalance = ([found[i] for _, found, _ in labels if found[i] is not None] for i in (0, 1))
         diag = AnalysisDiagnostics(
             unidentified_labels=[row.label_id for row, found, _ in labels if None in found],
             n_zero_predictions_dropped=sum(d.n_zero_predictions_dropped for _, _, d in labels),
@@ -370,13 +373,9 @@ def summarize(
         bias_bern = bernoulli_test(len(bias), sum(f.significant for f in bias), tau)
         imb_bern = bernoulli_test(len(imbalance), sum(f.significant for f in imbalance), tau)
         summary = ModelFairnessSummary(
-            model_name=model,
-            inconsistency=(sum(r.n_changed for r in rows) / total_w) if total_w > 0 else None,
-            bias_count=bias_bern.n_significant,
-            imbalance_count=imb_bern.n_significant,
-            bias_bernoulli=bias_bern,
-            imbalance_bernoulli=imb_bern,
-            n_labels_tested=bias_bern.n_trials,
+            model_name=model, inconsistency=(sum(r.n_changed for r in rows) / total_w) if total_w > 0 else None,
+            bias_count=bias_bern.n_significant, imbalance_count=imb_bern.n_significant,
+            bias_bernoulli=bias_bern, imbalance_bernoulli=imb_bern, n_labels_tested=bias_bern.n_trials,
         )
         results.append((summary, bias + imbalance, rows, diag))
     return results

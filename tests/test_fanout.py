@@ -61,7 +61,11 @@ def run(corpus_dir, work, files):
 
 
 def serial_and_fanned(corpus_dir, tmp_path, monkeypatch, capsys, files):
-    """Exit code, stderr lines and output files of analyze with one CPU, asserted equal to those with two."""
+    """Exit code, stderr lines and output files of analyze with one CPU, asserted equal to those with two.
+
+    With two, the labels are fitted on workers however few the rows.
+    """
+    monkeypatch.setattr(fairjudge.metrics, "_FORK_ROWS", 0)
     seen = []
     for n in (1, 2):
         cpus(monkeypatch, n)
@@ -181,6 +185,24 @@ def test_one_model_fits_its_labels_on_workers_with_the_serial_outputs(corpus_dir
     code, err, outputs = serial_and_fanned(corpus_dir, tmp_path, monkeypatch, capsys, files)
     assert code == EXIT_OK and err[-1].startswith("report written to ")
     assert json.loads(outputs["summary.json"])["summaries"][0]["n_labels_tested"] == len(SPEC["labels"])
+
+
+def test_labels_are_fitted_on_workers_only_from_fork_rows_up(corpus_dir, tmp_path, monkeypatch):
+    fanned, fan_out = [], fairjudge.metrics.fan_out
+
+    def spied(fn, items, *rest):
+        fanned.append(list(items))
+        return fan_out(fn, items, *rest)
+
+    monkeypatch.setattr(fairjudge.metrics, "fan_out", spied)
+    cpus(monkeypatch, 2)
+    files = [(m, lines_of(corpus_dir, m)) for m in FILES]
+    n_rows = sum(len(records) for _, records in files)
+    for fork_rows, label_tasks in ((n_rows + 1, []), (n_rows, [["court", "gender"]])):
+        monkeypatch.setattr(fairjudge.metrics, "_FORK_ROWS", fork_rows)
+        fanned.clear()
+        assert run(corpus_dir, tmp_path, files) == EXIT_OK
+        assert len(fanned[0]) == len(FILES) and fanned[1:] == label_tasks  # the files are read in tasks either way
 
 
 def test_killed_worker_fails_promptly(corpus_dir, tmp_path, monkeypatch):

@@ -132,6 +132,26 @@ def test_parse_of_a_deep_closed_object_decodes_it_once():
     assert parse_prediction(raw + '{"sentence_months": 7}') == 7.0
 
 
+def test_parse_of_objects_nested_at_the_recursion_limit_returns_none():
+    def nested(n):
+        return '{"a":' * n + "1" + "}" * n
+
+    def decodes(n):  # called one frame deeper than this test, as parse_prediction is
+        try:
+            json.JSONDecoder().raw_decode(nested(n))
+        except RecursionError:
+            return False
+        return True
+
+    lo, hi = 1, 100_000  # the deepest object that decodes there lies in [lo, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if decodes(mid) else (lo, mid)
+    for n in range(lo - 10, lo + 2):  # a decode that runs a few frames deeper fails on some of these
+        assert parse_prediction(nested(n)) is None
+        assert parse_prediction(nested(n) + ' {"sentence_months": 7}') == 7.0
+
+
 # Answers made of JSON texts, whole or cut short, and stray brackets, quotes and backslashes.
 JSON_VALUES = st.recursive(
     st.none() | st.integers() | st.text(alphabet='{}[]"\\ a\né', max_size=4),  # json.dumps escapes ", \, \n and é
