@@ -309,7 +309,9 @@ def _finding(result: FitResult, label_id: str, metric: str, tau: float) -> Optio
     )
 
 
-_FORK_ROWS = 80_000  # below this, forking a pool costs more than the fits it spreads over two CPUs
+# Forking a pool of workers costs about as much as fitting 80,000 rows, and each (model, label)
+# fit about as much as 1,500 rows on top of its own, so smaller work is fitted in this process.
+_FORK_ROWS, _FIT_ROWS = 80_000, 1_500
 
 
 def summarize(
@@ -321,8 +323,8 @@ def summarize(
 ) -> list[tuple[ModelFairnessSummary, list[LabelFinding], list[InconsistencyRow], AnalysisDiagnostics]]:
     """All three metrics for each model of ``table``, in sorted model order, in one pass over the labels.
 
-    Each label is one task, a ``fan_out`` one from ``_FORK_ROWS`` rows up
-    (so call this from the main thread): it gathers the label's months for
+    Each label is one task, a ``fan_out`` one when the work is worth a fork
+    (see ``_FORK_ROWS``; so call this from the main thread): it gathers the label's months for
     every model from the fork-shared table once, for each model's
     inconsistency row and regression frame, which is fitted for bias and
     imbalance (see ``_fit``). A model's findings are all bias, then all
@@ -358,7 +360,8 @@ def summarize(
             out.append((_inconsistency_row(label_id, months, model_base[docs], tolerance), found, diag))
         return out
 
-    per_label = list((fan_out if len(table.months) >= _FORK_ROWS else map)(label_task, table.label_ids))
+    work = len(table.months) + _FIT_ROWS * len(table.models) * len(table.label_ids)  # in rows
+    per_label = list((fan_out if work >= _FORK_ROWS else map)(label_task, table.label_ids))
     results = []
     for m, model in enumerate(table.models):
         labels = [per_model[m] for per_model in per_label]  # (row, findings, diag) in label order

@@ -187,7 +187,7 @@ def test_one_model_fits_its_labels_on_workers_with_the_serial_outputs(corpus_dir
     assert json.loads(outputs["summary.json"])["summaries"][0]["n_labels_tested"] == len(SPEC["labels"])
 
 
-def test_labels_are_fitted_on_workers_only_from_fork_rows_up(corpus_dir, tmp_path, monkeypatch):
+def test_labels_are_fitted_on_workers_only_when_the_work_is_worth_a_fork(corpus_dir, tmp_path, monkeypatch):
     fanned, fan_out = [], fairjudge.metrics.fan_out
 
     def spied(fn, items, *rest):
@@ -197,8 +197,8 @@ def test_labels_are_fitted_on_workers_only_from_fork_rows_up(corpus_dir, tmp_pat
     monkeypatch.setattr(fairjudge.metrics, "fan_out", spied)
     cpus(monkeypatch, 2)
     files = [(m, lines_of(corpus_dir, m)) for m in FILES]
-    n_rows = sum(len(records) for _, records in files)
-    for fork_rows, label_tasks in ((n_rows + 1, []), (n_rows, [["court", "gender"]])):
+    work = sum(len(records) for _, records in files) + fairjudge.metrics._FIT_ROWS * len(FILES) * len(SPEC["labels"])
+    for fork_rows, label_tasks in ((work + 1, []), (work, [["court", "gender"]])):
         monkeypatch.setattr(fairjudge.metrics, "_FORK_ROWS", fork_rows)
         fanned.clear()
         assert run(corpus_dir, tmp_path, files) == EXIT_OK
