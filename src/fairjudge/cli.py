@@ -53,7 +53,7 @@ def _read_config(path: str | None) -> dict[str, str]:
         return {}
     config: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is not part of the first key
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):

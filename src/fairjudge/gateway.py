@@ -288,32 +288,6 @@ class _Cache:
         self.file.close()
 
 
-class _OneWrite:
-    """Send the header block and a ``bytes`` body in one write.
-
-    ``http.client`` sends them in two, so the server wakes and reads twice
-    per request. The bytes on the wire are the same: the headers, a blank
-    line, then the body. Any other body (none, a file, an iterable, or
-    chunked encoding) goes through ``http.client`` unchanged.
-    """
-
-    def _send_output(self, message_body=None, encode_chunked=False):
-        if not isinstance(message_body, bytes) or encode_chunked:
-            return super()._send_output(message_body, encode_chunked)
-        self._buffer.extend((b"", b""))
-        msg = b"\r\n".join(self._buffer) + message_body
-        del self._buffer[:]
-        self.send(msg)
-
-
-class _HTTPConnection(_OneWrite, http.client.HTTPConnection):
-    pass
-
-
-class _HTTPSConnection(_OneWrite, http.client.HTTPSConnection):
-    pass
-
-
 class _Client:
     """One ``generate`` run's owner: its cache, its audit log and one keep-alive connection per pool thread.
 
@@ -370,11 +344,11 @@ class _Client:
             host, port = self.proxy or (self.host, self.port)
             timeout = self.config.timeout_s
             if self.https:
-                conn = _HTTPSConnection(host, port, timeout=timeout, context=self.ssl_context)
+                conn = http.client.HTTPSConnection(host, port, timeout=timeout, context=self.ssl_context)
                 if self.proxy:
                     conn.set_tunnel(self.host, self.port, headers=self.tunnel_headers)
             else:
-                conn = _HTTPConnection(host, port, timeout=timeout)
+                conn = http.client.HTTPConnection(host, port, timeout=timeout)
             self.local.conn = conn
             with self.lock:
                 self.connections.append(conn)

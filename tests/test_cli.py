@@ -302,6 +302,14 @@ def test_non_utf8_config_file_exits_1_with_one_line(tmp_path, capsys, command):
     ]
 
 
+@pytest.mark.parametrize("command", ["analyze", "generate"])
+def test_config_file_with_a_byte_order_mark_reads_its_first_key(tmp_path, capsys, command):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbftau = 0.05\ntaus = 0.01\n")
+    assert main([command, "--config", str(cfg)]) == EXIT_USAGE
+    assert one_line_error(capsys) == "error: config line 2: unknown key 'taus'"
+
+
 @pytest.mark.parametrize(
     "source, content, reason",
     [
