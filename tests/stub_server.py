@@ -16,7 +16,8 @@ class StubServer:
     reply: a str content of a 200 is wrapped in the chat-completions shape,
     bytes are sent as the body unchanged. It speaks HTTP/1.1, so a client
     keeps its connection alive; counters track accepted connections, total
-    requests and the concurrent in-flight high-water mark.
+    requests and the concurrent in-flight high-water mark, and `seen` keeps
+    each request's (target, headers, body).
     """
 
     def __init__(self, responder=None, delay_s: float = 0.0):
@@ -25,6 +26,7 @@ class StubServer:
         self.connection_count = 0
         self.request_count = 0
         self.last_headers = {}
+        self.seen = []
         self.in_flight = 0
         self.high_water = 0
         self.lock = threading.Lock()
@@ -46,7 +48,10 @@ class StubServer:
                     outer.high_water = max(outer.high_water, outer.in_flight)
                 try:
                     length = int(self.headers.get("Content-Length", 0))
-                    body = json.loads(self.rfile.read(length))
+                    raw = self.rfile.read(length)
+                    with outer.lock:
+                        outer.seen.append((self.path, dict(self.headers), raw))
+                    body = json.loads(raw)
                     prompt = body["messages"][0]["content"]
                     if outer.delay_s:
                         time.sleep(outer.delay_s)

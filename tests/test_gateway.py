@@ -603,6 +603,68 @@ def test_https_trusts_ssl_cert_file_directly_and_through_a_connect_proxy(tmp_pat
     )
 
 
+@pytest.mark.parametrize(
+    "route",
+    ["http", "http-proxy", pytest.param("https", marks=needs_openssl),
+     pytest.param("connect-proxy", marks=needs_openssl)],
+)
+def test_each_route_delivers_the_request_target_and_headers(tmp_path, monkeypatch, dialled, route):
+    for name in PROXY_AND_TLS_ENV:
+        monkeypatch.delenv(name, raising=False)
+    corpus = small_corpus(n_docs=2, n_labels=1)
+    proxy = None
+    with StubServer() as server:
+        host = "%s:%d" % server.server.server_address
+        url = server.url + "?api-version=1"
+        if route == "http-proxy":
+            monkeypatch.setenv("HTTP_PROXY", f"http://{host}")
+            url, host = UPSTREAM + "?api-version=1", "upstream.invalid"
+        elif route != "http":
+            monkeypatch.setenv("SSL_CERT_FILE", str(serve_tls(server, tmp_path)))
+            url = url.replace("http://", "https://")
+        if route == "connect-proxy":
+            proxy = ConnectProxy()
+            monkeypatch.setenv("HTTPS_PROXY", proxy.url)
+        try:
+            records = run_generation(corpus, make_config(url, max_retries=0, max_concurrency=2), tmp_path)
+        finally:
+            if proxy is not None:
+                proxy.close()
+    assert all(r.predicted_months == 36 for r in records) and len(server.seen) == 4
+    target = url if route == "http-proxy" else "/v1/chat/completions?api-version=1"  # absolute-form to a proxy
+    for path, headers, body in server.seen:
+        assert path == target and headers["Host"] == host
+        assert headers["Authorization"] == "Bearer test-key" and headers["Content-Type"] == "application/json"
+        assert int(headers["Content-Length"]) == len(body)
+    assert bool(proxy and proxy.heads) == (route == "connect-proxy")
+
+
+@pytest.mark.parametrize(
+    "overrides, template",
+    [
+        ({}, DEFAULT_TEMPLATE),
+        ({"provider_name": "Together"}, DEFAULT_TEMPLATE),
+        ({"model_name": "org/mod\u00e8le", "temperature": 0.7}, DEFAULT_TEMPLATE),
+        ({}, 'Sachverhalt \u2013 Stra\u00dfe: "{facts}"\u2028\\ Antwort als JSON.'),
+    ],
+    ids=["defaults", "provider", "model-and-temperature", "non-ascii-template"],
+)
+def test_request_body_is_the_model_settings_and_the_prompt(tmp_path, overrides, template):
+    corpus = small_corpus(n_docs=2, n_labels=1)
+    with StubServer() as server:
+        config = make_config(server.url, **overrides)
+        run_generation(corpus, config, tmp_path, template=template)
+    provider = {"provider": {"order": [config.provider_name]}} if config.provider_name else {}
+    expected = [
+        {"model": config.model_name, "temperature": config.temperature,
+         "messages": [{"role": "user", "content": build_prompt(item[3], template)}], **provider}
+        for item in build_work_items(corpus)
+    ]
+    bodies = [json.loads(body) for _, _, body in server.seen]
+    audited = [json.loads(line)["request"] for line in (tmp_path / "audit.jsonl").read_text().splitlines()]
+    assert sorted(bodies, key=json.dumps) == sorted(expected, key=json.dumps) == sorted(audited, key=json.dumps)
+
+
 @pytest.mark.parametrize("url", ["ftp://host/x", "host/x", "http://host:99999/x", "http://[::1/x"])
 def test_api_url_that_is_not_http_is_a_gateway_error(tmp_path, url):
     with pytest.raises(GatewayError, match="api_url must be an http:// or https:// URL"):
