@@ -256,7 +256,7 @@ def analyze(config_path, corpus_dir, prediction_paths, tau, labels, log1p, toler
     table = PredictionTable.read(prediction_paths, corpus, labels=label_filter, meanwhile=load_variants)
     if not table.models:
         raise MetricsError("nothing to analyze: prediction files contain no records")
-    if not any((table.label == corpus.label_code(label_id)).any() for label_id in table.label_ids):
+    if not any(table.present[:, corpus.variant_codes(label_id)[2]].any() for label_id in table.label_ids):
         if label_filter:
             raise MetricsError("nothing to analyze: no variant predictions for the requested labels")
         raise MetricsError("nothing to analyze: predictions cover zero labels")

@@ -90,7 +90,8 @@ class Corpus:
     then holds the code columns without the facts, which ``analyze`` never
     reads; ``variants`` needs the facts, so only ``load_corpus`` and
     ``Corpus(...)`` give a corpus it works on. ``variant_codes`` gives one
-    label's variants as codes, in the order of ``variants`` filtered by label.
+    label's variants as codes and keys (see ``key_index``), in the order
+    of ``variants`` filtered by label.
     """
 
     def __init__(
@@ -276,17 +277,22 @@ class Corpus:
             raise CorpusError(self._key_fault(label_id, value))
         return (doc, *codes)
 
-    def variant_codes(self, label_id: str) -> tuple[np.ndarray, np.ndarray]:
-        """(doc codes, value codes) of one label's variants, in (doc_id, variant_value) order."""
+    def variant_codes(self, label_id: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(doc codes, value codes, keys) of one label's variants, in (doc_id, variant_value) order."""
         rows = self._label_rows[self.label_code(label_id)]
-        return self._variant_columns[0, rows], self._variant_columns[2, rows]
+        return self._variant_columns[0, rows], self._variant_columns[2, rows], len(self.doc_ids) + rows
 
-    def in_corpus(self, doc: np.ndarray, label: np.ndarray, value: np.ndarray) -> np.ndarray:
-        """Whether each key of codes (see ``codes``) names a document's baseline or one of its variants."""
-        known = np.zeros(self.grid_shape, dtype=bool)
-        known[tuple(self._variant_columns)] = True
-        known[:, -1, -1] = True
-        return known[doc, label, value]
+    def key_index(self) -> np.ndarray:
+        """An array of ``grid_shape``: the number of the key of [doc, label, value] codes (see ``codes``), or -1.
+
+        Keys are numbered from 0 in canonical order: each document's baseline (label and value code -1, the
+        extra last slot), by doc code, then the variants in the order of ``variants``.
+        """
+        n_docs = len(self.doc_ids)
+        index = np.full(self.grid_shape, -1, np.intp)
+        index[:, -1, -1] = np.arange(n_docs)
+        index[tuple(self._variant_columns)] = np.arange(n_docs, n_docs + self._variant_columns.shape[1])
+        return index
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import signal
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -26,16 +26,16 @@ def _call(i: int):
 
 def fan_out(
     fn: Callable[[T], R], items: Sequence[T], meanwhile: Callable[[], object] = lambda: None
-) -> Iterator[R]:
-    """Yield ``fn(item)`` for each item in order, computed on forked worker processes.
+) -> list[R]:
+    """``fn(item)`` for each item, in order, computed on forked worker processes.
 
     There is one worker per usable CPU, capped by the number of items. ``fn``
     and ``items`` reach the workers through fork, not pickling, so ``fn`` may
     be a closure over a corpus or a table; only the results travel back. With
     one worker, or where fork is unavailable, every call runs in this process.
-    Items are yielded in order, and the first failing item's exception is
-    raised after the items before it, so results, messages and exit codes do
-    not depend on the worker count. A worker that dies raises
+    Results are taken in item order, and the first failing item's exception
+    is raised, so results, messages and exit codes do not depend on the
+    worker count. A worker that dies raises
     ``BrokenProcessPool`` instead of hanging. Call it from the main thread,
     which takes SIGINT.
 
@@ -56,8 +56,7 @@ def fan_out(
             workers = 1
     if workers <= 1:
         meanwhile()
-        yield from map(fn, items)
-        return
+        return list(map(fn, items))
     _task = fn, items
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
@@ -82,7 +81,7 @@ def fan_out(
             signal.signal(signal.SIGINT, handler)
             if held:
                 signal.raise_signal(signal.SIGINT)
-        yield from results
+        return list(results)
     finally:
         _task = ()
         pool.shutdown(cancel_futures=True)

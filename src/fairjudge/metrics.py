@@ -1,10 +1,9 @@
 """The three fairness metrics: inconsistency, bias, and imbalanced inaccuracy.
 
-``summarize`` takes one columnar ``PredictionTable`` of corpus codes, built
-once per run, and makes one task per label, which gathers the label's
-months for every model into a small [model, doc, value] grid and reads
-each model's variants from it in corpus order, so outputs are independent
-of record order. That gather feeds all three metrics: the label's
+``summarize`` takes one ``PredictionTable``, each model's months by
+corpus key, built once per run, and makes one task per label, which reads
+every model's months for the label's variants in corpus order, so outputs
+are independent of record order. That read feeds all three metrics: the label's
 inconsistency row and its one regression frame, whose bias and imbalance
 outcomes share one fit when they keep the same rows.
 """
@@ -77,20 +76,19 @@ class AnalysisDiagnostics:
 
 @dataclass(frozen=True)
 class PredictionTable:
-    """Prediction records as parallel columns of corpus codes (see ``Corpus.codes``).
+    """Each model's months for each key of the corpus (see ``Corpus.key_index``): ``months[model, key]``.
 
-    Baseline rows have label and value code -1, and a missing prediction is
-    NaN. Every row is validated (see ``_merge``) and kept; ``label_ids`` are
-    the labels under analysis, sorted (see ``Corpus.select_labels``).
+    A missing prediction is NaN; ``present`` tells the keys a model
+    predicted, if only as null. Models follow sorted names, and the first
+    keys are the baselines by doc code. Every prediction is validated (see
+    ``_merge``) and kept; ``label_ids`` are the labels under analysis,
+    sorted (see ``Corpus.select_labels``).
     """
 
     models: tuple[str, ...]
     label_ids: tuple[str, ...]
-    model: np.ndarray
-    doc: np.ndarray
-    label: np.ndarray
-    value: np.ndarray
     months: np.ndarray
+    present: np.ndarray
 
     @classmethod
     def build(
@@ -121,41 +119,42 @@ class PredictionTable:
 
     @classmethod
     def _merge(
-        cls, sources: Iterable[tuple[list[str], np.ndarray, np.ndarray]], corpus: Corpus, label_ids: tuple[str, ...]
+        cls, sources: list[tuple[list[str], np.ndarray, np.ndarray]], corpus: Corpus, label_ids: tuple[str, ...]
     ) -> PredictionTable:
-        """One table of ``_encode_source`` outputs, in source order, with every row.
+        """One table of ``_encode_source`` outputs, each row's codes looked up once in ``Corpus.key_index``.
 
-        Model codes follow sorted model names. A key that names no variant of
-        the corpus is a PredictionFormatError naming the first such prediction;
-        then a key that a model predicts twice is a MetricsError naming the
-        first such key of the first such model. The code columns stay int32
-        and are views of one array.
+        A key that names no variant of the corpus is a PredictionFormatError
+        naming the first such prediction; then a key that a model predicts
+        twice is a MetricsError naming, of the first such model in name order,
+        the first such key in (doc, label, value) code order, a document's
+        baseline after its variants.
         """
-        sources = list(sources)
         models = tuple(sorted({m for names, _, _ in sources for m in names}))
-        for names, codes, _ in sources:  # each source's model codes -> sorted codes, in place
-            codes[:, 0] = np.array([models.index(m) for m in names], dtype=np.int32)[codes[:, 0]]
-        columns = np.concatenate([codes for _, codes, _ in sources] or [np.empty((0, 4), dtype=np.int32)])
-        months = np.concatenate([m for _, _, m in sources] or [np.empty(0)])
-        del sources  # the per-source arrays, before the checks allocate
-        model, doc, label, value = columns.T
-        stray = np.flatnonzero(~corpus.in_corpus(doc, label, value))
-        if stray.size:  # e.g. a variant key that repeats the document's baseline value
-            m, d, l, v = columns[stray[0]].tolist()
-            key = (models[m], corpus.doc_ids[d], corpus.labels[l].label_id, corpus.labels[l].values[v])
-            raise PredictionFormatError(f"prediction {key!r}: no such variant in the corpus")
-        shape = corpus.grid_shape
-        for m in range(len(models)):  # a baseline row's codes (-1, -1) wrap to the grid's extra last slot
-            rows = model == m
-            flat = np.ravel_multi_index((doc[rows], label[rows], value[rows]), shape, mode="wrap")
-            dup = np.flatnonzero(np.bincount(flat, minlength=math.prod(shape)) > 1)
-            if dup.size:
-                d, l, v = np.unravel_index(dup[0], shape)
-                if l == len(corpus.labels):
-                    raise MetricsError(f"duplicate baseline prediction for doc {corpus.doc_ids[d]!r}")
-                key = (corpus.doc_ids[d], corpus.labels[l].label_id, corpus.labels[l].values[v])
-                raise MetricsError(f"duplicate variant prediction for {key!r}")
-        return cls(models, label_ids, model, doc, label, value, months)
+        index = corpus.key_index()
+        n_keys = int(index.max()) + 1
+        cells = []  # each source's rows as flat [model, key] positions
+        for names, codes, _ in sources:
+            keys = index[codes[:, 1], codes[:, 2], codes[:, 3]]  # a baseline's (-1, -1) is the extra last slot
+            stray = np.flatnonzero(keys < 0)
+            if stray.size:  # e.g. a variant key that repeats the document's baseline value
+                m, d, l, v = codes[stray[0]].tolist()
+                key = (names[m], corpus.doc_ids[d], corpus.labels[l].label_id, corpus.labels[l].values[v])
+                raise PredictionFormatError(f"prediction {key!r}: no such variant in the corpus")
+            rows = np.array([models.index(m) for m in names], dtype=np.intp)  # source model code -> table row
+            cells.append(rows[codes[:, 0]] * n_keys + keys)
+        counts = np.bincount(np.concatenate([np.empty(0, np.intp), *cells]), minlength=len(models) * n_keys)
+        dup = np.flatnonzero(counts > 1)
+        if dup.size:
+            repeated = dup[dup // n_keys == dup[0] // n_keys] % n_keys  # the first such model's repeated keys
+            d, l, v = np.unravel_index(np.isin(index, repeated).argmax(), index.shape)
+            if l == len(corpus.labels):
+                raise MetricsError(f"duplicate baseline prediction for doc {corpus.doc_ids[d]!r}")
+            key = (corpus.doc_ids[d], corpus.labels[l].label_id, corpus.labels[l].values[v])
+            raise MetricsError(f"duplicate variant prediction for {key!r}")
+        months = np.full((len(models), n_keys), np.nan)
+        for flat, (_, _, source_months) in zip(cells, sources):
+            months.ravel()[flat] = source_months
+        return cls(models, label_ids, months, counts.reshape(months.shape) > 0)
 
 
 def _encode_source(
@@ -338,21 +337,16 @@ def summarize(
     """
     if not (0 < tau < 1):
         raise MetricsError(f"tau must be in (0, 1), got {tau}")
-    base = np.full((len(table.models), len(corpus.doc_ids)), np.nan)  # [model, doc] -> baseline months
-    baselines = np.flatnonzero(table.label == -1)
-    base[table.model[baselines], table.doc[baselines]] = table.months[baselines]
+    base = table.months[:, : len(corpus.doc_ids)]  # [model, doc] -> baseline months
     for model, months in zip(table.models, base):
         if np.isnan(months).all():
             raise MetricsError(f"no baseline predictions for model {model!r}")
 
     def label_task(label_id: str) -> list[tuple[InconsistencyRow, list[Optional[LabelFinding]], AnalysisDiagnostics]]:
         """For each model, the label's inconsistency row, [bias, imbalance] findings and diagnostics."""
-        docs, values = corpus.variant_codes(label_id)
-        mine = np.flatnonzero(table.label == corpus.label_code(label_id))  # the label's rows of the table
-        grid = np.full((len(table.models), len(corpus.doc_ids), len(corpus.label(label_id).values)), np.nan)
-        grid[table.model[mine], table.doc[mine], table.value[mine]] = table.months[mine]
+        docs, values, keys = corpus.variant_codes(label_id)
         out = []
-        for months, model_base in zip(grid[:, docs, values], base):
+        for months, model_base in zip(table.months[:, keys], base):
             diag = AnalysisDiagnostics()
             frame = _label_frame(corpus, label_id, docs, values, months, model_base, diag)
             fits = (None, None) if frame is None else _fit(frame, corpus, log1p, diag)
@@ -360,7 +354,7 @@ def summarize(
             out.append((_inconsistency_row(label_id, months, model_base[docs], tolerance), found, diag))
         return out
 
-    work = len(table.months) + _FIT_ROWS * len(table.models) * len(table.label_ids)  # in rows
+    work = int(table.present.sum()) + _FIT_ROWS * len(table.models) * len(table.label_ids)  # in rows
     per_label = list((fan_out if work >= _FORK_ROWS else map)(label_task, table.label_ids))
     results = []
     for m, model in enumerate(table.models):

@@ -192,7 +192,7 @@ th:first-child, td:first-child { text-align: left; }
 """
 
 
-def _bar_svg(values: list[tuple[str, Optional[float]]], unit: str = "") -> str:
+def _bar_svg(values: list[tuple[str, Optional[float]]]) -> str:
     """Horizontal bar chart; one bar per model."""
     width, bar_h, gap, label_w = 640, 24, 10, 200
     vmax = max([v for _, v in values if v is not None] + [1e-9])
@@ -207,7 +207,7 @@ def _bar_svg(values: list[tuple[str, Optional[float]]], unit: str = "") -> str:
             f'font-size="13">{html.escape(name)}</text>'
         )
         parts.append(f'<rect x="{label_w}" y="{y}" width="{w:.2f}" height="{bar_h}" fill="#4878a8"/>')
-        text = "n/a" if v is None else f"{v:.3f}{unit}"
+        text = "n/a" if v is None else f"{v:.3f}"
         parts.append(
             f'<text x="{label_w + w + 6:.2f}" y="{y + bar_h * 0.7:.1f}" font-size="13">{text}</text>'
         )

@@ -438,14 +438,16 @@ def analyze_and_ingest(fixture_dir, tmp_path, path):
 
 @pytest.mark.parametrize(
     "repeat, reason",
-    [(0, "duplicate baseline prediction for doc 'D00001'"),
-     (-1, "duplicate variant prediction for ('D00012', 'venue', 'rural')")],
-    ids=["baseline", "variant"],
+    [([0], "duplicate baseline prediction for doc 'D00001'"),
+     ([-1], "duplicate variant prediction for ('D00012', 'venue', 'rural')"),
+     # D00001's baseline and its gender variant: of one document's keys, the baseline is named last.
+     ([0, 1], "duplicate variant prediction for ('D00001', 'gender', 'male')")],
+    ids=["baseline", "variant", "baseline-and-variant"],
 )
 def test_repeated_prediction_key_exits_2_in_ingest_as_in_analyze(fixture_dir, tmp_path, capsys, repeat, reason):
     lines = (fixture_dir / "predictions_stub-a.jsonl").read_text().splitlines()
     path = tmp_path / "repeated.jsonl"
-    path.write_text("\n".join(lines + [lines[repeat]]) + "\n")
+    path.write_text("\n".join(lines + [lines[i] for i in repeat]) + "\n")
     for code in analyze_and_ingest(fixture_dir, tmp_path, path):
         assert code == EXIT_DATA
         assert capsys.readouterr().err.splitlines()[-1] == "error: " + reason  # analyze names its model first

@@ -257,8 +257,10 @@ def test_columnar_variants_round_trip_in_string_order(tmp_path):
         label = corpus.label(label_id)
         expected = sorted((v.doc_id, v.variant_value) for v in variants if v.label_id == label_id)
         for c in (corpus, loaded):
-            docs, values = c.variant_codes(label_id)
+            docs, values, keys = c.variant_codes(label_id)
             assert [(c.doc_ids[d], label.values[v]) for d, v in zip(docs, values)] == expected
+            variants_of_keys = [c.variants[k - len(c.doc_ids)] for k in keys]  # the baselines' keys come first
+            assert [(v.doc_id, v.variant_value) for v in variants_of_keys] == expected
     assert corpus.variant_codes("Z")[1][:3].tolist() == [2, 1, 2]  # d0: v1, v10; d1: v1
     assert Corpus(corpus.labels, corpus.documents, variants[1:]) != corpus
 
@@ -277,7 +279,7 @@ def test_documents_and_variants_are_held_in_canonical_order():
 
 def label_keys(corpus, label_id):
     """(doc_id, variant_value) of one label's variants, from its code arrays, in their order."""
-    docs, values = corpus.variant_codes(label_id)
+    docs, values, _ = corpus.variant_codes(label_id)
     label = corpus.label(label_id)
     return [(corpus.doc_ids[d], label.values[v]) for d, v in zip(docs, values)]
 
@@ -307,8 +309,21 @@ def test_variant_codes_follow_enumeration_order(bundle):
         ]
     # Court values are coded in declared order, not in enumeration order.
     assert corpus.variant_codes("court")[1].tolist() == [2, 1]
+    # Keys 0-2 are the baselines; d1's court variants come before its gender variant, as strings sort.
+    assert [corpus.variant_codes(label_id)[2].tolist() for label_id in ("court", "gender")] == [[3, 4], [5, 6]]
     with pytest.raises(CorpusError):
         corpus.variant_codes("nope")
+
+
+def test_key_index_numbers_each_baseline_then_each_variant(bundle):
+    corpus = load_corpus(bundle)
+    index = corpus.key_index()
+    keys = [(doc_id, None, None) for doc_id in corpus.doc_ids]
+    keys += [(v.doc_id, v.label_id, v.variant_value) for v in corpus.variants]
+    assert len(keys) == 7
+    assert [index[corpus.codes(*key)] for key in keys] == list(range(7))
+    assert (index >= 0).sum() == 7  # any other codes name no key, such as a document's own baseline value:
+    assert index[corpus.codes("d1", "gender", "female")] == -1
 
 
 def test_codes_map_prediction_keys(bundle):

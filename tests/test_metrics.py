@@ -354,6 +354,17 @@ def test_table_rejects_a_repeated_key_of_any_label(tmp_path, labels, duplicate, 
         PredictionTable.read([tmp_path / "p.jsonl"], corpus, labels=labels)
 
 
+def test_table_names_the_first_repeated_key_in_code_order():
+    """Labels and values in declared order, not string order, and a document's baseline after its variants."""
+    corpus, _ = shuffled_corpus()
+    records = [record(d.doc_id, 12.0) for d in corpus.documents]
+    records += [record(v.doc_id, 12.0, v.label_id, v.variant_value) for v in corpus.variants]
+    # Every key of d2 and of d10, which sorts first: its baseline, Z=v10, Z=v1 and A=yes, in code order.
+    records += [r for r in records if r.doc_id in ("d2", "d10")][::-1]
+    with pytest.raises(MetricsError, match=re.escape("duplicate variant prediction for ('d10', 'Z', 'v10')")):
+        PredictionTable.build(records, corpus)
+
+
 def test_label_filter_keeps_only_requested_labels():
     corpus = comparison_corpus(10, 10)
     records = flip_records(corpus, 2, 5)
@@ -364,19 +375,43 @@ def test_label_filter_keeps_only_requested_labels():
     assert rows == [r for r in summarize(records, corpus)[2] if r.label_id == "B"]
 
 
+def table_reference(records, corpus):
+    """(models, months, present) filled one record at a time: a key is the place of its ``Corpus.codes``
+    among the documents' baselines, in doc_id order, and then the variants, in ``Corpus.variants`` order."""
+    keys = [corpus.codes(doc_id, None, None) for doc_id in corpus.doc_ids]
+    keys += [corpus.codes(v.doc_id, v.label_id, v.variant_value) for v in corpus.variants]
+    place = {codes: key for key, codes in enumerate(keys)}
+    models = sorted({r.model_name for r in records})
+    months = np.full((len(models), len(keys)), np.nan)
+    present = np.zeros(months.shape, dtype=bool)
+    for r in records:
+        cell = models.index(r.model_name), place[corpus.codes(r.doc_id, r.label_id, r.variant_value)]
+        months[cell] = math.nan if r.predicted_months is None else r.predicted_months
+        present[cell] = True
+    return tuple(models), months, present
+
+
+def assert_table_is(table, reference):
+    models, months, present = reference
+    assert table.models == models
+    np.testing.assert_array_equal(table.months, months)
+    np.testing.assert_array_equal(table.present, present)
+
+
 @pytest.mark.parametrize("labels", [None, ["L03", "L01"]])
 def test_streamed_table_equals_table_of_records(tmp_path, labels):
     spec = dataclasses.replace(default_spec(), stub_models=("stub-b", "stub-c", "stub-a"))
     write_fixture(spec, seed=11, out_dir=tmp_path)
     corpus = load_corpus(tmp_path)
     paths = [tmp_path / f"predictions_{m}.jsonl" for m in spec.stub_models]  # models out of name order
+    records = [r for p in paths for r in read_predictions(p)]
     streamed = PredictionTable.read(paths, corpus, labels=labels)
-    built = PredictionTable.build([r for p in paths for r in read_predictions(p)], corpus, labels=labels)
+    built = PredictionTable.build(records, corpus, labels=labels)
     assert streamed.models == built.models == ("stub-a", "stub-b", "stub-c")
-    assert [streamed.models[m] for m in streamed.model[[0, -1]]] == ["stub-b", "stub-a"]  # first, last file
     assert streamed.label_ids == built.label_ids
-    for column in ("model", "doc", "label", "value", "months"):
-        np.testing.assert_array_equal(getattr(streamed, column), getattr(built, column), err_msg=column)
+    assert streamed.present.all()  # every model predicts every key of every label
+    for table in (streamed, built):
+        assert_table_is(table, table_reference(records, corpus))
 
 
 @pytest.mark.parametrize("labels", [None, ["A"]])
@@ -392,23 +427,20 @@ def test_read_equals_build_and_a_codes_reference(tmp_path, labels):
         for model in ("m-b", "m-a") for doc_id, label_id, value in keys
     ]
     rng.shuffle(records)
+    del records[::7]  # keys a model does not predict are absent, unlike null predictions
     paths = [tmp_path / f"p{i}.jsonl" for i in range(3)]
     for i, path in enumerate(paths):
         write_predictions(records[i::3], path)
     in_file_order = [r for p in paths for r in read_predictions(p)]
     streamed = PredictionTable.read(paths, corpus, labels=labels)
     built = PredictionTable.build(in_file_order, corpus, labels=labels)
-    models = ("m-a", "m-b")
-    codes = [(models.index(r.model_name), *corpus.codes(r.doc_id, r.label_id, r.variant_value)) for r in in_file_order]
-    reference = dict(zip(("model", "doc", "label", "value"), zip(*codes)))  # every row, whatever the labels
-    reference["months"] = [math.nan if r.predicted_months is None else r.predicted_months for r in in_file_order]
-    assert streamed.models == built.models == models
     assert streamed.label_ids == built.label_ids == tuple(sorted(labels or corpus.label_ids))
     months = [r.predicted_months for r in in_file_order]
     assert any(isinstance(m, int) for m in months) and None in months
-    for column, expected in reference.items():
-        np.testing.assert_array_equal(getattr(streamed, column), getattr(built, column), err_msg=column)
-        np.testing.assert_array_equal(getattr(streamed, column), expected, err_msg=column)
+    reference = table_reference(in_file_order, corpus)  # every key, whatever the labels
+    assert reference[0] == ("m-a", "m-b") and not reference[2].all()
+    for table in (streamed, built):
+        assert_table_is(table, reference)
 
 
 def loop_reference(records, corpus, model, log1p=False):

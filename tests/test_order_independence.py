@@ -63,11 +63,15 @@ def analyze(corpus: Path, files: list[tuple[str, list[str]]], work: Path) -> dic
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_analyze_bytes_independent_of_record_and_file_order(bundle, data):
+    """Each model's lines shuffled and split over 1-3 files (some may be empty), the files in any order."""
     corpus, files, reference = bundle
+    parts = []
+    for model in sorted(files):
+        lines = data.draw(st.permutations(files[model]))
+        bounds = [0, *sorted(data.draw(st.lists(st.integers(0, len(lines)), max_size=2))), len(lines)]
+        parts += [(f"{model}-{i}", lines[a:b]) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
     with tempfile.TemporaryDirectory() as work_dir:
-        file_order = data.draw(st.permutations(sorted(files)))
-        shuffled = [(model, data.draw(st.permutations(files[model]))) for model in file_order]
-        assert analyze(corpus, shuffled, Path(work_dir)) == reference
+        assert analyze(corpus, data.draw(st.permutations(parts)), Path(work_dir)) == reference
 
 
 def test_analyze_bytes_independent_of_worker_count(bundle, tmp_path, monkeypatch):

@@ -116,7 +116,7 @@ def test_line_outcomes_keep_their_messages(tmp_path, second_line, outcome):
     if isinstance(outcome, dict):
         rows = read_predictions(path)
         assert len(rows) == 2 and rows[1].raw_response == outcome["raw_response"]
-        assert PredictionTable.read([path], corpus).doc.tolist() == [0, 0]
+        assert PredictionTable.read([path], corpus).present.tolist() == [[True], [True]]  # models m and n, doc d
     else:
         with pytest.raises(PredictionFormatError, match=r"^p\.jsonl:2: " + outcome):
             read_predictions(path)
