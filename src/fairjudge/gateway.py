@@ -131,6 +131,7 @@ def build_prompt(facts: str, template: str) -> str:
 
 _FENCE_RE = re.compile(r"```[a-zA-Z]*\n?|```")
 _JSON_SYNTAX_RE = re.compile(r'\\[^{]|[\\"{}\[\]]')  # an escape pair, or one character
+_BRACE_RE = re.compile(r"\{")
 _STRING_OR_BRACE_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|\{')  # in valid JSON, a string or an object's `{`
 _DECODER = json.JSONDecoder(object_pairs_hook=tuple)  # an object as its (key, value) pairs, duplicates kept
 
@@ -210,25 +211,28 @@ def _decodable_braces(text: str) -> list[int]:
     against that limit). Scans from `{`s that are all outside a string, or
     all inside one, read the rest alike, so two stacks of open brackets
     serve them all, and a quote swaps the two. A backslash outside a string
-    or before a `{` is no JSON and ends the scans it meets.
+    or before a `{` is no JSON and ends the scans it meets. Nothing after
+    the last `}` or `]` closes a `{`, so the scan stops there.
     """
     limit = sys.getrecursionlimit()
     closed, deep = [], set()
     out, ins = [], []  # open brackets (a `{`'s position, -1 for a `[`) outside a string, and inside one
-    for match in _JSON_SYNTAX_RE.finditer(text):
-        c = match.group()
+    text = text[: max(text.rfind("}"), text.rfind("]")) + 1]
+    braces = iter([m.start() for m in _BRACE_RE.finditer(text)])  # every `{` is a token of its own
+    for c in _JSON_SYNTAX_RE.findall(text):
         if c == '"':
             out, ins = ins, out
+        elif c == "{":
+            out.append(next(braces))
+            if len(out) > limit:
+                deep.add(out[-limit - 1])
         elif c == "\\":  # before a `{`, or last: no escape
             out, ins = [], []
         elif c[0] == "\\":  # an escape pair
             out = []
-        elif c == "{":
-            out.append(match.start())
-            if len(out) > limit:
-                deep.add(out[-limit - 1])
-        elif c == "[" and out:
-            out.append(-1)
+        elif c == "[":
+            if out:
+                out.append(-1)
         elif out:
             closed.append(out.pop())
     return sorted({p for p in closed if p >= 0} - deep)
