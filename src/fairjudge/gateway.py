@@ -13,6 +13,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import http.client
+import io
 import itertools
 import json
 import math
@@ -238,24 +239,36 @@ def _decodable_braces(text: str) -> list[int]:
     return sorted({p for p in closed if p >= 0} - deep)
 
 
-class _Cache:
-    """Append-only ``cache.jsonl`` of ``[key, value]`` lines, read once, line by line, into a dict.
+class _AppendLog(io.FileIO):
+    """Lines appended by one ``write`` each on an ``O_APPEND`` descriptor, the first after ending a torn last line."""
 
-    Each put is one ``write`` on an ``O_APPEND`` descriptor, so processes
-    and instances sharing a directory never interleave lines. A torn last
-    line from an interrupted run is skipped (its prompt is asked again), and
-    so is an entry whose ``content`` is not a str or ``attempts`` not an int.
+    def __init__(self, path: Path) -> None:
+        super().__init__(path, "a+")
+        end = self.seek(0, os.SEEK_END)
+        self.pending_newline = end > 0 and os.pread(self.fileno(), 1, end - 1) != b"\n"
+        self.lock = threading.Lock()
+
+    def append(self, line: bytes) -> None:
+        with self.lock:
+            self.write(b"\n" + line if self.pending_newline else line)
+            self.pending_newline = False
+
+
+class _Cache:
+    """Append-only ``cache.jsonl`` of ``[key, value]`` lines (see ``_AppendLog``), read once, line by line, into a dict.
+
+    A line torn by an interrupted run is skipped (its prompt is asked again),
+    as is an entry whose ``content`` is not a str or ``attempts`` not an int.
     """
 
     def __init__(self, cache_dir: Path) -> None:
         self.dir = Path(cache_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
         path = self.dir / "cache.jsonl"
-        self.file = open(path, "ab", buffering=0)
+        self.file = _AppendLog(path)
         self.entries: dict[str, dict] = {}
-        line = b""
         with open(path, "rb", buffering=_BUFFER_SIZE) as fh:
-            for line in fh:  # lines keep their b"\n"
+            for line in fh:
                 try:
                     key, value = json.loads(line)
                 except (ValueError, TypeError, RecursionError):
@@ -267,9 +280,6 @@ class _Cache:
                     and type(value.get("attempts")) is int
                 ):
                     self.entries[key] = value
-        # Start the first new line on a line of its own after a torn tail.
-        self.pending_newline = bool(line) and not line.endswith(b"\n")
-        self.lock = threading.Lock()
 
     @staticmethod
     def key(model_name: str, temperature: float, prompt: str) -> str:
@@ -280,13 +290,8 @@ class _Cache:
         return self.entries.get(key)
 
     def put(self, key: str, value: dict) -> None:
-        line = (json.dumps([key, value], sort_keys=True) + "\n").encode("utf-8")
-        with self.lock:
-            if self.pending_newline:
-                line = b"\n" + line
-                self.pending_newline = False
-            self.file.write(line)
-            self.entries[key] = value
+        self.file.append((json.dumps([key, value], sort_keys=True) + "\n").encode("utf-8"))
+        self.entries[key] = value
 
     def close(self) -> None:
         self.file.close()
@@ -297,10 +302,9 @@ class _Client:
 
     The endpoint URL and any proxy from the environment are resolved once,
     then ``cache.jsonl`` and ``audit.jsonl`` are opened, so a cache
-    directory that cannot be written fails before the first request. Audit
-    writes are serialized on the one handle; ``close`` closes the
-    connections and both logs. Retry backoff draws its jitter from one RNG
-    per run.
+    directory that cannot be written fails before the first request. Both
+    are ``_AppendLog``s; ``close`` closes the connections and both logs.
+    Retry backoff draws its jitter from one RNG per run.
     """
 
     def __init__(self, config: ModelConfig, cache_dir: str | Path, api_key: str) -> None:
@@ -337,7 +341,7 @@ class _Client:
         self.ssl_context = ssl.create_default_context() if self.https else None
         self.cache = _Cache(cache_dir)
         try:
-            self.audit_file = open(self.cache.dir / "audit.jsonl", "a", encoding="utf-8")
+            self.audit_file = _AppendLog(self.cache.dir / "audit.jsonl")
         except BaseException:
             self.cache.close()
             raise
@@ -359,17 +363,14 @@ class _Client:
         return conn
 
     def _audit(self, entry: dict) -> None:
-        line = json.dumps(entry, sort_keys=True) + "\n"
-        with self.lock:
-            self.audit_file.write(line)
-            self.audit_file.flush()
+        self.audit_file.append((json.dumps(entry, sort_keys=True) + "\n").encode("utf-8"))
 
     def close(self) -> None:
         with self.lock:
             for conn in self.connections:
                 conn.close()
             self.cache.close()
-            self.audit_file.close()  # last: it raises if an audit write failed partway
+            self.audit_file.close()
 
     def _exchange(self, data: bytes) -> tuple[int, str, bytes]:
         """POST once; return (status, Retry-After header, body).

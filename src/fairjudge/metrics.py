@@ -132,8 +132,9 @@ class PredictionTable:
         models = tuple(sorted({m for names, _, _ in sources for m in names}))
         index = corpus.key_index()
         n_keys = int(index.max()) + 1
+        months = np.full((len(models), n_keys), np.nan)
         cells = []  # each source's rows as flat [model, key] positions
-        for names, codes, _ in sources:
+        for i, (names, codes, source_months) in enumerate(sources):
             keys = index[codes[:, 1], codes[:, 2], codes[:, 3]]  # a baseline's (-1, -1) is the extra last slot
             stray = np.flatnonzero(keys < 0)
             if stray.size:  # e.g. a variant key that repeats the document's baseline value
@@ -142,6 +143,8 @@ class PredictionTable:
                 raise PredictionFormatError(f"prediction {key!r}: no such variant in the corpus")
             rows = np.array([models.index(m) for m in names], dtype=np.intp)  # source model code -> table row
             cells.append(rows[codes[:, 0]] * n_keys + keys)
+            months.ravel()[cells[-1]] = source_months
+            sources[i] = codes = None  # frees the codes, though the caller holds the list to the end
         counts = np.bincount(np.concatenate([np.empty(0, np.intp), *cells]), minlength=len(models) * n_keys)
         dup = np.flatnonzero(counts > 1)
         if dup.size:
@@ -151,9 +154,6 @@ class PredictionTable:
                 raise MetricsError(f"duplicate baseline prediction for doc {corpus.doc_ids[d]!r}")
             key = (corpus.doc_ids[d], corpus.labels[l].label_id, corpus.labels[l].values[v])
             raise MetricsError(f"duplicate variant prediction for {key!r}")
-        months = np.full((len(models), n_keys), np.nan)
-        for flat, (_, _, source_months) in zip(cells, sources):
-            months.ravel()[flat] = source_months
         return cls(models, label_ids, months, counts.reshape(months.shape) > 0)
 
 

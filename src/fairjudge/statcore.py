@@ -149,14 +149,15 @@ def within_demean(frame: RegressionFrame) -> RegressionFrame:
     if np.any(counts == 1):
         raise StatError("singleton groups present; call drop_singletons first")
     y = _demean(frame.y, inverse, counts)
-    X = _demean_columns(frame.X, inverse, counts)
+    X = _demean_columns(frame.X.copy(), inverse, counts)
     return RegressionFrame(y=y, X=X, group_ids=frame.group_ids, column_names=frame.column_names)
 
 
 def _demean_columns(X: np.ndarray, inverse: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    if not X.shape[1]:
-        return X.copy()
-    return np.column_stack([_demean(X[:, j], inverse, counts) for j in range(X.shape[1])])
+    """Demean each column of X in place; returns X."""
+    for j in range(X.shape[1]):
+        X[:, j] = _demean(X[:, j], inverse, counts)
+    return X
 
 
 def _factor(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -217,9 +218,8 @@ def _sandwich(
     c = (G / (G-1)) * ((n-1) / (n-K)), where ``bread`` is (X'X)^-1.
     """
     n, k = X.shape
-    scores = X * residuals[:, None]
     group_sums = np.column_stack(
-        [np.bincount(inverse, weights=scores[:, j], minlength=n_groups) for j in range(k)]
+        [np.bincount(inverse, weights=X[:, j] * residuals, minlength=n_groups) for j in range(k)]
     )
     meat = group_sums.T @ group_sums
 
@@ -265,7 +265,7 @@ def fe_regress(frame, outcomes=None):
     if not all(np.isfinite(y).all() for y in ys):
         raise StatError("outcome has non-finite values")
 
-    X = _demean_columns(frame.X[keep], inverse, counts)
+    X = _demean_columns(frame.X[keep], inverse, counts)  # the fit's one copy of the design
     try:
         factor = _factor(X)
     except StatError as exc:
@@ -278,7 +278,7 @@ def fe_regress(frame, outcomes=None):
     n_groups = len(counts)
     if n_groups < 2:
         raise StatError(f"need >= 2 clusters, got {n_groups}")
-    X_kept = X[:, kept_idx]
+    X_kept = X if all(identified) else X[:, kept_idx]
     bread = _bread(X_kept)
 
     j_total = len(frame.column_names)
@@ -294,14 +294,12 @@ def fe_regress(frame, outcomes=None):
 
         beta = coefficients[kept_idx]
         se = np.sqrt(np.maximum(np.diag(cov_kept), 0.0))
+        # A zero SE is a degenerate exact fit: a zero coefficient is trivially null.
+        p_kept = np.where(beta == 0, 1.0, 0.0)
+        tested = se > 0
+        p_kept[tested] = 2 * special.stdtr(dof_t, -np.abs(beta[tested] / se[tested]))
         per_coef_p = np.full(j_total, np.nan)
-        for pos, j in enumerate(kept_idx):
-            if se[pos] > 0:
-                t = beta[pos] / se[pos]
-                per_coef_p[j] = 2 * special.stdtr(dof_t, -abs(t))
-            else:
-                # Degenerate exact fit: zero coefficient is trivially null.
-                per_coef_p[j] = 1.0 if beta[pos] == 0 else 0.0
+        per_coef_p[kept_idx] = p_kept
 
         results.append(RegressionResult(
             coefficients=coefficients,

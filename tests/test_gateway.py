@@ -788,13 +788,13 @@ def test_cache_keeps_a_last_entry_without_its_newline(tmp_path):
     entries = [[f"k{i}", {"attempts": 1, "content": f"c{i}"}] for i in range(3)]
     log.write_bytes(b"\n".join(json.dumps(e).encode() for e in entries[:2]))
     with closing(_Cache(tmp_path)) as cache:
-        assert cache.entries == dict(entries[:2]) and cache.pending_newline
+        assert cache.entries == dict(entries[:2]) and cache.file.pending_newline
         cache.put(*entries[2])
     assert log.read_bytes().split(b"\n") == [json.dumps(e).encode() for e in entries] + [b""]
     with closing(_Cache(tmp_path)) as cache:
-        assert cache.entries == dict(entries) and not cache.pending_newline
+        assert cache.entries == dict(entries) and not cache.file.pending_newline
     with closing(_Cache(tmp_path / "empty")) as cache:
-        assert cache.entries == {} and not cache.pending_newline
+        assert cache.entries == {} and not cache.file.pending_newline
 
 
 def test_two_caches_appending_from_eight_threads(tmp_path):
@@ -838,6 +838,18 @@ def test_audit_log_appended(tmp_path):
     assert len(lines) == 4
     entry = json.loads(lines[0])
     assert "request" in entry and "response" in entry
+
+
+def test_torn_audit_tail_leaves_each_new_entry_a_line_of_its_own(tmp_path):
+    corpus = small_corpus(n_docs=2, n_labels=1)
+    torn = b'{"request": {"model": "m"}, "respo'
+    (tmp_path / "audit.jsonl").write_bytes(torn)
+    with StubServer() as server:
+        run_generation(corpus, make_config(server.url), tmp_path)
+        assert server.request_count == 4
+    lines = (tmp_path / "audit.jsonl").read_bytes().split(b"\n")
+    assert lines[0] == torn and lines[-1] == b"" and len(lines) == 6
+    assert all(set(json.loads(line)) == {"request", "response"} for line in lines[1:-1])
 
 
 def test_audit_write_error_is_raised_not_retried(tmp_path, monkeypatch):

@@ -311,6 +311,27 @@ def test_table_of_records_leaves_the_records_no_larger():
     assert grown < 100_000, grown
 
 
+def test_a_wide_fit_holds_about_three_copies_of_the_design():
+    """One fit of a 32-valued label holds its demeaned copy of X, Q and the pivot-ordered kept columns, no more."""
+    corpus, _ = generate_fixture(seed=11, n_docs=1000, label_specs=default_label_specs(1, n_values=32))
+    table = PredictionTable.build(simulate_predictions(corpus, MODEL, seed=12), corpus)
+    (label_id,) = table.label_ids
+    docs, values, keys = corpus.variant_codes(label_id)
+    months = table.months[0]
+    diag = metrics.AnalysisDiagnostics()
+    frame = metrics._label_frame(corpus, label_id, docs, values, months[keys], months[: len(corpus.doc_ids)], diag)
+    assert frame.X.shape[1] == 31 and (frame.y > 0).all()  # so bias and imbalance share one fit
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fits = metrics._fit(frame, corpus, False, diag)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert None not in fits
+    assert peak < 3.6 * frame.X.nbytes, peak / frame.X.nbytes
+
+
 @pytest.mark.parametrize(
     "bad, reason",
     [

@@ -183,6 +183,32 @@ def test_fe_regress_exact_fit():
     res = fe_regress(make_frame(y, X, groups))
     assert abs(res.coefficients[0] - 0.5) < 1e-10
     assert res.n_groups == 2
+    assert list(res.per_coef_p) == [0.0]  # a zero SE under a nonzero effect rejects outright
+
+
+def test_fe_regress_exact_fit_of_no_effect_has_p_one():
+    res = fe_regress(make_frame([1.0, 1.0, 3.0, 3.0], [[0], [1], [0], [1]], ["A", "A", "B", "B"]))
+    assert list(res.coefficients) == [0.0] and list(res.per_coef_p) == [1.0]
+
+
+def test_fe_regress_collinear_column_keeps_a_nan_p():
+    rng = np.random.default_rng(37)
+    frame = random_panel_frame(rng, n_docs=12, n_cols=2)
+    res = fe_regress(make_frame(frame.y, np.column_stack([frame.X, frame.X[:, 0]]), frame.group_ids))
+    assert sum(res.identified) == 2 and not all(res.identified)
+    assert [math.isnan(p) for p in res.per_coef_p] == [not ok for ok in res.identified]
+    assert all(0 <= p <= 1 for p, ok in zip(res.per_coef_p, res.identified) if ok)
+
+
+def test_fe_regress_and_within_demean_leave_the_callers_design_unchanged():
+    rng = np.random.default_rng(41)
+    frame = random_panel_frame(rng, n_docs=10, n_cols=3)
+    original = frame.X.copy()
+    fe_regress(frame)
+    fe_regress(frame, [frame.y, -frame.y])
+    demeaned = within_demean(frame)
+    assert frame.X.tobytes() == original.tobytes()
+    assert not np.array_equal(demeaned.X, original)
 
 
 def test_fe_regress_exact_fit_has_zero_covariance():
