@@ -88,8 +88,9 @@ class Corpus:
     builds the objects from them on first use. A corpus from
     ``index_corpus`` is indexed only until its variants step has run, and
     then holds the code columns without the facts, which ``analyze`` never
-    reads; ``variants`` needs the facts, so only ``load_corpus`` and
-    ``Corpus(...)`` give a corpus it works on. ``variant_codes`` gives one
+    reads, and no document objects (``documents`` is None); ``variants``
+    and ``document`` need them, so only ``load_corpus`` and ``Corpus(...)``
+    give a corpus they work on. ``variant_codes`` gives one
     label's variants as codes and keys (see ``key_index``), in the order
     of ``variants`` filtered by label.
     """
@@ -100,24 +101,25 @@ class Corpus:
         documents: list[CaseDocument],
         variants: list[CounterfactualVariant],
     ) -> None:
-        self._index(labels, documents)
+        self._index(labels, documents, keep_documents=True)
         self._encode_variants("variants", enumerate(map(record_fields, variants), start=1), keep_facts=True)
 
-    def _index(self, labels: list[LabelDefinition], documents: list[CaseDocument]) -> None:
+    def _index(self, labels: list[LabelDefinition], documents: Iterable[CaseDocument], keep_documents: bool) -> None:
         """Validate labels and documents and assign the integer codes of the prediction table.
 
-        A doc code is the rank of its doc_id in sorted order, so codes sort
-        like the ids, and indexes ``doc_ids``, ``documents`` and
-        ``true_months``; a label code is its position in ``labels``; a value
-        code is its position in the label's declared values. The first
-        fault in file order is the one reported.
+        Documents are taken one at a time: each one's row (its place in
+        ``documents``), months and baseline value codes are recorded, and the
+        object itself is kept only with ``keep_documents``. A doc code is the
+        rank of its doc_id in sorted order, so codes sort like the ids, and
+        indexes ``doc_ids``, ``true_months`` and ``documents`` (None when not
+        kept); a label code is its position in ``labels``; a value code is
+        its position in the label's declared values. The first fault in file
+        order is the one reported.
         """
         self.labels = list(labels)
         self.digest: Optional[str] = None  # SHA-256 of the bundle files, set by index_corpus's second step
         self._variant_columns: Optional[np.ndarray] = None  # set by _encode_variants
         self._variant_facts: Optional[list[str]] = None  # set by _encode_variants when it keeps the facts
-        if not documents:
-            raise CorpusError("corpus contains no documents")
         self._label_codes: dict[str, int] = {}
         for label, lab in enumerate(self.labels):
             if self._label_codes.setdefault(lab.label_id, label) != label:
@@ -127,21 +129,32 @@ class Corpus:
             (lab.label_id, v): (label, i) for label, lab in enumerate(self.labels) for i, v in enumerate(lab.values)
         }
         self.key_codes[None, None] = (-1, -1)
-        self.doc_ids = tuple(sorted({doc.doc_id for doc in documents}))
-        self.doc_codes = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}  # doc_id -> doc code
-        self.documents: list[CaseDocument] = [None] * len(self.doc_ids)
-        self._baselines = np.full((len(self.doc_ids), len(self.labels)), -1, np.intp)  # [doc, label] -> value code
+        rows: dict[str, int] = {}  # doc_id -> row
+        months: list[float] = []
+        baselines: list[int] = []  # each row's value code of every label, -1 where it has none
+        kept: list[CaseDocument] = []
         for doc in documents:
-            code = self.doc_codes[doc.doc_id]
-            if self.documents[code] is not None:
+            if rows.setdefault(doc.doc_id, len(months)) != len(months):
                 raise CorpusError(f"duplicate doc_id {doc.doc_id!r}")
-            self.documents[code] = doc
+            values = [-1] * len(self.labels)
             for key in doc.label_values.items():
                 codes = self.key_codes.get(key)
                 if codes is None:
                     raise CorpusError(f"document {doc.doc_id!r}: {self._key_fault(*key)}")
-                self._baselines[code, codes[0]] = codes[1]
-        self.true_months = np.array([doc.true_sentence_months for doc in self.documents])
+                values[codes[0]] = codes[1]
+            months.append(doc.true_sentence_months)
+            baselines += values
+            if keep_documents:
+                kept.append(doc)
+        if not rows:
+            raise CorpusError("corpus contains no documents")
+        self.doc_ids = tuple(sorted(rows))
+        self.doc_codes = {doc_id: i for i, doc_id in enumerate(self.doc_ids)}  # doc_id -> doc code
+        order = [rows[doc_id] for doc_id in self.doc_ids]  # doc code -> row
+        self.documents: Optional[list[CaseDocument]] = [kept[row] for row in order] if keep_documents else None
+        self.true_months = np.array(months)[order]
+        # [doc, label] -> value code
+        self._baselines = np.array(baselines, np.intp).reshape(len(order), len(self.labels))[order]
         n_values = max((len(lab.values) for lab in self.labels), default=0)
         # The dense [doc, label, value] layout of keys; the extra last label and value slot holds the baselines.
         self.grid_shape = (len(self.doc_ids), len(self.labels) + 1, n_values + 1)
@@ -247,6 +260,8 @@ class Corpus:
         return self.labels[self.label_code(label_id)]
 
     def document(self, doc_id: str) -> CaseDocument:
+        if self.documents is None:
+            raise CorpusError("corpus was indexed without its documents; read it with load_corpus")
         try:
             return self.documents[self.doc_codes[doc_id]]
         except KeyError:
@@ -299,9 +314,12 @@ class Corpus:
             return NotImplemented
         # Equal labels and documents give equal codes, and the columns are in canonical order. Corpora of
         # different kinds (indexed only, codes only, full) differ: array_equal is False for None and
-        # an array, and so is == for None and a list of facts.
+        # an array, and so is == for None and a list of facts or documents.
         return (
             self.labels == other.labels
+            and self.doc_ids == other.doc_ids
+            and np.array_equal(self.true_months, other.true_months)
+            and np.array_equal(self._baselines, other._baselines)
             and self.documents == other.documents
             and np.array_equal(self._variant_columns, other._variant_columns)
             and self._variant_facts == other._variant_facts
@@ -314,7 +332,7 @@ class Corpus:
             variants = f"variants={self._variant_columns.shape[1]}"
             if self._variant_facts is None:
                 variants += ", codes only"
-        return f"Corpus(labels={len(self.labels)}, documents={len(self.documents)}, {variants})"
+        return f"Corpus(labels={len(self.labels)}, documents={len(self.doc_ids)}, {variants})"
 
 
 # read_jsonl's read buffer: reading holds about this many bytes plus the longest line.
@@ -482,9 +500,10 @@ def index_corpus(path: str | Path, keep_facts: bool = False) -> tuple[Corpus, Ca
     (``Corpus.codes``, ``doc_codes``, ``key_codes``). The second validates
     ``variants.jsonl``, adds its code columns to the corpus and sets
     ``digest``; until it has returned, nothing that reads the variants may
-    be called. It keeps the variants' facts only with ``keep_facts``, so by
-    default memory does not grow with case length and ``Corpus.variants``
-    raises.
+    be called. Documents are read into the index one line at a time. It
+    keeps the documents and the variants' facts only with ``keep_facts``,
+    so by default memory does not grow with case length, and
+    ``Corpus.variants`` and ``Corpus.document`` raise.
     """
     root = Path(path)
     if not root.is_dir():
@@ -495,12 +514,12 @@ def index_corpus(path: str | Path, keep_facts: bool = False) -> tuple[Corpus, Ca
         read_record(LabelDefinition, rec, f"labels.jsonl:{lineno}", CorpusError)
         for lineno, rec in read_jsonl(root / "labels.jsonl", CorpusError, digest)
     ]
-    documents = [
+    documents = (
         read_record(CaseDocument, rec, f"documents.jsonl:{lineno}", CorpusError)
         for lineno, rec in read_jsonl(root / "documents.jsonl", CorpusError, digest)
-    ]
+    )
     corpus = Corpus.__new__(Corpus)
-    corpus._index(labels, documents)
+    corpus._index(labels, documents, keep_facts)
 
     def load_variants() -> None:
         lines = read_jsonl(root / "variants.jsonl", CorpusError, digest)
@@ -520,11 +539,38 @@ def record_fields(r) -> dict:
     return {name: getattr(r, name) for name, _, _, _ in _fields(type(r))}
 
 
+def replace_file(path: str | Path, write: Callable[[typing.TextIO], object], newline: Optional[str] = None) -> None:
+    """Replace the UTF-8 text file ``path`` whole with what ``write(fh)`` writes, never truncating it in place.
+
+    ``write`` fills a temporary file beside ``path``, which ``os.replace``
+    then moves over it, so a write that fails partway leaves ``path`` as it
+    was. On error the temporary file is removed, and an OSError that names
+    it names ``path`` instead.
+    """
+    import os  # here, not at module level, so that importing fairjudge costs what it did
+
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            exc.filename = str(path)
+        raise
+
+
 def write_jsonl(records: Iterable, path: str | Path) -> None:
-    """Write one line per flat dataclass record: ``json.dumps(asdict(r), sort_keys=True)`` (see ``record_fields``)."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps(record_fields(r), sort_keys=True) + "\n")
+    """Write one line per flat dataclass record: ``json.dumps(asdict(r), sort_keys=True)`` (see ``record_fields``).
+
+    The file is replaced whole (see ``replace_file``).
+    """
+    replace_file(path, lambda fh: fh.writelines(json.dumps(record_fields(r), sort_keys=True) + "\n" for r in records))
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:

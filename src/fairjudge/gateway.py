@@ -133,7 +133,6 @@ def build_prompt(facts: str, template: str) -> str:
 _FENCE_RE = re.compile(r"```[a-zA-Z]*\n?|```")
 _JSON_SYNTAX_RE = re.compile(r'\\[^{]|[\\"{}\[\]]')  # an escape pair, or one character
 _BRACE_RE = re.compile(r"\{")
-_STRING_OR_BRACE_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|\{')  # in valid JSON, a string or an object's `{`
 _DECODER = json.JSONDecoder(object_pairs_hook=tuple)  # an object as its (key, value) pairs, duplicates kept
 
 
@@ -142,25 +141,28 @@ def parse_prediction(raw: str) -> Optional[float]:
 
     Tolerates surrounding prose and code fences. Returns None on failure
     instead of raising, so one bad response never aborts a batch run.
-    Each `{` is tried in turn, and after a failed decode only those that
-    ``_decodable_braces`` lists: one scan, not a decode per `{`. An object
-    that decodes without the key is not decoded again from the `{`s within
-    it (see ``_objects_within``), and the scan goes on after it.
+    Only the `{`s that ``_decodable_braces`` lists are tried, in order. One
+    inside the last object decoded outside any earlier one, at its quote
+    parity, starts one of its nested objects, which are read from its pairs
+    (see ``_nested_objects``) with no decode; any other is decoded, a `{` in
+    that object's strings on its own, as it may close past the object's end.
     """
     if not raw:
         return None
     text = _FENCE_RE.sub(" ", raw)
-    pos, rest = text.find("{"), None
-    while pos != -1:
-        try:
-            pairs, end = _DECODER.raw_decode(text, pos)
-        except (ValueError, RecursionError):  # also an integer longer than int's digit limit, or deep nesting
-            pairs, end, rest = None, pos + 1, rest or iter([p for p in _decodable_braces(text) if p > pos])
-        obj = None if pairs is None else dict(pairs)  # the last of a repeated key wins, as in json.loads
-        if obj is not None and "sentence_months" not in obj:
-            obj = next((o for o in _objects_within(text, pos, end, pairs) if "sentence_months" in o), None)
-        pos = text.find("{", end) if rest is None else next((p for p in rest if p >= end), -1)
-        if obj is None:
+    end, parity, nested = 0, False, None
+    for pos, odd in _decodable_braces(text):
+        if pos < end and odd == parity:
+            pairs = next(nested)
+        else:
+            try:
+                pairs, stop = _DECODER.raw_decode(text, pos)
+            except (ValueError, RecursionError):  # also an integer longer than int's digit limit, or deep nesting
+                continue
+            if pos >= end:
+                end, parity, nested = stop, odd, _nested_objects(pairs)
+        obj = dict(pairs)  # the last of a repeated key wins, as in json.loads
+        if "sentence_months" not in obj:
             continue
         value = obj["sentence_months"]
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
@@ -175,56 +177,44 @@ def parse_prediction(raw: str) -> Optional[float]:
     return None
 
 
-def _objects_within(text: str, pos: int, end: int, pairs: tuple) -> Iterator[dict]:
-    """What each `{` after ``pos`` decodes to, in order, where text[pos:end] is the object of ``pairs``.
-
-    A `{` outside the object's strings starts one of its nested objects,
-    which are read from ``pairs`` in text order, with no decode. One inside
-    a string is decoded on its own, as it may close past ``end``.
-    """
+def _nested_objects(pairs: tuple) -> Iterator[tuple]:
+    """The pairs of each object nested in the object of ``pairs``, in text order."""
     stack = [v for _, v in reversed(pairs)]
-    nested = []  # the nested objects' pairs, in text order
     while stack:
         value = stack.pop()
         if isinstance(value, tuple):
-            nested.append(value)
+            yield value
             stack += [v for _, v in reversed(value)]
         elif isinstance(value, list):
             stack += reversed(value)
-    nested = iter(nested)
-    for match in _STRING_OR_BRACE_RE.finditer(text, pos + 1, end):
-        if match.group() == "{":
-            yield dict(next(nested))
-            continue
-        brace = text.find("{", match.start(), match.end())
-        while brace != -1:
-            try:
-                yield dict(_DECODER.raw_decode(text, brace)[0])
-            except (ValueError, RecursionError):
-                pass
-            brace = text.find("{", brace + 1, match.end())
 
 
-def _decodable_braces(text: str) -> list[int]:
-    """Positions of the `{`s that a bracket closes within the recursion limit, in order.
+def _decodable_braces(text: str) -> list[tuple[int, bool]]:
+    """(position, parity) of the `{`s that a bracket closes within the recursion limit, in order.
 
     A decode from any other `{` fails (json's C scanner counts its depth
     against that limit). Scans from `{`s that are all outside a string, or
     all inside one, read the rest alike, so two stacks of open brackets
     serve them all, and a quote swaps the two. A backslash outside a string
     or before a `{` is no JSON and ends the scans it meets. Nothing after
-    the last `}` or `]` closes a `{`, so the scan stops there.
+    the last `}` or `]` closes a `{`, so the scan stops there. A `{`'s
+    parity is True when an odd number of quotes, escape pairs aside, come
+    before it.
     """
     limit = sys.getrecursionlimit()
-    closed, deep = [], set()
+    closed, deep, odds = [], set(), set()
     out, ins = [], []  # open brackets (a `{`'s position, -1 for a `[`) outside a string, and inside one
+    odd = False
     text = text[: max(text.rfind("}"), text.rfind("]")) + 1]
     braces = iter([m.start() for m in _BRACE_RE.finditer(text)])  # every `{` is a token of its own
     for c in _JSON_SYNTAX_RE.findall(text):
         if c == '"':
             out, ins = ins, out
+            odd = not odd
         elif c == "{":
             out.append(next(braces))
+            if odd:
+                odds.add(out[-1])
             if len(out) > limit:
                 deep.add(out[-limit - 1])
         elif c == "\\":  # before a `{`, or last: no escape
@@ -236,7 +226,7 @@ def _decodable_braces(text: str) -> list[int]:
                 out.append(-1)
         elif out:
             closed.append(out.pop())
-    return sorted({p for p in closed if p >= 0} - deep)
+    return [(p, p in odds) for p in sorted({p for p in closed if p >= 0} - deep)]
 
 
 class _AppendLog(io.FileIO):

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from fairjudge.corpus import from_record, read_jsonl
+from fairjudge.corpus import from_record, read_jsonl, replace_file
 from fairjudge.metrics import InconsistencyRow, LabelFinding, ModelFairnessSummary, mean_inconsistency
 from fairjudge.statcore import BernoulliTestResult
 
@@ -96,10 +96,12 @@ def _finding_dict(model: str, f: LabelFinding) -> dict:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    def write(fh) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+    replace_file(path, write, newline="")
 
 
 def write_report(
@@ -109,7 +111,9 @@ def write_report(
 
     summary.csv, summary.json, findings.jsonl, labels_bias.csv,
     labels_imbalance.csv, labels_inconsistency.csv and report.html, which
-    embeds summary.json's data.
+    embeds summary.json's data. Each replaces its file whole (see
+    ``replace_file``), so a re-render in place that fails partway leaves
+    its inputs, summary.json and findings.jsonl, as they were.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -118,9 +122,11 @@ def write_report(
     findings = [(model, f) for model in sorted(findings_by_model) for f in findings_by_model[model]]
 
     _write_csv(out / "summary.csv", SUMMARY_CSV_COLUMNS, map(_summary_row, summaries))
-    (out / "summary.json").write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    with (out / "findings.jsonl").open("w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(_finding_dict(model, f), sort_keys=True) + "\n" for model, f in findings)
+    replace_file(out / "summary.json", lambda fh: fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n"))
+    replace_file(
+        out / "findings.jsonl",
+        lambda fh: fh.writelines(json.dumps(_finding_dict(model, f), sort_keys=True) + "\n" for model, f in findings),
+    )
     for metric in ("bias", "imbalance"):
         _write_csv(
             out / f"labels_{metric}.csv",
@@ -140,7 +146,7 @@ def write_report(
             for r in rows
         ),
     )
-    (out / "report.html").write_text(_report_html(summaries, bundle.pooled, data), encoding="utf-8")
+    replace_file(out / "report.html", lambda fh: fh.write(_report_html(summaries, bundle.pooled, data)))
 
 
 def read_report(summary_path: str | Path) -> tuple[ReportBundle, dict[str, list[LabelFinding]]]:

@@ -1,5 +1,7 @@
 """CLI workflow tests: subcommands, exit codes, offline pipeline."""
 
+import errno
+import itertools
 import json
 import sys
 
@@ -840,6 +842,44 @@ def test_report_in_place_on_finding_of_wrong_type_keeps_every_byte(fixture_dir, 
     assert main(["report", "--summary", str(out / "summary.json"), "--out", str(out)]) == EXIT_DATA
     assert one_line_error(capsys).startswith("error: findings.jsonl:1: not a finding: ")
     assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+
+def failing_on_call(n, fn):
+    """``fn``, but its ``n``th call raises OSError(ENOSPC), as a disk that fills up mid-write does."""
+    calls = itertools.count(1)
+
+    def wrapper(*args):
+        if next(calls) == n:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return fn(*args)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("command", ["report", "ingest"])
+def test_rewrite_in_place_that_fails_partway_keeps_every_byte(fixture_dir, tmp_path, capsys, monkeypatch, command):
+    """A write that fails at its third line leaves the files it reads, and every other file, as they were."""
+    import fairjudge.corpus
+    import fairjudge.report
+
+    out = tmp_path / "report"
+    assert run_analyze(fixture_dir, out) == EXIT_OK
+    preds = tmp_path / "preds" / "p.jsonl"
+    preds.parent.mkdir()
+    preds.write_bytes((fixture_dir / "predictions_stub-a.jsonl").read_bytes())
+    if command == "report":
+        target, folder = out, out
+        argv = ["report", "--summary", str(out / "summary.json"), "--out", str(out)]
+        monkeypatch.setattr(fairjudge.report, "_finding_dict", failing_on_call(3, fairjudge.report._finding_dict))
+    else:
+        target, folder = preds, preds.parent
+        argv = ["ingest", "--corpus", str(fixture_dir), "--predictions", str(preds), "--out", str(preds)]
+        monkeypatch.setattr(fairjudge.corpus, "record_fields", failing_on_call(3, fairjudge.corpus.record_fields))
+    before = {f.name: f.read_bytes() for f in folder.iterdir()}
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    assert one_line_error(capsys) == f"error: cannot write {target}: No space left on device"
+    assert {f.name: f.read_bytes() for f in folder.iterdir()} == before
 
 
 @pytest.mark.parametrize(

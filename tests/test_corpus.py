@@ -223,6 +223,16 @@ def test_duplicate_before_a_malformed_line_wins(tmp_path):
     assert str(exc.value) == "duplicate variant ('d1', 'gender', 'male')"
 
 
+def test_duplicate_doc_id_before_a_malformed_line_wins(tmp_path):
+    root = tmp_path / "corpus"
+    write_bundle(root, LABELS, DOCS + [DOCS[0]], VARIANTS)
+    with (root / "documents.jsonl").open("a") as fh:
+        fh.write("not json\n")
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(root)
+    assert str(exc.value) == "duplicate doc_id 'd1'"
+
+
 def shuffled_corpus(seed=0):
     """Documents and variants in no sorted order, and declared value orders unlike string order.
 
@@ -440,3 +450,12 @@ def test_variants_of_a_corpus_without_facts_raise_instead_of_reading_the_file(bu
     message = "corpus was indexed without its variant facts; read it with load_corpus"
     with pytest.raises(CorpusError, match=f"^{message}$"):
         corpus.variants
+
+
+@pytest.mark.parametrize("kind", ["indexed", "codes"])
+def test_documents_of_a_corpus_without_facts_raise(bundle, kind):
+    corpus = corpus_kinds(bundle)[kind]
+    assert corpus.documents is None
+    with pytest.raises(CorpusError, match="^corpus was indexed without its documents; read it with load_corpus$"):
+        corpus.document("d1")
+    assert corpus_kinds(bundle)["full"].document("d1").doc_id == "d1"

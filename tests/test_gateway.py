@@ -103,11 +103,19 @@ def test_parse_failure_is_a_value():
     assert parse_prediction('{"sentence_months": ' + DEEP) is None
 
 
+NESTED_FROM_PAIRS = '{"a": {"b": [{"sentence_months": 4}]}}'  # read from its parent's pairs
+QUOTED_BRACE_INSIDE = '{"a": "{}", "b": {"sentence_months": 2}}'  # "{}" is decoded on its own
+AFTER_A_FAILED_DECODE = '{"a": 1 2} {"sentence_months": 6}'
+
+
 def test_parse_takes_first_matching_object():
     raw = '{"other": 1} {"sentence_months": 10} {"sentence_months": 99}'
     assert parse_prediction(raw) == 10
     assert parse_prediction('{"other": ' + DEEP + ' {"sentence_months": 3}') == 3  # scanning goes on
     assert parse_prediction('{"x": {"sentence_months": 3}') == 3  # inside an unclosed object
+    assert parse_prediction(NESTED_FROM_PAIRS) == 4
+    assert parse_prediction(QUOTED_BRACE_INSIDE) == 2
+    assert parse_prediction(AFTER_A_FAILED_DECODE) == 6
 
 
 def test_parse_numeric_string_tolerated():
@@ -171,7 +179,7 @@ def test_every_brace_that_decodes_is_tried(text):
         except (ValueError, RecursionError):
             continue
         decodes.append(pos)
-    assert set(decodes) <= set(_decodable_braces(text))
+    assert set(decodes) <= {pos for pos, _ in _decodable_braces(text)}
 
 
 # --- run_generation --------------------------------------------------------
@@ -981,7 +989,7 @@ def parse_reference(raw):
         try:
             obj, _ = decoder.raw_decode(text, pos)
         except (ValueError, RecursionError):
-            obj, rest = None, rest or iter([p for p in _decodable_braces(text) if p > pos])
+            obj, rest = None, rest or iter([p for p, _ in _decodable_braces(text) if p > pos])
         pos = text.find("{", pos + 1) if rest is None else next(rest, -1)
         if not isinstance(obj, dict) or "sentence_months" not in obj:
             continue
@@ -1019,3 +1027,25 @@ NESTED_PIECES = NESTED_VALUES | ANSWER_PIECES | st.sampled_from(['{"a": "{"}', '
 @example('{"a": "{"}": 1, "sentence_months": 3}')
 def test_parse_equals_the_decode_of_every_brace(text):
     assert parse_prediction(text) == parse_reference(text)
+
+
+def quote_parity(text):
+    """Whether an odd number of quotes, escape pairs aside, are in ``text``; a backslash before a `{` escapes nothing."""
+    odd, i = False, 0
+    while i < len(text):
+        if text[i] == "\\" and text[i + 1 : i + 2] not in ("", "{"):
+            i += 2
+            continue
+        odd ^= text[i] == '"'
+        i += 1
+    return odd
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(NESTED_PIECES, max_size=6).map("".join))
+@example(NESTED_FROM_PAIRS)
+@example(QUOTED_BRACE_INSIDE)
+@example(AFTER_A_FAILED_DECODE)
+def test_each_listed_brace_has_the_parity_of_the_quotes_before_it(text):
+    listed = _decodable_braces(text)
+    assert [odd for _, odd in listed] == [quote_parity(text[:pos]) for pos, _ in listed]
