@@ -253,24 +253,25 @@ def analyze(config_path, corpus_dir, prediction_paths, tau, labels, log1p, toler
     # needs only the labels and documents, the merge needs the variants.
     corpus, load_variants = index_corpus(corpus_dir)
     label_filter = _split_labels(_merged(config, "labels", labels))
-    table = PredictionTable.read(prediction_paths, corpus, labels=label_filter, meanwhile=load_variants)
+    label_ids = corpus.select_labels(label_filter)
+    table = PredictionTable.read(prediction_paths, corpus, meanwhile=load_variants)
     if not table.models:
         raise MetricsError("nothing to analyze: prediction files contain no records")
-    if not any(table.present[:, corpus.variant_codes(label_id)[2]].any() for label_id in table.label_ids):
+    if not any(table.present[:, corpus.variant_codes(label_id)[2]].any() for label_id in label_ids):
         if label_filter:
             raise MetricsError("nothing to analyze: no variant predictions for the requested labels")
         raise MetricsError("nothing to analyze: predictions cover zero labels")
 
     click.echo(f"analyzing {', '.join(table.models)} ...", err=True)
-    results = summarize(table, corpus, tau=tau, log1p=log1p, tolerance=tolerance)
+    results = summarize(table, corpus, tau=tau, log1p=log1p, tolerance=tolerance, labels=label_ids)
     summaries = [summary for summary, _, _, _ in results]
     findings_by_model = {summary.model_name: findings for summary, findings, _, _ in results}
     rows_by_model = {summary.model_name: rows for summary, _, rows, _ in results}
     diagnostics = {summary.model_name: dataclasses.asdict(diag) for summary, _, _, diag in results}
 
     pooled = {
-        "bias": pooled_bernoulli(summaries, "bias", tau),
-        "imbalance": pooled_bernoulli(summaries, "imbalance", tau),
+        "bias": pooled_bernoulli([s.bias_bernoulli for s in summaries], tau),
+        "imbalance": pooled_bernoulli([s.imbalance_bernoulli for s in summaries], tau),
     }
     bundle = ReportBundle(
         summaries=summaries,

@@ -17,7 +17,7 @@ import sys
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 import orjson
@@ -273,7 +273,7 @@ class Corpus:
         except KeyError:
             raise CorpusError(f"unknown label_id {label_id!r}") from None
 
-    def select_labels(self, label_ids: Optional[list[str]] = None) -> tuple[str, ...]:
+    def select_labels(self, label_ids: Optional[Sequence[str]] = None) -> tuple[str, ...]:
         """The labels a run covers, sorted: ``label_ids``, or every label when that is None or empty.
 
         An unknown label is a CorpusError naming the first one in the order given.

@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -81,27 +81,21 @@ class PredictionTable:
     A missing prediction is NaN; ``present`` tells the keys a model
     predicted, if only as null. Models follow sorted names, and the first
     keys are the baselines by doc code. Every prediction is validated (see
-    ``_merge``) and kept; ``label_ids`` are the labels under analysis,
-    sorted (see ``Corpus.select_labels``).
+    ``_merge``) and kept, whatever labels a run analyzes.
     """
 
     models: tuple[str, ...]
-    label_ids: tuple[str, ...]
     months: np.ndarray
     present: np.ndarray
 
     @classmethod
-    def build(
-        cls, records: list[PredictionRecord], corpus: Corpus, labels: Optional[list[str]] = None
-    ) -> PredictionTable:
+    def build(cls, records: list[PredictionRecord], corpus: Corpus) -> PredictionTable:
         """The table of in-memory records (see ``_encode_source``)."""
-        label_ids = corpus.select_labels(labels)
-        return cls._merge([_encode_source("records", enumerate(map(record_fields, records), 1), corpus)], corpus, label_ids)
+        return cls._merge([_encode_source("records", enumerate(map(record_fields, records), 1), corpus)], corpus)
 
     @classmethod
     def read(
-        cls, paths: Iterable[str | Path], corpus: Corpus, labels: Optional[list[str]] = None,
-        meanwhile: Callable[[], object] = lambda: None,
+        cls, paths: Iterable[str | Path], corpus: Corpus, meanwhile: Callable[[], object] = lambda: None
     ) -> PredictionTable:
         """The table of predictions.jsonl files, each streamed line by line in its own task (see ``fan_out``).
 
@@ -110,17 +104,13 @@ class PredictionTable:
         passes the step that adds the variants to ``corpus`` (see
         ``index_corpus``), which encoding does not need but the merge does.
         """
-        label_ids = corpus.select_labels(labels)
-
         def encode(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray]:
             return _encode_source(Path(path).name, read_jsonl(path, PredictionFormatError), corpus)
 
-        return cls._merge(fan_out(encode, list(paths), meanwhile), corpus, label_ids)
+        return cls._merge(fan_out(encode, list(paths), meanwhile), corpus)
 
     @classmethod
-    def _merge(
-        cls, sources: list[tuple[list[str], np.ndarray, np.ndarray]], corpus: Corpus, label_ids: tuple[str, ...]
-    ) -> PredictionTable:
+    def _merge(cls, sources: list[tuple[list[str], np.ndarray, np.ndarray]], corpus: Corpus) -> PredictionTable:
         """One table of ``_encode_source`` outputs, each row's codes looked up once in ``Corpus.key_index``.
 
         A key that names no variant of the corpus is a PredictionFormatError
@@ -154,7 +144,7 @@ class PredictionTable:
                 raise MetricsError(f"duplicate baseline prediction for doc {corpus.doc_ids[d]!r}")
             key = (corpus.doc_ids[d], corpus.labels[l].label_id, corpus.labels[l].values[v])
             raise MetricsError(f"duplicate variant prediction for {key!r}")
-        return cls(models, label_ids, months, counts.reshape(months.shape) > 0)
+        return cls(models, months, counts.reshape(months.shape) > 0)
 
 
 def _encode_source(
@@ -319,8 +309,11 @@ def summarize(
     tau: float = 0.05,
     log1p: bool = False,
     tolerance: float = 0.0,
+    labels: Optional[Sequence[str]] = None,
 ) -> list[tuple[ModelFairnessSummary, list[LabelFinding], list[InconsistencyRow], AnalysisDiagnostics]]:
-    """All three metrics for each model of ``table``, in sorted model order, in one pass over the labels.
+    """All three metrics for each model of ``table``, in sorted model order, in one pass over ``labels``.
+
+    ``labels`` default to every label of the corpus (see ``Corpus.select_labels``).
 
     Each label is one task, a ``fan_out`` one when the work is worth a fork
     (see ``_FORK_ROWS``; so call this from the main thread): it gathers the label's months for
@@ -337,6 +330,7 @@ def summarize(
     """
     if not (0 < tau < 1):
         raise MetricsError(f"tau must be in (0, 1), got {tau}")
+    label_ids = corpus.select_labels(labels)
     base = table.months[:, : len(corpus.doc_ids)]  # [model, doc] -> baseline months
     for model, months in zip(table.models, base):
         if np.isnan(months).all():
@@ -354,17 +348,17 @@ def summarize(
             out.append((_inconsistency_row(label_id, months, model_base[docs], tolerance), found, diag))
         return out
 
-    work = int(table.present.sum()) + _FIT_ROWS * len(table.models) * len(table.label_ids)  # in rows
-    per_label = list((fan_out if work >= _FORK_ROWS else map)(label_task, table.label_ids))
+    work = int(table.present.sum()) + _FIT_ROWS * len(table.models) * len(label_ids)  # in rows
+    per_label = list((fan_out if work >= _FORK_ROWS else map)(label_task, label_ids))
     results = []
     for m, model in enumerate(table.models):
-        labels = [per_model[m] for per_model in per_label]  # (row, findings, diag) in label order
-        rows = [row for row, _, _ in labels]
-        bias, imbalance = ([found[i] for _, found, _ in labels if found[i] is not None] for i in (0, 1))
+        by_label = [per_model[m] for per_model in per_label]  # (row, findings, diag) in label order
+        rows = [row for row, _, _ in by_label]
+        bias, imbalance = ([found[i] for _, found, _ in by_label if found[i] is not None] for i in (0, 1))
         diag = AnalysisDiagnostics(
-            unidentified_labels=[row.label_id for row, found, _ in labels if None in found],
-            n_zero_predictions_dropped=sum(d.n_zero_predictions_dropped for _, _, d in labels),
-            n_missing_predictions=sum(d.n_missing_predictions for _, _, d in labels),
+            unidentified_labels=[row.label_id for row, found, _ in by_label if None in found],
+            n_zero_predictions_dropped=sum(d.n_zero_predictions_dropped for _, _, d in by_label),
+            n_missing_predictions=sum(d.n_missing_predictions for _, _, d in by_label),
         )
         total_w = sum(r.w_l for r in rows)
         bias_bern = bernoulli_test(len(bias), sum(f.significant for f in bias), tau)
@@ -378,21 +372,9 @@ def summarize(
     return results
 
 
-def pooled_bernoulli(
-    summaries: list[ModelFairnessSummary], metric: str, tau: float
-) -> BernoulliTestResult:
-    """Tail test on significant-label counts pooled across all models."""
-    if not summaries:
-        raise MetricsError("no model summaries to pool")
-    if metric == "bias":
-        n = sum(s.bias_bernoulli.n_trials for s in summaries)
-        k = sum(s.bias_count for s in summaries)
-    elif metric == "imbalance":
-        n = sum(s.imbalance_bernoulli.n_trials for s in summaries)
-        k = sum(s.imbalance_count for s in summaries)
-    else:
-        raise MetricsError(f"unknown metric {metric!r}")
-    return bernoulli_test(n, k, tau)
+def pooled_bernoulli(tests: list[BernoulliTestResult], tau: float) -> BernoulliTestResult:
+    """Tail test on the significant-label counts of ``tests``, e.g. one metric's test of each model, pooled."""
+    return bernoulli_test(sum(t.n_trials for t in tests), sum(t.n_significant for t in tests), tau)
 
 
 def mean_inconsistency(summaries: list[ModelFairnessSummary]) -> Optional[float]:

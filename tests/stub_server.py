@@ -1,11 +1,19 @@
-"""Local chat-completions stub server for gateway tests."""
+"""Local chat-completions stub server for gateway tests.
+
+``python tests/stub_server.py PORT_FILE`` serves until killed, answering
+each prompt with ``crc_months``, and writes the free local port it
+listens on to ``PORT_FILE`` once it accepts connections.
+"""
 
 from __future__ import annotations
 
 import json
+import os
 import re
+import sys
 import threading
 import time
+import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
@@ -100,3 +108,16 @@ DOC_ID_RE = re.compile(r"\b(D\d{5})\b")
 def doc_id_of(prompt: str) -> str:
     m = DOC_ID_RE.search(prompt)
     return m.group(1) if m else ""
+
+
+def crc_months(prompt: str) -> tuple[int, str]:
+    """An answer of 24 to 48 months set by the prompt's CRC-32, so every run gets the same answers."""
+    return 200, json.dumps({"sentence_months": 24 + zlib.crc32(prompt.encode()) % 25})
+
+
+if __name__ == "__main__":
+    stub = StubServer(crc_months)
+    with open(sys.argv[1] + ".tmp", "w") as f:
+        f.write(str(stub.server.server_port))
+    os.replace(sys.argv[1] + ".tmp", sys.argv[1])  # a reader never sees a partly written port
+    stub.server.serve_forever()

@@ -483,6 +483,20 @@ def test_unknown_label_comes_before_predictions_and_requests(fixture_dir, tmp_pa
     assert server.request_count == 0
 
 
+def test_unknown_label_comes_before_a_malformed_variant(fixture_dir, tmp_path, capsys):
+    """Errors keep their order: labels and documents, then --labels, then variants.jsonl, then the predictions."""
+    variants = fixture_dir / "variants.jsonl"
+    variants.write_text("not json\n" + variants.read_text())
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("not json\n")
+    argv = ["analyze", "--corpus", str(fixture_dir), "--predictions", str(bad), "--out", str(tmp_path / "r")]
+    assert main(argv + ["--labels", "gender,nope"]) == EXIT_DATA
+    assert one_line_error(capsys) == "error: unknown label_id 'nope'"
+    assert main(argv + ["--labels", "gender"]) == EXIT_DATA
+    assert one_line_error(capsys).startswith("error: variants.jsonl:1: ")
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "generate"])
 def test_labels_value_that_names_no_label_means_every_label(fixture_dir, tmp_path, monkeypatch, command):
     monkeypatch.setenv("FAIRJUDGE_API_KEY", "k")

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fairjudge.corpus import CaseDocument, Corpus, CounterfactualVariant, LabelDefinition, load_corpus
+from fairjudge.corpus import CaseDocument, Corpus, CorpusError, CounterfactualVariant, LabelDefinition, load_corpus
 from fairjudge.fixtures import default_label_specs, default_spec, generate_fixture, simulate_predictions, write_fixture
 from fairjudge.gateway import PredictionFormatError, PredictionRecord, read_predictions, write_predictions
 from fairjudge.metrics import (
@@ -243,23 +243,36 @@ def summary_with(model, n, k_bias, k_imb):
 
 def test_pooled_single_model_identity():
     s = summary_with("a", 65, 27, 19)
-    pooled = pooled_bernoulli([s], "bias", 0.05)
-    assert pooled == s.bias_bernoulli
+    assert pooled_bernoulli([s.bias_bernoulli], 0.05) == s.bias_bernoulli
 
 
 def test_pooled_across_models_matches_totals():
     summaries = [summary_with("a", 65, 27, 19), summary_with("b", 65, 30, 29),
                  summary_with("c", 65, 30, 35)]
-    pooled = pooled_bernoulli(summaries, "bias", 0.05)
+    pooled = pooled_bernoulli([s.bias_bernoulli for s in summaries], 0.05)
     assert pooled.n_trials == 195 and pooled.n_significant == 87
     assert pooled.p_value < 1e-15
 
 
 def test_pooled_all_zero_is_one():
     summaries = [summary_with("a", 65, 0, 0), summary_with("b", 65, 0, 0)]
-    assert pooled_bernoulli(summaries, "bias", 0.05).p_value == 1.0
-    with pytest.raises(MetricsError):
-        pooled_bernoulli([], "bias", 0.05)
+    assert pooled_bernoulli([s.bias_bernoulli for s in summaries], 0.05).p_value == 1.0
+
+
+def test_pooled_tests_of_a_summary_equal_the_test_of_their_totals():
+    corpus, _ = generate_fixture(seed=5, n_docs=60, label_specs=default_label_specs(4))
+    records = [
+        r for i, (model, effect) in enumerate([("a", 0.0), ("b", 0.4), ("c", 0.8)])
+        for r in simulate_predictions(corpus, model, seed=6 + i, bias_effects={"L01": effect, "L02": effect},
+                                      error_multipliers={"L03": 1 + effect}, noise_sigma=0.2)
+    ]
+    summaries = [summary for summary, *_ in metrics.summarize(PredictionTable.build(records, corpus), corpus)]
+    assert [s.model_name for s in summaries] == ["a", "b", "c"]
+    for metric in ("bias", "imbalance"):
+        tests = [getattr(s, f"{metric}_bernoulli") for s in summaries]
+        n, k = sum(t.n_trials for t in tests), sum(t.n_significant for t in tests)
+        assert n == 12 and k > 0
+        assert pooled_bernoulli(tests, 0.05) == statcore.bernoulli_test(n, k, 0.05)
 
 
 def test_summarize_model_counts_match_findings():
@@ -315,7 +328,7 @@ def test_a_wide_fit_holds_about_three_copies_of_the_design():
     """One fit of a 32-valued label holds its demeaned copy of X, Q and the pivot-ordered kept columns, no more."""
     corpus, _ = generate_fixture(seed=11, n_docs=1000, label_specs=default_label_specs(1, n_values=32))
     table = PredictionTable.build(simulate_predictions(corpus, MODEL, seed=12), corpus)
-    (label_id,) = table.label_ids
+    (label_id,) = corpus.label_ids
     docs, values, keys = corpus.variant_codes(label_id)
     months = table.months[0]
     diag = metrics.AnalysisDiagnostics()
@@ -359,20 +372,19 @@ def test_duplicate_prediction_keys_rejected(duplicate, message):
         summarize(records + [records[duplicate]], corpus)
 
 
-@pytest.mark.parametrize("labels", [None, ["A"]])
 @pytest.mark.parametrize("duplicate, message", [(0, "duplicate baseline prediction for doc 'd000'"),
                                                 (-1, "duplicate variant prediction for ('d007', 'B', 'b1')")])
-def test_table_rejects_a_repeated_key_of_any_label(tmp_path, labels, duplicate, message):
-    """Whatever labels the table analyzes. Of two models that repeat a key, the first in name order is reported."""
+def test_table_rejects_a_repeated_key_of_any_label(tmp_path, duplicate, message):
+    """Of two models that repeat a key, the first in name order is reported."""
     corpus = comparison_corpus(4, 4)
     mine = flip_records(corpus, 0, 0)
     later = [dataclasses.replace(r, model_name="z") for r in mine]  # read first, sorted last
     records = later + [later[1]] + mine + [mine[duplicate]]
     write_predictions(records, tmp_path / "p.jsonl")
     with pytest.raises(MetricsError, match=f"^{re.escape(message)}$"):
-        PredictionTable.build(records, corpus, labels=labels)
+        PredictionTable.build(records, corpus)
     with pytest.raises(MetricsError, match=f"^{re.escape(message)}$"):
-        PredictionTable.read([tmp_path / "p.jsonl"], corpus, labels=labels)
+        PredictionTable.read([tmp_path / "p.jsonl"], corpus)
 
 
 def test_table_names_the_first_repeated_key_in_code_order():
@@ -389,11 +401,23 @@ def test_table_names_the_first_repeated_key_in_code_order():
 def test_label_filter_keeps_only_requested_labels():
     corpus = comparison_corpus(10, 10)
     records = flip_records(corpus, 2, 5)
-    table = PredictionTable.build(records, corpus, labels=["B"])
-    assert table.label_ids == ("B",)
-    _, _, rows, _ = metrics.summarize(table, corpus)[table.models.index(MODEL)]
+    table = PredictionTable.build(records, corpus)
+    _, _, rows, _ = metrics.summarize(table, corpus, labels=["B"])[table.models.index(MODEL)]
     assert [r.label_id for r in rows] == ["B"]
     assert rows == [r for r in summarize(records, corpus)[2] if r.label_id == "B"]
+
+
+def test_labels_given_in_any_order_give_the_results_of_every_label():
+    corpus = comparison_corpus(10, 10)
+    records = flip_records(corpus, 2, 5)
+    assert summarize(records, corpus, labels=["B", "A", "B"]) == summarize(records, corpus)
+    assert [r.label_id for r in summarize(records, corpus)[2]] == ["A", "B"]
+
+
+def test_summarize_names_the_first_unknown_label():
+    corpus = comparison_corpus(10, 10)
+    with pytest.raises(CorpusError, match=r"^unknown label_id 'nope'$"):
+        summarize(flip_records(corpus, 2, 5), corpus, labels=["B", "nope", "also-nope"])
 
 
 def table_reference(records, corpus):
@@ -419,24 +443,21 @@ def assert_table_is(table, reference):
     np.testing.assert_array_equal(table.present, present)
 
 
-@pytest.mark.parametrize("labels", [None, ["L03", "L01"]])
-def test_streamed_table_equals_table_of_records(tmp_path, labels):
+def test_streamed_table_equals_table_of_records(tmp_path):
     spec = dataclasses.replace(default_spec(), stub_models=("stub-b", "stub-c", "stub-a"))
     write_fixture(spec, seed=11, out_dir=tmp_path)
     corpus = load_corpus(tmp_path)
     paths = [tmp_path / f"predictions_{m}.jsonl" for m in spec.stub_models]  # models out of name order
     records = [r for p in paths for r in read_predictions(p)]
-    streamed = PredictionTable.read(paths, corpus, labels=labels)
-    built = PredictionTable.build(records, corpus, labels=labels)
+    streamed = PredictionTable.read(paths, corpus)
+    built = PredictionTable.build(records, corpus)
     assert streamed.models == built.models == ("stub-a", "stub-b", "stub-c")
-    assert streamed.label_ids == built.label_ids
     assert streamed.present.all()  # every model predicts every key of every label
     for table in (streamed, built):
         assert_table_is(table, table_reference(records, corpus))
 
 
-@pytest.mark.parametrize("labels", [None, ["A"]])
-def test_read_equals_build_and_a_codes_reference(tmp_path, labels):
+def test_read_equals_build_and_a_codes_reference(tmp_path):
     """Shuffled lines over three files, integer, float and null months, value orders unlike string order."""
     corpus, variants = shuffled_corpus()
     rng = random.Random(5)
@@ -453,12 +474,11 @@ def test_read_equals_build_and_a_codes_reference(tmp_path, labels):
     for i, path in enumerate(paths):
         write_predictions(records[i::3], path)
     in_file_order = [r for p in paths for r in read_predictions(p)]
-    streamed = PredictionTable.read(paths, corpus, labels=labels)
-    built = PredictionTable.build(in_file_order, corpus, labels=labels)
-    assert streamed.label_ids == built.label_ids == tuple(sorted(labels or corpus.label_ids))
+    streamed = PredictionTable.read(paths, corpus)
+    built = PredictionTable.build(in_file_order, corpus)
     months = [r.predicted_months for r in in_file_order]
     assert any(isinstance(m, int) for m in months) and None in months
-    reference = table_reference(in_file_order, corpus)  # every key, whatever the labels
+    reference = table_reference(in_file_order, corpus)
     assert reference[0] == ("m-a", "m-b") and not reference[2].all()
     for table in (streamed, built):
         assert_table_is(table, reference)

@@ -33,8 +33,8 @@ def make_bundle(models=("glm", "qwen", "gemini")):
     from fairjudge.metrics import pooled_bernoulli
 
     pooled = {
-        "bias": pooled_bernoulli(summaries, "bias", 0.05),
-        "imbalance": pooled_bernoulli(summaries, "imbalance", 0.05),
+        "bias": pooled_bernoulli([s.bias_bernoulli for s in summaries], 0.05),
+        "imbalance": pooled_bernoulli([s.imbalance_bernoulli for s in summaries], 0.05),
     }
     return ReportBundle(
         summaries=summaries,
