@@ -208,11 +208,9 @@ def _split_labels(raw: str | None) -> list[str] | None:
 @click.option("--out", "out_path", required=True)
 def ingest(corpus_dir, predictions_path, out_path) -> None:
     """Validate externally produced predictions against a corpus and normalize them."""
-    corpus, load_variants = index_corpus(corpus_dir)  # the codes are all that validation reads
-    load_variants()
-    records = read_predictions(predictions_path)
-    PredictionTable.build(records, corpus)  # rejects what analyze rejects: unknown and repeated keys
-    records.sort(key=lambda r: r.sort_key())
+    corpus, load_variants = index_corpus(corpus_dir)
+    PredictionTable.read([predictions_path], corpus, meanwhile=load_variants)  # analyze's checks, in its order
+    records = sorted(read_predictions(predictions_path), key=lambda r: r.sort_key())
     with _writing(out_path):
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         write_predictions(records, out_path)

@@ -262,10 +262,7 @@ class Corpus:
     def document(self, doc_id: str) -> CaseDocument:
         if self.documents is None:
             raise CorpusError("corpus was indexed without its documents; read it with load_corpus")
-        try:
-            return self.documents[self.doc_codes[doc_id]]
-        except KeyError:
-            raise CorpusError(f"unknown doc_id {doc_id!r}") from None
+        return self.documents[self.codes(doc_id, None, None)[0]]
 
     def label_code(self, label_id: str) -> int:
         try:

@@ -277,9 +277,9 @@ def _regress(frame: RegressionFrame, outcomes: list[np.ndarray]) -> list[FitResu
 
 
 def _finding(result: FitResult, label_id: str, metric: str, tau: float) -> Optional[LabelFinding]:
-    identified_ps = [] if result is None else [p for p in result.per_coef_p if not math.isnan(p)]
-    if not identified_ps:
+    if result is None:
         return None
+    identified_ps = [p for p in result.per_coef_p if not math.isnan(p)]  # not empty: fe_regress identifies one
     # Label-level significance: joint Wald when several treated values,
     # the single coefficient's t-test otherwise.
     significant = (result.joint_p if len(identified_ps) > 1 else identified_ps[0]) < tau

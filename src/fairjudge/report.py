@@ -82,10 +82,8 @@ def _bundle_to_dict(bundle: ReportBundle) -> dict:
     return {
         "summaries": [asdict(s) for s in sorted(bundle.summaries, key=lambda s: s.model_name)],
         "mean_inconsistency": mean_inconsistency(bundle.summaries),
-        "pooled": {m: asdict(b) for m, b in sorted(bundle.pooled.items())},
-        "inconsistency_rows": {
-            model: [asdict(r) for r in rows] for model, rows in sorted(bundle.inconsistency_rows.items())
-        },
+        "pooled": {m: asdict(b) for m, b in bundle.pooled.items()},
+        "inconsistency_rows": {model: [asdict(r) for r in rows] for model, rows in bundle.inconsistency_rows.items()},
         "run_metadata": bundle.run_metadata,
     }
 

@@ -317,8 +317,6 @@ def fe_regress(frame, outcomes=None):
 
 
 def _wald_joint_p(beta: np.ndarray, cov: np.ndarray, n_identified: int, dof: int) -> float:
-    if n_identified == 0:
-        return float("nan")
     if np.allclose(beta, 0.0):
         return 1.0
     if not np.any(cov):
@@ -347,10 +345,7 @@ def binomial_tail(n_trials: int, k: int, tau: float) -> float:
 
 def bernoulli_test(n_trials: int, n_significant: int, tau: float) -> BernoulliTestResult:
     """Package a binomial tail test over significance counts."""
-    if n_trials == 0:
-        p = 1.0
-    else:
-        p = binomial_tail(n_trials, n_significant, tau)
     return BernoulliTestResult(
-        n_trials=n_trials, n_significant=n_significant, threshold=tau, p_value=p
+        n_trials=n_trials, n_significant=n_significant, threshold=tau,
+        p_value=binomial_tail(n_trials, n_significant, tau),
     )

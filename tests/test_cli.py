@@ -185,10 +185,36 @@ def test_analyze_missing_args_exits_1(fixture_dir, tmp_path):
     assert main(["analyze", "--corpus", str(fixture_dir)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "--api-url", "http://127.0.0.1:9/v1", "--model", "m", "--out", "p.jsonl"],
+         "generate requires --corpus, --api-url, --model, and --out"),
+        (["analyze", "--out", "r", "--corpus", "."], "analyze requires at least one --predictions file"),
+    ],
+    ids=["generate", "analyze"],
+)
+def test_missing_required_setting_exits_1_with_one_line(fixture_dir, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(fixture_dir)
+    assert main(argv) == EXIT_USAGE
+    assert one_line_error(capsys) == "error: " + message
+
+
+def test_config_line_without_equals_exits_1_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("tau = 0.05\ntau 0.01  # no '='\n")
+    assert main(["analyze", "--config", str(cfg)]) == EXIT_USAGE
+    assert one_line_error(capsys) == "error: config line 2: expected key=value, got 'tau 0.01'"
+
+
 def test_config_file_with_flag_override(fixture_dir, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
+        "# blank and comment lines are skipped\n"
+        "\n"
         f"corpus = {fixture_dir}\n"
+        "   \n"
+        "  # indented comment\n"
         f"out = {tmp_path / 'cfg_out'}\n"
         "tau = 0.05  # default threshold\n"
     )
@@ -408,6 +434,30 @@ def test_corrupt_corpus_exits_2(tmp_path):
     assert code == EXIT_DATA
 
 
+@pytest.mark.parametrize("command", ["analyze", "ingest", "generate"])
+def test_missing_corpus_directory_exits_2_with_one_line(fixture_dir, tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("FAIRJUDGE_API_KEY", "k")
+    missing = tmp_path / "no-such-corpus"
+    predictions = str(fixture_dir / "predictions_stub-a.jsonl")
+    argv = {
+        "analyze": ["--predictions", predictions, "--out", str(tmp_path / "r")],
+        "ingest": ["--predictions", predictions, "--out", str(tmp_path / "norm.jsonl")],
+        "generate": ["--api-url", "http://127.0.0.1:9/v1", "--model", "m", "--out", str(tmp_path / "p.jsonl")],
+    }[command]
+    assert main([command, "--corpus", str(missing), *argv]) == EXIT_DATA
+    assert one_line_error(capsys) == f"error: corpus directory not found: {missing}"
+
+
+def test_repeated_label_id_exits_2_with_one_line(fixture_dir, tmp_path, capsys):
+    labels = fixture_dir / "labels.jsonl"
+    first = labels.read_text().splitlines()[0]
+    labels.write_text(labels.read_text() + first + "\n")
+    for code in analyze_and_ingest(fixture_dir, tmp_path, fixture_dir / "predictions_stub-a.jsonl"):
+        assert code == EXIT_DATA
+        assert one_line_error(capsys) == "error: duplicate label_id 'gender'"
+    assert not (tmp_path / "r").exists() and not (tmp_path / "norm.jsonl").exists()
+
+
 def with_extra_record(fixture_dir, tmp_path, **fields):
     """stub-a's predictions plus one record overriding the first baseline's fields."""
     lines = (fixture_dir / "predictions_stub-a.jsonl").read_text().splitlines()
@@ -543,6 +593,25 @@ def test_record_the_corpus_does_not_know_exits_2(fixture_dir, tmp_path, capsys, 
         assert code == EXIT_DATA
         message = one_line_error(capsys)
         assert message.startswith("error: prediction ('stub-a', ") and message.endswith(reason)
+    assert not (tmp_path / "r").exists() and not (tmp_path / "norm.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "first, reason",
+    [
+        ({"model_name": "m", "doc_id": "NOPE"}, "prediction ('m', 'NOPE', None, None): unknown doc_id 'NOPE'"),
+        ({"model_name": "m", "doc_id": "D00001", "label_id": "gender", "variant_value": "other"},
+         "prediction ('m', 'D00001', 'gender', 'other'): value 'other' not admissible for label 'gender'"),
+    ],
+    ids=["unknown-doc", "inadmissible-value"],
+)
+def test_ingest_reports_the_first_fault_that_analyze_reports(fixture_dir, tmp_path, capsys, first, reason):
+    """Line 1 names a key the corpus does not know and line 2 is malformed: both commands name line 1."""
+    path = tmp_path / "order.jsonl"
+    path.write_text(json.dumps(first) + "\n" + json.dumps({"model_name": 5, "doc_id": "D00001"}) + "\n")
+    for code in analyze_and_ingest(fixture_dir, tmp_path, path):
+        assert code == EXIT_DATA
+        assert one_line_error(capsys) == "error: " + reason
     assert not (tmp_path / "r").exists() and not (tmp_path / "norm.jsonl").exists()
 
 

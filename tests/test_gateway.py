@@ -266,6 +266,18 @@ def test_transport_failure_becomes_missing_marker(tmp_path):
     assert all(r.raw_response == "" for r in records)
 
 
+def test_null_content_is_retried_as_a_malformed_body(tmp_path):
+    corpus = small_corpus(n_docs=1, n_labels=1)
+
+    def responder(prompt):
+        return 200, json.dumps({"choices": [{"message": {"content": None}}]}).encode()
+
+    with StubServer(responder) as server:
+        records = run_generation(corpus, make_config(server.url, max_retries=1), tmp_path)
+        assert server.request_count == 2 * len(records)  # 1 + 1 retry each, and no strict re-ask
+    assert all(r.predicted_months is None and r.raw_response == "" and r.attempt_count == 2 for r in records)
+
+
 def test_auth_error_aborts_immediately(tmp_path):
     corpus = small_corpus(n_docs=2, n_labels=1)
 
@@ -518,6 +530,17 @@ def test_http_proxy_from_environment(tmp_path, monkeypatch, dialled, userinfo, p
         assert server.request_count == 4
         assert server.last_headers["Host"] == "upstream.invalid"
         assert server.last_headers.get("Proxy-Authorization") == proxy_auth
+    assert all(r.predicted_months == 36 for r in records)
+    assert set(dialled) == {"127.0.0.1"}
+
+
+def test_http_proxy_without_a_scheme_is_dialled_as_http(tmp_path, monkeypatch, dialled):
+    corpus = small_corpus(n_docs=2, n_labels=1)
+    with StubServer() as server:
+        monkeypatch.setenv("HTTP_PROXY", f"127.0.0.1:{server.server.server_port}")
+        records = run_generation(corpus, make_config(UPSTREAM), tmp_path)
+        assert server.request_count == 4
+        assert server.seen[-1][0] == UPSTREAM  # the absolute-form target of a plain-HTTP proxy
     assert all(r.predicted_months == 36 for r in records)
     assert set(dialled) == {"127.0.0.1"}
 

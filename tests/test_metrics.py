@@ -193,6 +193,36 @@ def test_bias_unidentified_label_excluded_from_n():
     assert summary.bias_bernoulli.n_trials == len([f for f in findings if f.metric == "bias"]) == 1
 
 
+@pytest.mark.parametrize(
+    "route, reason",
+    [("one-document", "need >= 2 clusters, got 1"), ("no-baselines", "all groups are singletons")],
+)
+def test_a_label_the_fit_cannot_identify_is_unidentified_and_untested(monkeypatch, route, reason):
+    """Label A's fit raises a StatError; label B's is fitted as usual."""
+    corpus = comparison_corpus(10, 30)
+    records = flip_records(corpus, 3, 5)
+    a_docs = {v.doc_id for v in corpus.variants if v.label_id == "A"}
+    if route == "one-document":  # A predicted for d000 alone
+        records = [r for r in records if r.label_id != "A" or r.doc_id == "d000"]
+    else:  # A's documents lose their baselines, B's keep theirs
+        records = [r for r in records if r.label_id is not None or r.doc_id not in a_docs]
+    raised = []
+
+    def spy(frame, outcomes):
+        try:
+            return fe_regress(frame, outcomes)
+        except statcore.StatError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(statcore, "fe_regress", spy)
+    summary, findings, _, diag = summarize(records, corpus)
+    assert raised and all(reason in message for message in raised)
+    assert diag.unidentified_labels == ["A"]
+    assert {f.label_id for f in findings} == {"B"}
+    assert summary.n_labels_tested == summary.bias_bernoulli.n_trials == summary.imbalance_bernoulli.n_trials == 1
+
+
 def test_bias_threshold_monotonicity():
     corpus, records = planted_fixture(n_docs=80)
     bern_small = summarize(records, corpus, tau=0.01)[0].bias_bernoulli

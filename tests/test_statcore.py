@@ -12,6 +12,7 @@ from fairjudge.statcore import (
     RegressionFrame,
     StatError,
     UnidentifiedLabelError,
+    bernoulli_test,
     binomial_tail,
     drop_singletons,
     fe_regress,
@@ -360,3 +361,9 @@ def test_binomial_tail_domain_errors():
         binomial_tail(10, 2, 0.0)
     with pytest.raises(StatError):
         binomial_tail(10, 2, 1.0)
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.05, 0.5])
+def test_bernoulli_test_of_zero_trials_gives_p_one(tau):
+    result = bernoulli_test(0, 0, tau)
+    assert (result.n_trials, result.n_significant, result.threshold, result.p_value) == (0, 0, tau, 1.0)
