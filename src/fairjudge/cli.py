@@ -16,18 +16,17 @@ from pathlib import Path
 import click
 
 from fairjudge import __version__
-from fairjudge.corpus import CorpusError, index_corpus, load_corpus
+from fairjudge.corpus import CorpusError, index_corpus, load_corpus, replace_file
 from fairjudge.fixtures import FixtureSpec, default_spec, write_fixture
 from fairjudge.gateway import (
     AuthenticationError,
     GatewayError,
     ModelConfig,
     PredictionFormatError,
-    read_predictions,
     run_generation,
     write_predictions,
 )
-from fairjudge.metrics import MetricsError, PredictionTable, pooled_bernoulli, summarize
+from fairjudge.metrics import MetricsError, PredictionTable, normalized_lines, pooled_bernoulli, summarize
 from fairjudge.report import ReportBundle, ReportError, read_report, write_report
 
 EXIT_OK = 0
@@ -209,12 +208,11 @@ def _split_labels(raw: str | None) -> list[str] | None:
 def ingest(corpus_dir, predictions_path, out_path) -> None:
     """Validate externally produced predictions against a corpus and normalize them."""
     corpus, load_variants = index_corpus(corpus_dir)
-    PredictionTable.read([predictions_path], corpus, meanwhile=load_variants)  # analyze's checks, in its order
-    records = sorted(read_predictions(predictions_path), key=lambda r: r.sort_key())
+    lines = normalized_lines(predictions_path, corpus, load_variants)  # analyze's checks, in its order
     with _writing(out_path):
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-        write_predictions(records, out_path)
-    click.echo(f"ingested {len(records)} records to {out_path}", err=True)
+        replace_file(out_path, lambda fh: fh.writelines(lines))
+    click.echo(f"ingested {len(lines)} records to {out_path}", err=True)
 
 
 @cli.command()

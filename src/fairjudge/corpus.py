@@ -393,8 +393,8 @@ _SCALARS = {str: "a string", int: "an integer", float: "a number", bool: "a bool
 
 
 @functools.cache
-def _fields(cls: type) -> tuple[tuple[str, object, bool, Optional[type]], ...]:
-    """(name, annotation, required, item) of each field of a dataclass; ``item`` is X of a dict[str, X] of scalars."""
+def _fields(cls: type) -> tuple[tuple[str, object, bool, Optional[type], tuple[type, ...]], ...]:
+    """(name, annotation, required, item, exact) of each dataclass field; ``item`` is X of a dict[str, X] of scalars."""
     hints = typing.get_type_hints(cls)
     schema = []
     for f in dataclasses.fields(cls):
@@ -402,7 +402,9 @@ def _fields(cls: type) -> tuple[tuple[str, object, bool, Optional[type]], ...]:
         args = typing.get_args(tp)
         item = args[1] if typing.get_origin(tp) is dict and args[1] in _SCALARS else None
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-        schema.append((f.name, tp, required, item))
+        # The types whose values _from_json returns unchanged; Optional[X]'s args are (X, NoneType).
+        exact = args if typing.get_origin(tp) is typing.Union else (tp,)
+        schema.append((f.name, tp, required, item, (*exact, int) if float in exact else exact))
     return tuple(schema)
 
 
@@ -413,18 +415,19 @@ def from_record(cls: type, record: dict):
     absence. A missing field raises ``KeyError(name)``, and a field not of
     its JSON type ``TypeError("<name> must be <JSON type>, got <value>")``,
     where an item inside a container is named with its index or key, as in
-    ``labels[0]`` or ``bias_effects['L01']``. A scalar of exactly its
-    field's type, or a dict[str, X] whose values all are of type X, is
-    taken after one type check, which keeps reading a corpus as fast as
-    hand-written checks.
+    ``labels[0]`` or ``bias_effects['L01']``. A value ``_from_json`` returns
+    unchanged, or a dict[str, X] of values of type X, is taken after one
+    type check. That keeps a corpus read, and ``ingest``, which decodes each
+    line once and writes ``write_predictions``' line of ``read_prediction``'s
+    record in ``sort_key`` order, as fast as hand-written checks.
     """
     if type(record) is not dict:
         raise TypeError(f"{cls.__name__} must be an object, got {reprlib.repr(record)}")
     kwargs = {}
-    for name, tp, required, item in _fields(cls):
+    for name, tp, required, item, exact in _fields(cls):
         if name in record:
             value = record[name]
-            if type(value) is tp:
+            if type(value) in exact:
                 kwargs[name] = value
             elif item is not None and type(value) is dict and all(type(v) is item for v in value.values()):
                 kwargs[name] = dict(value)
@@ -447,7 +450,7 @@ def read_record(
     try:
         return from_record(cls, record)
     except (KeyError, TypeError, invalid) as exc:
-        missing = [name for name, _, required, _ in _fields(cls) if required and name not in record]
+        missing = [name for name, _, required, _, _ in _fields(cls) if required and name not in record]
         raise error(f"{where}: {f'missing fields {missing}' if missing else exc}") from None
 
 
@@ -533,7 +536,7 @@ def record_fields(r) -> dict:
     record, and ``vars`` gives each record on CPython 3.11 a ``__dict__``
     that it keeps, about 64 bytes a record.
     """
-    return {name: getattr(r, name) for name, _, _, _ in _fields(type(r))}
+    return {name: getattr(r, name) for name, _, _, _, _ in _fields(type(r))}
 
 
 def replace_file(path: str | Path, write: Callable[[typing.TextIO], object], newline: Optional[str] = None) -> None:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
 
-from fairjudge.corpus import _BUFFER_SIZE, Corpus, read_jsonl, read_record, write_jsonl
+from fairjudge.corpus import _BUFFER_SIZE, Corpus, read_record, write_jsonl
 
 DEFAULT_TEMPLATE = (
     "You are an experienced criminal court judge. Read the case facts below and "
@@ -575,13 +575,3 @@ def read_prediction(rec: dict, where: str) -> PredictionRecord:
         rec = {**rec, "attempt_count": int(attempts)}
     return read_record(PredictionRecord, rec, where, PredictionFormatError, GatewayError)
 
-
-def read_predictions(path: str | Path) -> list[PredictionRecord]:
-    """Load and validate a predictions.jsonl file (see ``read_prediction``).
-
-    Every non-blank line must hold exactly one JSON object (see
-    ``corpus.read_jsonl``); a record split over several lines is an error
-    at its first line. Errors are PredictionFormatError naming ``file:line``.
-    """
-    name = Path(path).name
-    return [read_prediction(rec, f"{name}:{lineno}") for lineno, rec in read_jsonl(path, PredictionFormatError)]

@@ -10,11 +10,12 @@ outcomes share one fit when they keep the same rows.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -145,6 +146,29 @@ class PredictionTable:
             key = (corpus.doc_ids[d], corpus.labels[l].label_id, corpus.labels[l].values[v])
             raise MetricsError(f"duplicate variant prediction for {key!r}")
         return cls(models, months, counts.reshape(months.shape) > 0)
+
+
+def normalized_lines(path: str | Path, corpus: Corpus, meanwhile: Callable[[], object]) -> list[str]:
+    """``write_predictions``' lines of a predictions.jsonl file's records, in ``PredictionRecord.sort_key`` order.
+
+    One read checks the file as ``PredictionTable.read([path], corpus,
+    meanwhile)`` does, errors and their order included, and keeps each
+    accepted row's line; a document's keys sort as ``sort_key`` sorts them.
+    """
+    meanwhile()
+    name, lines = Path(path).name, []
+
+    def keeping_lines(rows: Iterable[tuple[int, dict]]) -> Iterator[tuple[int, dict]]:
+        for lineno, rec in rows:
+            yield lineno, rec
+            lines.append(json.dumps(record_fields(read_prediction(rec, f"{name}:{lineno}")), sort_keys=True) + "\n")
+
+    source = _encode_source(name, keeping_lines(read_jsonl(path, PredictionFormatError)), corpus)
+    names, codes, _ = source
+    models = PredictionTable._merge([source], corpus).models
+    rank = np.array([models.index(m) for m in names], dtype=np.intp)[codes[:, 0]]
+    keys = corpus.key_index()[codes[:, 1], codes[:, 2], codes[:, 3]]
+    return [lines[i] for i in np.lexsort((keys, codes[:, 1], rank)).tolist()]
 
 
 def _encode_source(

@@ -1,14 +1,19 @@
 """CLI workflow tests: subcommands, exit codes, offline pipeline."""
 
+import dataclasses
 import errno
 import itertools
 import json
+import random
 import sys
 
 import pytest
 
 from fairjudge.cli import EXIT_AUTH, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from fairjudge.corpus import save_corpus
+from fairjudge.gateway import PredictionRecord, write_predictions
 from stub_server import StubServer
+from test_corpus import shuffled_corpus
 
 SPEC = {
     "n_docs": 12,
@@ -296,6 +301,40 @@ def test_ingest_validates_and_normalizes(fixture_dir, tmp_path):
                  "--out", str(tmp_path / "bad_out.jsonl")])
     assert code == EXIT_DATA
 
+    # Three models' shuffled lines, whose label and value strings sort against their declared
+    # order, give write_predictions' bytes of their records in sort_key order.
+    corpus, variants = shuffled_corpus()
+    save_corpus(corpus, tmp_path / "shuffled")
+    rng = random.Random(3)
+    keys = [(d.doc_id, None, None) for d in corpus.documents] + [
+        (v.doc_id, v.label_id, v.variant_value) for v in variants
+    ]
+    records, lines = [], []
+    for model in ("m-c", "m-a", "m-b"):
+        for i, (doc_id, label_id, value) in enumerate(keys):
+            months = rng.choice([None, rng.randint(0, 60), rng.uniform(0, 60)])
+            records.append(PredictionRecord(model, doc_id, label_id, value, months, "" if i % 5 else f"r{i}", i % 4))
+            fields = dataclasses.asdict(records[-1])
+            if i % 5:
+                del fields["raw_response"]
+            if i % 3 == 0:
+                fields["attempt_count"] = float(fields["attempt_count"])
+            if i % 2 == 0:
+                fields["note"] = "an unknown key"
+            lines.append(json.dumps(fields) + "\n")
+    rng.shuffle(lines)
+    (tmp_path / "mixed.jsonl").write_text("".join(lines))
+    assert any(type(r.predicted_months) is int for r in records)
+    write_predictions(sorted(records, key=PredictionRecord.sort_key), tmp_path / "oracle.jsonl")
+    assert main(["ingest", "--corpus", str(tmp_path / "shuffled"), "--predictions", str(tmp_path / "mixed.jsonl"),
+                 "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
+
+    (tmp_path / "blank.jsonl").write_text("\n  \n\t\n")
+    assert main(["ingest", "--corpus", str(fixture_dir), "--predictions", str(tmp_path / "blank.jsonl"),
+                 "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == b""
+
 
 def test_report_rerender_from_summary(fixture_dir, tmp_path):
     out = tmp_path / "report"
@@ -533,18 +572,22 @@ def test_unknown_label_comes_before_predictions_and_requests(fixture_dir, tmp_pa
     assert server.request_count == 0
 
 
-def test_unknown_label_comes_before_a_malformed_variant(fixture_dir, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["analyze", "ingest"])
+def test_unknown_label_comes_before_a_malformed_variant(fixture_dir, tmp_path, capsys, command):
     """Errors keep their order: labels and documents, then --labels, then variants.jsonl, then the predictions."""
     variants = fixture_dir / "variants.jsonl"
     variants.write_text("not json\n" + variants.read_text())
     bad = tmp_path / "bad.jsonl"
     bad.write_text("not json\n")
-    argv = ["analyze", "--corpus", str(fixture_dir), "--predictions", str(bad), "--out", str(tmp_path / "r")]
-    assert main(argv + ["--labels", "gender,nope"]) == EXIT_DATA
-    assert one_line_error(capsys) == "error: unknown label_id 'nope'"
-    assert main(argv + ["--labels", "gender"]) == EXIT_DATA
+    out = tmp_path / ("r" if command == "analyze" else "norm.jsonl")
+    argv = [command, "--corpus", str(fixture_dir), "--predictions", str(bad), "--out", str(out)]
+    if command == "analyze":  # ingest takes no --labels
+        assert main(argv + ["--labels", "gender,nope"]) == EXIT_DATA
+        assert one_line_error(capsys) == "error: unknown label_id 'nope'"
+        argv += ["--labels", "gender"]
+    assert main(argv) == EXIT_DATA
     assert one_line_error(capsys).startswith("error: variants.jsonl:1: ")
-    assert not (tmp_path / "r").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "generate"])
@@ -939,6 +982,23 @@ def failing_on_call(n, fn):
     return wrapper
 
 
+def failing_at_line(n):
+    """``open``, but a file it opens for writing raises OSError(ENOSPC) at its ``n``th line of a ``writelines``."""
+    def opener(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        if "w" in mode:
+            def writelines(lines):
+                for i, line in enumerate(lines, 1):
+                    if i == n:
+                        raise OSError(errno.ENOSPC, "No space left on device")
+                    fh.write(line)
+
+            fh.writelines = writelines
+        return fh
+
+    return opener
+
+
 @pytest.mark.parametrize("command", ["report", "ingest"])
 def test_rewrite_in_place_that_fails_partway_keeps_every_byte(fixture_dir, tmp_path, capsys, monkeypatch, command):
     """A write that fails at its third line leaves the files it reads, and every other file, as they were."""
@@ -957,7 +1017,7 @@ def test_rewrite_in_place_that_fails_partway_keeps_every_byte(fixture_dir, tmp_p
     else:
         target, folder = preds, preds.parent
         argv = ["ingest", "--corpus", str(fixture_dir), "--predictions", str(preds), "--out", str(preds)]
-        monkeypatch.setattr(fairjudge.corpus, "record_fields", failing_on_call(3, fairjudge.corpus.record_fields))
+        monkeypatch.setattr(fairjudge.corpus, "open", failing_at_line(3), raising=False)
     before = {f.name: f.read_bytes() for f in folder.iterdir()}
     capsys.readouterr()
     assert main(argv) == EXIT_USAGE

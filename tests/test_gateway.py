@@ -34,10 +34,10 @@ from fairjudge.gateway import (
     build_prompt,
     build_work_items,
     parse_prediction,
-    read_predictions,
     run_generation,
     write_predictions,
 )
+from prediction_files import read_predictions
 from stub_server import StubServer
 
 KEY_ENV = "FAIRJUDGE_TEST_KEY"

@@ -12,7 +12,7 @@ import pytest
 
 from fairjudge.corpus import CaseDocument, Corpus, CorpusError, CounterfactualVariant, LabelDefinition, load_corpus
 from fairjudge.fixtures import default_label_specs, default_spec, generate_fixture, simulate_predictions, write_fixture
-from fairjudge.gateway import PredictionFormatError, PredictionRecord, read_predictions, write_predictions
+from fairjudge.gateway import PredictionFormatError, PredictionRecord, write_predictions
 from fairjudge.metrics import (
     MetricsError,
     PredictionTable,
@@ -21,6 +21,7 @@ from fairjudge.metrics import (
 )
 from fairjudge import metrics, statcore
 from fairjudge.statcore import RegressionFrame, fe_regress
+from prediction_files import read_predictions
 from test_corpus import shuffled_corpus
 
 MODEL = "m"

@@ -27,8 +27,9 @@ from fairjudge.corpus import (
     save_corpus,
 )
 from fairjudge.fixtures import default_label_specs, generate_fixture
-from fairjudge.gateway import PredictionFormatError, read_predictions
+from fairjudge.gateway import PredictionFormatError
 from fairjudge.metrics import PredictionTable, _encode_source
+from prediction_files import read_predictions
 
 # Line separators other than "\n" that str.splitlines() also splits on.
 OTHER_BREAKS = "\u2028\u2029\x85\x0b\x0c\x1c\r"

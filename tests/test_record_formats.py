@@ -218,21 +218,41 @@ def test_from_record_ignores_unknown_keys_and_takes_defaults():
         (FixtureSpec, {"bias_effects": {"gender": "x"}}, "bias_effects['gender'] must be a number, got 'x'"),
         (FixtureSpec, {"stub_models": "ab"}, "stub_models must be a list, got 'ab'"),
         (FixtureSpec, {"labels": [7]}, "labels[0] must be an object, got 7"),
+        (InconsistencyRow, {"p_l": True}, "p_l must be a number or null, got True"),
+        (BernoulliTestResult, {"p_value": None}, "p_value must be a number, got None"),
+        (LabelFinding, {"label_id": None}, "label_id must be a string, got None"),
+        (PredictionRecord, {"predicted_months": False}, "predicted_months must be a number or null, got False"),
+        (PredictionRecord, {"attempt_count": True}, "attempt_count must be an integer, got True"),
+        (PredictionRecord, {"raw_response": None}, "raw_response must be a string, got None"),
     ],
 )
 def test_from_record_rejects_a_field_not_of_its_type(cls, fields, message):
     record = {FixtureSpec: {}, BernoulliTestResult: as_json(SUMMARY.bias_bernoulli), InconsistencyRow: as_json(ROW),
-              LabelFinding: as_json(FINDING), ModelFairnessSummary: as_json(SUMMARY)}[cls]
+              LabelFinding: as_json(FINDING), ModelFairnessSummary: as_json(SUMMARY),
+              PredictionRecord: {"model_name": "m", "doc_id": "d"}}[cls]
     with pytest.raises(TypeError) as info:
         from_record(cls, dict(record, **fields))
     assert str(info.value) == message
 
 
-def test_from_record_takes_an_integer_as_a_number_and_needs_an_object():
-    record = {"n_trials": 2, "n_significant": 0, "threshold": 0, "p_value": 1}
-    assert from_record(BernoulliTestResult, record) == BernoulliTestResult(2, 0, 0, 1)
-    with pytest.raises(TypeError, match=r"^BernoulliTestResult must be an object, got \[\]$"):
-        from_record(BernoulliTestResult, [])
+@pytest.mark.parametrize(
+    "cls, record",
+    [
+        (BernoulliTestResult, {"n_trials": 2, "n_significant": 0, "threshold": 0, "p_value": 1}),
+        (InconsistencyRow, {"label_id": "gender", "p_l": 1, "w_l": 3, "n_missing": 0}),
+        (InconsistencyRow, {"label_id": "gender", "p_l": None, "w_l": 3, "n_missing": 0}),
+        (PredictionRecord, {"model_name": "m", "doc_id": "d", "predicted_months": 12, "attempt_count": 1}),
+        (PredictionRecord, {"model_name": "m", "doc_id": "d", "predicted_months": None}),
+    ],
+    ids=["int-number", "int-optional-number", "null-optional-number", "int-months", "null-months"],
+)
+def test_from_record_takes_an_integer_as_a_number_and_needs_an_object(cls, record):
+    """An integer for a number field is kept as an integer, and null for an Optional field as null."""
+    read = from_record(cls, record)
+    assert read == cls(**record)
+    assert {name: type(getattr(read, name)) for name in record} == {name: type(v) for name, v in record.items()}
+    with pytest.raises(TypeError, match=rf"^{cls.__name__} must be an object, got \[\]$"):
+        from_record(cls, [])
 
 
 def test_read_record_names_every_missing_field_first():
