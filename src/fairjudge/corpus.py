@@ -340,6 +340,9 @@ _BUFFER_SIZE = 1 << 20
 # it goes to json.loads, which raises RecursionError from about this depth.
 _MAX_DEPTH = 1000
 
+# The line write_jsonl and ingest write: JSONL_ENCODER.encode(fields) + "\n", i.e. json.dumps(fields, sort_keys=True).
+JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 def read_jsonl(path: str | Path, error: type[Exception], digest=None) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, record)`` for each non-blank line of a UTF-8 JSON Lines file.
@@ -417,9 +420,8 @@ def from_record(cls: type, record: dict):
     where an item inside a container is named with its index or key, as in
     ``labels[0]`` or ``bias_effects['L01']``. A value ``_from_json`` returns
     unchanged, or a dict[str, X] of values of type X, is taken after one
-    type check. That keeps a corpus read, and ``ingest``, which decodes each
-    line once and writes ``write_predictions``' line of ``read_prediction``'s
-    record in ``sort_key`` order, as fast as hand-written checks.
+    type check. That keeps a corpus read as fast as hand-written checks; a
+    prediction line gets here only if ``metrics._encode_source``'s do not accept it.
     """
     if type(record) is not dict:
         raise TypeError(f"{cls.__name__} must be an object, got {reprlib.repr(record)}")
@@ -570,7 +572,7 @@ def write_jsonl(records: Iterable, path: str | Path) -> None:
 
     The file is replaced whole (see ``replace_file``).
     """
-    replace_file(path, lambda fh: fh.writelines(json.dumps(record_fields(r), sort_keys=True) + "\n" for r in records))
+    replace_file(path, lambda fh: fh.writelines(JSONL_ENCODER.encode(record_fields(r)) + "\n" for r in records))
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:

@@ -32,30 +32,29 @@ def fan_out(
     There is one worker per usable CPU, capped by the number of items. ``fn``
     and ``items`` reach the workers through fork, not pickling, so ``fn`` may
     be a closure over a corpus or a table; only the results travel back. With
-    one worker, or where ``os.sched_getaffinity`` is missing (macOS,
+    one usable CPU, or where ``os.sched_getaffinity`` is missing (macOS,
     Windows), every call runs in this process. Results are taken in item
     order, and the first failing item's exception is raised, so results,
     messages and exit codes do not depend on the worker count. A worker
     that dies raises ``BrokenProcessPool`` instead of hanging. Call it from
     the main thread, which takes SIGINT.
 
-    ``meanwhile`` runs in this process while the workers compute: after
-    every item is submitted and before the first result is taken (first of
-    all, with one worker). Its error is raised before any item's, and a
-    SIGINT is held while it runs, so an interrupt is taken only where it
-    would be taken without it.
+    ``meanwhile`` runs in this process while the workers compute, one item
+    as well as many: after every item is submitted and before the first
+    result is taken (first of all, with one CPU or no item). Its error is
+    raised before any item's, and a SIGINT is held while it runs, so an
+    interrupt is taken only where it would be taken without it.
     """
     global _task
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(items), cpus)
-    if workers <= 1:
+    if cpus <= 1 or not items:
         meanwhile()
         return list(map(fn, items))
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
 
     _task = fn, items
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(min(len(items), cpus), mp_context=multiprocessing.get_context("fork"))
     try:
         # map forks every worker and submits every item. A SIGINT is held
         # until meanwhile has returned: one taken inside the pool's start-up

@@ -10,16 +10,15 @@ outcomes share one fit when they keep the same rows.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from fairjudge.corpus import Corpus, CorpusError, read_jsonl, record_fields
+from fairjudge.corpus import JSONL_ENCODER, Corpus, CorpusError, read_jsonl, record_fields
 from fairjudge.fanout import fan_out
 from fairjudge.gateway import PredictionFormatError, PredictionRecord, read_prediction
 from fairjudge.statcore import BernoulliTestResult, RegressionFrame, StatError, bernoulli_test
@@ -100,9 +99,9 @@ class PredictionTable:
     ) -> PredictionTable:
         """The table of predictions.jsonl files, each streamed line by line in its own task (see ``fan_out``).
 
-        ``meanwhile`` runs in this process while the tasks read, before any
-        of their results is taken, so its errors come first: ``analyze``
-        passes the step that adds the variants to ``corpus`` (see
+        ``meanwhile`` runs in this process while the tasks read, a lone file's
+        too, before any of their results is taken, so its errors come first:
+        ``analyze`` passes the step that adds the variants to ``corpus`` (see
         ``index_corpus``), which encoding does not need but the merge does.
         """
         def encode(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -152,19 +151,22 @@ def normalized_lines(path: str | Path, corpus: Corpus, meanwhile: Callable[[], o
     """``write_predictions``' lines of a predictions.jsonl file's records, in ``PredictionRecord.sort_key`` order.
 
     One read checks the file as ``PredictionTable.read([path], corpus,
-    meanwhile)`` does, errors and their order included, and keeps each
-    accepted row's line; a document's keys sort as ``sort_key`` sorts them.
+    meanwhile)`` does, errors and their order included. Each accepted row's
+    line is ``write_jsonl``'s line of its ``read_prediction`` record, built
+    from the row's fields and ``PredictionRecord``'s defaults instead.
     """
     meanwhile()
-    name, lines = Path(path).name, []
+    lines, defaults = [], [(f.name, f.default) for f in fields(PredictionRecord)]  # a required field is never absent
 
     def keeping_lines(rows: Iterable[tuple[int, dict]]) -> Iterator[tuple[int, dict]]:
         for lineno, rec in rows:
-            yield lineno, rec
-            lines.append(json.dumps(record_fields(read_prediction(rec, f"{name}:{lineno}")), sort_keys=True) + "\n")
+            yield lineno, rec  # resumed once _encode_source has accepted rec
+            line = {name: rec.get(name, default) for name, default in defaults}
+            line["attempt_count"] = int(line["attempt_count"])  # read_prediction's reading of an integral float
+            lines.append(JSONL_ENCODER.encode(line) + "\n")
 
-    source = _encode_source(name, keeping_lines(read_jsonl(path, PredictionFormatError)), corpus)
-    names, codes, _ = source
+    rows = keeping_lines(read_jsonl(path, PredictionFormatError))
+    names, codes, _ = source = _encode_source(Path(path).name, rows, corpus)
     models = PredictionTable._merge([source], corpus).models
     rank = np.array([models.index(m) for m in names], dtype=np.intp)[codes[:, 0]]
     keys = corpus.key_index()[codes[:, 1], codes[:, 2], codes[:, 3]]

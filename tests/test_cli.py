@@ -9,8 +9,9 @@ import sys
 
 import pytest
 
+import fairjudge.metrics
 from fairjudge.cli import EXIT_AUTH, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from fairjudge.corpus import save_corpus
+from fairjudge.corpus import read_jsonl, save_corpus
 from fairjudge.gateway import PredictionRecord, write_predictions
 from stub_server import StubServer
 from test_corpus import shuffled_corpus
@@ -287,13 +288,19 @@ def test_long_case_facts_change_no_output_and_little_memory(tmp_path):
     assert peaks["long"] < 1.1 * peaks["short"], peaks
 
 
-def test_ingest_validates_and_normalizes(fixture_dir, tmp_path):
+def test_ingest_validates_and_normalizes(fixture_dir, tmp_path, monkeypatch):
+    checked = []  # the lines that reach the full validator
+    typed_reader = fairjudge.metrics.read_prediction
+    monkeypatch.setattr(
+        fairjudge.metrics, "read_prediction", lambda rec, where: checked.append(rec) or typed_reader(rec, where)
+    )
     out = tmp_path / "norm.jsonl"
     code = main(["ingest", "--corpus", str(fixture_dir),
                  "--predictions", str(fixture_dir / "predictions_stub-a.jsonl"),
                  "--out", str(out)])
     assert code == EXIT_OK
-    assert out.exists()
+    assert out.read_bytes() == (fixture_dir / "predictions_stub-a.jsonl").read_bytes()
+    assert checked == []  # every line of a valid file passes the inline checks
 
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps({"model_name": "x", "doc_id": "nope"}) + "\n")
@@ -322,13 +329,30 @@ def test_ingest_validates_and_normalizes(fixture_dir, tmp_path):
             if i % 2 == 0:
                 fields["note"] = "an unknown key"
             lines.append(json.dumps(fields) + "\n")
+    # Edge rows of a fourth model, each with the record read_prediction makes of it.
+    (doc_a, _, _), (doc_b, _, _), variant = keys[0], keys[1], keys[-1]
+    for fields, record in [
+        # orjson reads an integer above 2**64 as a float, which read_prediction reads as an integer.
+        ({"model_name": "m-0", "doc_id": doc_a, "label_id": None, "variant_value": None, "attempt_count": 2**64 + 1,
+          "predicted_months": -0.0}, PredictionRecord("m-0", doc_a, predicted_months=-0.0, attempt_count=2**64)),
+        ({"model_name": "m-0", "doc_id": doc_b, "predicted_months": None}, PredictionRecord("m-0", doc_b)),
+        ({"model_name": "m-0", "doc_id": variant[0], "label_id": variant[1], "variant_value": variant[2],
+          "predicted_months": -0.0, "attempt_count": 3.0}, PredictionRecord("m-0", *variant, -0.0, "", 3)),
+    ]:
+        records.append(record)
+        lines.append(json.dumps(fields) + "\n")
     rng.shuffle(lines)
     (tmp_path / "mixed.jsonl").write_text("".join(lines))
     assert any(type(r.predicted_months) is int for r in records)
     write_predictions(sorted(records, key=PredictionRecord.sort_key), tmp_path / "oracle.jsonl")
+    checked.clear()
     assert main(["ingest", "--corpus", str(tmp_path / "shuffled"), "--predictions", str(tmp_path / "mixed.jsonl"),
                  "--out", str(out)]) == EXIT_OK
     assert out.read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
+    # Only the lines whose attempt_count reads as a float, which the inline checks pass on, reach the full validator.
+    floats = [rec for _, rec in read_jsonl(tmp_path / "mixed.jsonl", ValueError)
+              if type(rec.get("attempt_count")) is float]
+    assert checked == floats and any(rec["attempt_count"] == 2**64 for rec in floats)
 
     (tmp_path / "blank.jsonl").write_text("\n  \n\t\n")
     assert main(["ingest", "--corpus", str(fixture_dir), "--predictions", str(tmp_path / "blank.jsonl"),

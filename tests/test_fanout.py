@@ -108,7 +108,9 @@ def test_fan_out_raises_the_first_failing_item(monkeypatch):
             fan_out(fail_odd, range(4))
 
 
-def test_meanwhile_runs_while_workers_compute_with_interrupts_held(monkeypatch):
+@pytest.mark.parametrize("n_items", [1, 4])
+def test_meanwhile_runs_while_workers_compute_with_interrupts_held(monkeypatch, n_items):
+    """On two CPUs a lone item has a worker of its own too; on one, nothing forks."""
     import multiprocessing
 
     def fail(i):
@@ -122,8 +124,8 @@ def test_meanwhile_runs_while_workers_compute_with_interrupts_held(monkeypatch):
         cpus(monkeypatch, n)
         seen = []
         with pytest.raises(MetricsError, match="^meanwhile$"):
-            fan_out(fail, range(4), meanwhile)
-        assert seen == ([(True, 2)] if n > 1 else [(False, 0)])
+            fan_out(fail, range(n_items), meanwhile)
+        assert seen == ([(True, min(n_items, 2))] if n > 1 else [(False, 0)])
         assert multiprocessing.active_children() == []
     assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
 
@@ -151,7 +153,11 @@ def test_line_error_in_file_2_beats_stray_key_in_file_1(corpus_dir, tmp_path, mo
     assert message.endswith("no such variant in the corpus")
 
 
-def test_bad_variant_line_beats_bad_prediction_line_and_leaves_no_worker(corpus_dir, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("n_files", [1, 3])
+def test_bad_variant_line_beats_bad_prediction_line_and_leaves_no_worker(
+    corpus_dir, tmp_path, monkeypatch, capsys, n_files
+):
+    """Also with a lone predictions file, which two CPUs read on a worker while the variants are decoded."""
     import multiprocessing
 
     bad_corpus = tmp_path / "corpus"
@@ -161,7 +167,7 @@ def test_bad_variant_line_beats_bad_prediction_line_and_leaves_no_worker(corpus_
     n = len((bad_corpus / "variants.jsonl").read_text().splitlines())
     with (bad_corpus / "variants.jsonl").open("a") as fh:
         fh.write("{not json\n")
-    files = [(m, lines_of(corpus_dir, m)) for m in FILES]
+    files = [(m, lines_of(corpus_dir, m)) for m in FILES[:n_files]]
     files[0][1].insert(0, "[]")
     message = data_error(bad_corpus, tmp_path, monkeypatch, capsys, files)
     assert message.startswith(f"error: variants.jsonl:{n + 1}: invalid JSON")

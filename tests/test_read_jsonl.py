@@ -20,15 +20,17 @@ from fairjudge.corpus import (
     CaseDocument,
     Corpus,
     CorpusError,
+    CounterfactualVariant,
     LabelDefinition,
     index_corpus,
     load_corpus,
     read_jsonl,
+    record_fields,
     save_corpus,
 )
 from fairjudge.fixtures import default_label_specs, generate_fixture
-from fairjudge.gateway import PredictionFormatError
-from fairjudge.metrics import PredictionTable, _encode_source
+from fairjudge.gateway import PredictionFormatError, read_prediction
+from fairjudge.metrics import PredictionTable, _encode_source, normalized_lines
 from prediction_files import read_predictions
 
 # Line separators other than "\n" that str.splitlines() also splits on.
@@ -183,6 +185,31 @@ def test_inline_prediction_checks_agree_with_the_typed_reader(recs):
         return models, codes.tolist(), canonical(months.tolist())
 
     assert outcome(encode, KNOWN) == outcome(encode, fallback_only(KNOWN))
+
+
+# KNOWN with every key of PREDICTIONS in it: no baseline value, so each document has both gender variants.
+EVERY_KEY = Corpus(
+    KNOWN.labels,
+    [CaseDocument("d1", "one", 12.0), CaseDocument("d2", "two", 30.0)],
+    [CounterfactualVariant(d, "gender", v, f"{d}, {v}") for d in ("d1", "d2") for v in ("female", "male")],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rec=altered(*PREDICTIONS))
+def test_ingest_writes_the_line_of_the_typed_readers_record(tmp_path_factory, rec):
+    """For a record the encoder accepts, ingest writes ``write_predictions``' line of its ``read_prediction`` record."""
+    path = tmp_path_factory.mktemp("ingest") / "p.jsonl"
+    path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    [(lineno, read)] = read_jsonl(path, PredictionFormatError)  # e.g. an integer above 2**64 is read as a float
+    try:
+        _encode_source("p.jsonl", [(lineno, read)], EVERY_KEY)
+    except PredictionFormatError:
+        with pytest.raises(PredictionFormatError):
+            normalized_lines(path, EVERY_KEY, lambda: None)
+        return
+    expected = json.dumps(record_fields(read_prediction(read, f"p.jsonl:{lineno}")), sort_keys=True) + "\n"
+    assert normalized_lines(path, EVERY_KEY, lambda: None) == [expected]
 
 
 VARIANTS = (
