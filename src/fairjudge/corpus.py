@@ -12,6 +12,7 @@ import functools
 import hashlib
 import itertools
 import json
+import os
 import reprlib
 import sys
 import typing
@@ -340,7 +341,7 @@ _BUFFER_SIZE = 1 << 20
 # it goes to json.loads, which raises RecursionError from about this depth.
 _MAX_DEPTH = 1000
 
-# The line write_jsonl and ingest write: JSONL_ENCODER.encode(fields) + "\n", i.e. json.dumps(fields, sort_keys=True).
+# Each written JSON Lines file's line: JSONL_ENCODER.encode(fields) + "\n", i.e. json.dumps(fields, sort_keys=True).
 JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
@@ -549,8 +550,6 @@ def replace_file(path: str | Path, write: Callable[[typing.TextIO], object], new
     was. On error the temporary file is removed, and an OSError that names
     it names ``path`` instead.
     """
-    import os  # here, not at module level, so that importing fairjudge costs what it did
-
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
 
-from fairjudge.corpus import _BUFFER_SIZE, Corpus, read_record, write_jsonl
+from fairjudge.corpus import _BUFFER_SIZE, JSONL_ENCODER, Corpus, read_record, write_jsonl
 
 DEFAULT_TEMPLATE = (
     "You are an experienced criminal court judge. Read the case facts below and "
@@ -280,7 +280,7 @@ class _Cache:
         return self.entries.get(key)
 
     def put(self, key: str, value: dict) -> None:
-        self.file.append((json.dumps([key, value], sort_keys=True) + "\n").encode("utf-8"))
+        self.file.append((JSONL_ENCODER.encode([key, value]) + "\n").encode("utf-8"))
         self.entries[key] = value
 
     def close(self) -> None:
@@ -353,7 +353,7 @@ class _Client:
         return conn
 
     def _audit(self, entry: dict) -> None:
-        self.audit_file.append((json.dumps(entry, sort_keys=True) + "\n").encode("utf-8"))
+        self.audit_file.append((JSONL_ENCODER.encode(entry) + "\n").encode("utf-8"))
 
     def close(self) -> None:
         with self.lock:

@@ -95,14 +95,14 @@ class PredictionTable:
 
     @classmethod
     def read(
-        cls, paths: Iterable[str | Path], corpus: Corpus, meanwhile: Callable[[], object] = lambda: None
+        cls, paths: Iterable[str | Path], corpus: Corpus, meanwhile: Optional[Callable[[], object]] = None
     ) -> PredictionTable:
         """The table of predictions.jsonl files, each streamed line by line in its own task (see ``fan_out``).
 
-        ``meanwhile`` runs in this process while the tasks read, a lone file's
-        too, before any of their results is taken, so its errors come first:
-        ``analyze`` passes the step that adds the variants to ``corpus`` (see
-        ``index_corpus``), which encoding does not need but the merge does.
+        ``meanwhile`` runs in this process while the tasks read, a lone file's on
+        a worker too, before any of their results is taken, so its errors come
+        first: ``analyze`` passes the step that adds the variants to ``corpus``
+        (see ``index_corpus``), which encoding does not need but the merge does.
         """
         def encode(path: str | Path) -> tuple[list[str], np.ndarray, np.ndarray]:
             return _encode_source(Path(path).name, read_jsonl(path, PredictionFormatError), corpus)
@@ -341,7 +341,7 @@ def summarize(
 
     ``labels`` default to every label of the corpus (see ``Corpus.select_labels``).
 
-    Each label is one task, a ``fan_out`` one when the work is worth a fork
+    Each label is one task, a ``fan_out`` one when the selected labels' work is worth a fork
     (see ``_FORK_ROWS``; so call this from the main thread): it gathers the label's months for
     every model from the fork-shared table once, for each model's
     inconsistency row and regression frame, which is fitted for bias and
@@ -374,7 +374,8 @@ def summarize(
             out.append((_inconsistency_row(label_id, months, model_base[docs], tolerance), found, diag))
         return out
 
-    work = int(table.present.sum()) + _FIT_ROWS * len(table.models) * len(label_ids)  # in rows
+    fitted = np.concatenate([np.arange(len(corpus.doc_ids)), *(corpus.variant_codes(label)[2] for label in label_ids)])
+    work = int(table.present[:, fitted].sum()) + _FIT_ROWS * len(table.models) * len(label_ids)  # in rows
     per_label = list((fan_out if work >= _FORK_ROWS else map)(label_task, label_ids))
     results = []
     for m, model in enumerate(table.models):

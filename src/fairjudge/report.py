@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from fairjudge.corpus import from_record, read_jsonl, replace_file
+from fairjudge.corpus import JSONL_ENCODER, from_record, read_jsonl, replace_file
 from fairjudge.metrics import InconsistencyRow, LabelFinding, ModelFairnessSummary, mean_inconsistency
 from fairjudge.statcore import BernoulliTestResult
 
@@ -123,7 +123,7 @@ def write_report(
     replace_file(out / "summary.json", lambda fh: fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n"))
     replace_file(
         out / "findings.jsonl",
-        lambda fh: fh.writelines(json.dumps(_finding_dict(model, f), sort_keys=True) + "\n" for model, f in findings),
+        lambda fh: fh.writelines(JSONL_ENCODER.encode(_finding_dict(model, f)) + "\n" for model, f in findings),
     )
     for metric in ("bias", "imbalance"):
         _write_csv(

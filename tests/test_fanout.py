@@ -24,6 +24,7 @@ SPEC = {
          "reference_value": "female"},
         {"label_id": "court", "kind": "categorical", "values": ["urban", "rural", "military"],
          "reference_value": "urban"},
+        {"label_id": "age", "kind": "binary", "values": ["young", "old"], "reference_value": "young"},
     ],
     "bias_effects": {"gender": 0.5},
     "noise_sigma": 0.15,
@@ -50,14 +51,14 @@ def lines_of(corpus_dir, model):
     return [json.loads(line) for line in (corpus_dir / f"predictions_{model}.jsonl").read_text().splitlines()]
 
 
-def run(corpus_dir, work, files):
-    """analyze over the given (model, records or raw lines) files, in order."""
+def run(corpus_dir, work, files, *options):
+    """analyze over the given (model, records or raw lines) files, in order, with any further options."""
     args = []
     for model, records in files:
         path = work / f"{model}.jsonl"
         path.write_text("".join((r if isinstance(r, str) else json.dumps(r)) + "\n" for r in records))
         args += ["--predictions", str(path)]
-    return main(["analyze", "--corpus", str(corpus_dir), *args, "--out", str(work / "out")])
+    return main(["analyze", "--corpus", str(corpus_dir), *args, *options, "--out", str(work / "out")])
 
 
 def serial_and_fanned(corpus_dir, tmp_path, monkeypatch, capsys, files):
@@ -95,6 +96,13 @@ def test_fan_out_keeps_item_order_and_runs_on_workers(monkeypatch):
     assert fan_out(lambda i: (i, os.getpid()), range(4)) == [(i, parent) for i in range(4)]
 
 
+def test_a_lone_item_runs_in_this_process_unless_meanwhile_runs_beside_it(monkeypatch):
+    cpus(monkeypatch, 2)
+    parent = os.getpid()
+    assert fan_out(lambda i: os.getpid(), [0]) == [parent]
+    assert fan_out(lambda i: os.getpid(), [0], lambda: None) != [parent]
+
+
 def test_fan_out_raises_the_first_failing_item(monkeypatch):
     def fail_odd(i):
         if i % 2:
@@ -110,7 +118,7 @@ def test_fan_out_raises_the_first_failing_item(monkeypatch):
 
 @pytest.mark.parametrize("n_items", [1, 4])
 def test_meanwhile_runs_while_workers_compute_with_interrupts_held(monkeypatch, n_items):
-    """On two CPUs a lone item has a worker of its own too; on one, nothing forks."""
+    """On two CPUs a lone item has a worker of its own beside meanwhile; on one, nothing forks."""
     import multiprocessing
 
     def fail(i):
@@ -153,6 +161,21 @@ def test_line_error_in_file_2_beats_stray_key_in_file_1(corpus_dir, tmp_path, mo
     assert message.endswith("no such variant in the corpus")
 
 
+def test_a_lone_predictions_file_is_read_on_a_worker_beside_the_variants(corpus_dir, tmp_path, monkeypatch):
+    encode, readers = fairjudge.metrics._encode_source, tmp_path / "readers.txt"
+
+    def spied(name, lines, corpus):
+        with readers.open("a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return encode(name, lines, corpus)
+
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(fairjudge.metrics, "_encode_source", spied)
+    assert run(corpus_dir, tmp_path, [("stub-b", lines_of(corpus_dir, "stub-b"))]) == EXIT_OK
+    pids = readers.read_text().split()
+    assert len(pids) == 1 and pids != [str(os.getpid())]
+
+
 @pytest.mark.parametrize("n_files", [1, 3])
 def test_bad_variant_line_beats_bad_prediction_line_and_leaves_no_worker(
     corpus_dir, tmp_path, monkeypatch, capsys, n_files
@@ -192,21 +215,36 @@ def test_one_model_fits_its_labels_on_workers_with_the_serial_outputs(corpus_dir
 
 
 def test_labels_are_fitted_on_workers_only_when_the_work_is_worth_a_fork(corpus_dir, tmp_path, monkeypatch):
-    fanned, fan_out = [], fairjudge.metrics.fan_out
+    """The work is the baselines' and the selected labels' predicted keys, plus _FIT_ROWS a (model, label) fit."""
+    on_workers, fan_out = [], fairjudge.metrics.fan_out
 
     def spied(fn, items, *rest):
-        fanned.append(list(items))
-        return fan_out(fn, items, *rest)
+        """fan_out, recording each call's items that ran on a worker."""
+        ran = fan_out(lambda item: (fn(item), os.getpid()), items, *rest)
+        on_workers.append([item for item, (_, pid) in zip(items, ran) if pid != os.getpid()])
+        return [result for result, _ in ran]
 
     monkeypatch.setattr(fairjudge.metrics, "fan_out", spied)
     cpus(monkeypatch, 2)
     files = [(m, lines_of(corpus_dir, m)) for m in FILES]
-    work = sum(len(records) for _, records in files) + fairjudge.metrics._FIT_ROWS * len(FILES) * len(SPEC["labels"])
-    for fork_rows, label_tasks in ((work + 1, []), (work, [["court", "gender"]])):
+
+    def work(labels):
+        rows = sum(r["label_id"] in (None, *labels) for _, records in files for r in records)
+        return rows + fairjudge.metrics._FIT_ROWS * len(FILES) * len(labels)
+
+    def fitted_on_workers(fork_rows, *options):
         monkeypatch.setattr(fairjudge.metrics, "_FORK_ROWS", fork_rows)
-        fanned.clear()
-        assert run(corpus_dir, tmp_path, files) == EXIT_OK
-        assert len(fanned[0]) == len(FILES) and fanned[1:] == label_tasks  # the files are read in tasks either way
+        on_workers.clear()
+        assert run(corpus_dir, tmp_path, files, *options) == EXIT_OK
+        assert len(on_workers[0]) == len(FILES)  # the files are read on workers either way
+        return [label for call in on_workers[1:] for label in call]
+
+    every = sorted(label["label_id"] for label in SPEC["labels"])  # three, so two of them are a subset
+    for labels, options in ((every, ()), (["court", "gender"], ("--labels", "gender,court"))):
+        assert fitted_on_workers(work(labels) + 1, *options) == []
+        assert fitted_on_workers(work(labels), *options) == labels
+    for fork_rows in (0, work(["court"]), work(["court"]) + 1):  # a lone label has nothing to run beside it
+        assert fitted_on_workers(fork_rows, "--labels", "court") == []
 
 
 def test_killed_worker_fails_promptly(corpus_dir, tmp_path, monkeypatch):
