@@ -16,16 +16,9 @@ from pathlib import Path
 import click
 
 from fairjudge import __version__
-from fairjudge.corpus import CorpusError, index_corpus, load_corpus, replace_file
+from fairjudge.corpus import CorpusError, PredictionFormatError, index_corpus, load_corpus, replace_file
 from fairjudge.fixtures import FixtureSpec, default_spec, write_fixture
-from fairjudge.gateway import (
-    AuthenticationError,
-    GatewayError,
-    ModelConfig,
-    PredictionFormatError,
-    run_generation,
-    write_predictions,
-)
+from fairjudge.gateway import AuthenticationError, GatewayError, ModelConfig, run_generation, write_predictions
 from fairjudge.metrics import MetricsError, PredictionTable, normalized_lines, pooled_bernoulli, summarize
 from fairjudge.report import ReportBundle, ReportError, read_report, write_report
 
@@ -208,7 +201,8 @@ def _split_labels(raw: str | None) -> list[str] | None:
 def ingest(corpus_dir, predictions_path, out_path) -> None:
     """Validate externally produced predictions against a corpus and normalize them."""
     corpus, load_variants = index_corpus(corpus_dir)
-    lines = normalized_lines(predictions_path, corpus, load_variants)  # analyze's checks, in its order
+    load_variants()
+    lines = normalized_lines(predictions_path, corpus)  # analyze's checks, in its order
     with _writing(out_path):
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         replace_file(out_path, lambda fh: fh.writelines(lines))
@@ -258,7 +252,8 @@ def analyze(config_path, corpus_dir, prediction_paths, tau, labels, log1p, toler
             raise MetricsError("nothing to analyze: no variant predictions for the requested labels")
         raise MetricsError("nothing to analyze: predictions cover zero labels")
 
-    click.echo(f"analyzing {', '.join(table.models)} ...", err=True)
+    if sys.stderr.isatty():  # as generate's progress, so a log of a failed run holds just its error line
+        click.echo(f"analyzing {', '.join(table.models)} ...", err=True)
     results = summarize(table, corpus, tau=tau, log1p=log1p, tolerance=tolerance, labels=label_ids)
     summaries = [summary for summary, _, _, _ in results]
     findings_by_model = {summary.model_name: findings for summary, findings, _, _ in results}

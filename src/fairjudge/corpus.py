@@ -1,8 +1,10 @@
-"""Corpus data model: case documents, label annotations, and counterfactual variants.
+"""Record formats: case documents, label annotations, counterfactual variants and predictions.
 
 A corpus lives in a directory of three JSONL files (``labels.jsonl``,
 ``documents.jsonl``, ``variants.jsonl``), one record per line, UTF-8. The
 corpus is immutable after load and safe to share across worker threads.
+A ``predictions.jsonl`` file holds one ``PredictionRecord`` per line,
+read by ``read_prediction`` and written by ``write_jsonl``.
 """
 
 from __future__ import annotations
@@ -76,6 +78,38 @@ class CounterfactualVariant:
     label_id: str
     variant_value: str
     facts: str
+
+
+@dataclass(frozen=True)
+class PredictionRecord:
+    """One parsed model output for a baseline document or a variant."""
+
+    model_name: str
+    doc_id: str
+    label_id: Optional[str] = None
+    variant_value: Optional[str] = None
+    predicted_months: Optional[float] = None
+    raw_response: str = ""
+    attempt_count: int = 0
+
+    def __post_init__(self) -> None:
+        if (self.label_id is None) is not (self.variant_value is None):
+            raise CorpusError("label_id and variant_value must be both present or both absent")
+        p = self.predicted_months
+        if p is None:
+            return
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise CorpusError(f"predicted_months must be a number or null, got {reprlib.repr(p)}")
+        # The chained comparison also rejects NaN and integers too large for a float.
+        if not 0 <= p <= sys.float_info.max:
+            raise CorpusError(f"predicted_months must be finite and >= 0, got {reprlib.repr(p)}")
+
+    def sort_key(self) -> tuple:
+        return (self.model_name, self.doc_id, self.label_id or "", self.variant_value or "")
+
+
+class PredictionFormatError(Exception):
+    """predictions.jsonl record violates the schema; message carries the line number."""
 
 
 class Corpus:
@@ -441,20 +475,33 @@ def from_record(cls: type, record: dict):
     return cls(**kwargs)
 
 
-def read_record(
-    cls: type, record: dict, where: str, error: type[Exception], invalid: type[Exception] = CorpusError
-):
+def read_record(cls: type, record: dict, where: str, error: type[Exception]):
     """``from_record(cls, record)`` of the record at ``where`` (``file:line``); a fault is ``error("<where>: ...")``.
 
-    ``invalid`` is the error of ``cls``'s own value checks. A record that
-    lacks required fields names them all, whatever else is wrong with it:
-    ``missing fields ['doc_id', 'facts']``.
+    A fault is a field of the wrong type or a CorpusError of ``cls``'s own
+    value checks. A record that lacks required fields names them all,
+    whatever else is wrong with it: ``missing fields ['doc_id', 'facts']``.
     """
     try:
         return from_record(cls, record)
-    except (KeyError, TypeError, invalid) as exc:
+    except (KeyError, TypeError, CorpusError) as exc:
         missing = [name for name, _, required, _, _ in _fields(cls) if required and name not in record]
         raise error(f"{where}: {f'missing fields {missing}' if missing else exc}") from None
+
+
+def read_prediction(rec: dict, where: str) -> PredictionRecord:
+    """One predictions.jsonl record at ``where`` (``file:line``), read by ``read_record``.
+
+    An integral float ``attempt_count`` below 2**53, where a float holds
+    every integer exactly, is read as that integer, so ``2.0`` is ``2``;
+    any other float is a fault, as is an integer outside the 64-bit range,
+    which the line reader decodes as a float. Errors are
+    PredictionFormatError prefixed with ``where``.
+    """
+    attempts = rec.get("attempt_count")
+    if type(attempts) is float and attempts.is_integer() and abs(attempts) < 2**53:
+        rec = {**rec, "attempt_count": int(attempts)}
+    return read_record(PredictionRecord, rec, where, PredictionFormatError)
 
 
 def _from_json(tp, value, name: str, or_null: str = ""):

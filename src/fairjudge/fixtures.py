@@ -17,10 +17,15 @@ from fairjudge.corpus import (
     CorpusError,
     CounterfactualVariant,
     LabelDefinition,
+    PredictionRecord,
     from_record,
     save_corpus,
+    write_jsonl,
 )
-from fairjudge.gateway import PredictionRecord, write_predictions
+
+# The log-normal parameters of documents' true sentences in months.
+SENTENCE_LOG_MEAN = math.log(36.0)
+SENTENCE_LOG_SIGMA = 0.8
 
 
 @dataclass(frozen=True)
@@ -32,8 +37,6 @@ class FixtureSpec:
     bias_effects: dict[str, float] = field(default_factory=dict)  # label_id -> additive log-sentence effect
     error_multipliers: dict[str, float] = field(default_factory=dict)  # label_id -> error scale factor
     noise_sigma: float = 0.25
-    sentence_log_mean: float = math.log(36.0)
-    sentence_log_sigma: float = 0.8
     stub_models: tuple[str, ...] = ("stub-model",)
 
     @staticmethod
@@ -99,8 +102,6 @@ def generate_fixture(
     label_specs: tuple[LabelDefinition, ...] | list[LabelDefinition],
     effect_plan: Optional[dict] = None,
     error_plan: Optional[dict] = None,
-    sentence_log_mean: float = math.log(36.0),
-    sentence_log_sigma: float = 0.8,
 ) -> tuple[Corpus, dict]:
     """Deterministic-in-seed synthetic corpus plus metadata recording planted effects.
 
@@ -123,7 +124,7 @@ def generate_fixture(
                 raise CorpusError(f"planted effect for {label_id!r} is not finite")
 
     rng = np.random.default_rng(seed)
-    sentences = np.exp(rng.normal(sentence_log_mean, sentence_log_sigma, size=n_docs))
+    sentences = np.exp(rng.normal(SENTENCE_LOG_MEAN, SENTENCE_LOG_SIGMA, size=n_docs))
 
     documents = []
     variants = []
@@ -236,8 +237,6 @@ def write_fixture(spec: FixtureSpec, seed: int, out_dir: str | Path, with_predic
         label_specs=spec.labels or default_label_specs(4),
         effect_plan=spec.bias_effects,
         error_plan=spec.error_multipliers,
-        sentence_log_mean=spec.sentence_log_mean,
-        sentence_log_sigma=spec.sentence_log_sigma,
     )
     save_corpus(corpus, out)
     meta["stub_models"] = list(spec.stub_models)
@@ -255,5 +254,5 @@ def write_fixture(spec: FixtureSpec, seed: int, out_dir: str | Path, with_predic
                 error_multipliers=spec.error_multipliers,
                 noise_sigma=spec.noise_sigma,
             )
-            write_predictions(records, out / f"predictions_{model}.jsonl")
+            write_jsonl(records, out / f"predictions_{model}.jsonl")
     return meta

@@ -1,11 +1,12 @@
 """Chat-completions gateway: batch sentencing queries with cache, retries, and audit log.
 
-Speaks the OpenAI-compatible chat-completions JSON shape over HTTPS (the
-OpenRouter-style wire format); the URL is fully configurable so any
-compatible endpoint works. Each pool thread keeps one stdlib keep-alive
-connection. Responses are cached in one append-only log keyed by
-(model, temperature, prompt), making interrupted runs resumable with zero
-repeat traffic.
+Only ``generate`` runs this module; the ``PredictionRecord``s it writes
+and their reader belong to ``corpus``. It speaks the OpenAI-compatible
+chat-completions JSON shape over HTTPS (the OpenRouter-style wire
+format); the URL is fully configurable so any compatible endpoint works.
+Each pool thread keeps one stdlib keep-alive connection. Responses are
+cached in one append-only log keyed by (model, temperature, prompt),
+making interrupted runs resumable with zero repeat traffic.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import os
 import queue
 import random
 import re
-import reprlib
 import ssl
 import sys
 import threading
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
 
-from fairjudge.corpus import _BUFFER_SIZE, JSONL_ENCODER, Corpus, read_record, write_jsonl
+from fairjudge.corpus import _BUFFER_SIZE, JSONL_ENCODER, Corpus, PredictionRecord, write_jsonl
 
 DEFAULT_TEMPLATE = (
     "You are an experienced criminal court judge. Read the case facts below and "
@@ -90,34 +90,6 @@ class ModelConfig:
             raise GatewayError(f"max_concurrency must be >= 1, got {self.max_concurrency}")
         if self.max_retries < 0:
             raise GatewayError(f"max_retries must be >= 0, got {self.max_retries}")
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One parsed model output for a baseline document or a variant."""
-
-    model_name: str
-    doc_id: str
-    label_id: Optional[str] = None
-    variant_value: Optional[str] = None
-    predicted_months: Optional[float] = None
-    raw_response: str = ""
-    attempt_count: int = 0
-
-    def __post_init__(self) -> None:
-        if (self.label_id is None) is not (self.variant_value is None):
-            raise GatewayError("label_id and variant_value must be both present or both absent")
-        p = self.predicted_months
-        if p is None:
-            return
-        if isinstance(p, bool) or not isinstance(p, (int, float)):
-            raise GatewayError(f"predicted_months must be a number or null, got {reprlib.repr(p)}")
-        # The chained comparison also rejects NaN and integers too large for a float.
-        if not 0 <= p <= sys.float_info.max:
-            raise GatewayError(f"predicted_months must be finite and >= 0, got {reprlib.repr(p)}")
-
-    def sort_key(self) -> tuple:
-        return (self.model_name, self.doc_id, self.label_id or "", self.variant_value or "")
 
 
 def build_prompt(facts: str, template: str) -> str:
@@ -555,23 +527,6 @@ def run_generation(
 
 
 def write_predictions(records: list[PredictionRecord], path: str | Path) -> None:
-    """Write predictions.jsonl (also the manual-upload ingestion format), one record per line."""
+    """Write ``generate``'s predictions.jsonl (also the manual-upload ingestion format) with ``write_jsonl``."""
     write_jsonl(records, path)
-
-
-class PredictionFormatError(Exception):
-    """predictions.jsonl record violates the schema; message carries the line number."""
-
-
-def read_prediction(rec: dict, where: str) -> PredictionRecord:
-    """One predictions.jsonl record at ``where`` (``file:line``), read by ``corpus.read_record``.
-
-    An integral float ``attempt_count`` is read as an integer, since the
-    line reader decodes an integer outside the 64-bit range as a float.
-    Errors are PredictionFormatError prefixed with ``where``.
-    """
-    attempts = rec.get("attempt_count")
-    if type(attempts) is float and attempts.is_integer():
-        rec = {**rec, "attempt_count": int(attempts)}
-    return read_record(PredictionRecord, rec, where, PredictionFormatError, GatewayError)
 

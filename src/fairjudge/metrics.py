@@ -18,9 +18,11 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from fairjudge.corpus import JSONL_ENCODER, Corpus, CorpusError, read_jsonl, record_fields
+from fairjudge.corpus import (
+    JSONL_ENCODER, Corpus, CorpusError, PredictionFormatError, PredictionRecord, read_jsonl, read_prediction,
+    record_fields,
+)
 from fairjudge.fanout import fan_out
-from fairjudge.gateway import PredictionFormatError, PredictionRecord, read_prediction
 from fairjudge.statcore import BernoulliTestResult, RegressionFrame, StatError, bernoulli_test
 from fairjudge import statcore
 
@@ -147,15 +149,15 @@ class PredictionTable:
         return cls(models, months, counts.reshape(months.shape) > 0)
 
 
-def normalized_lines(path: str | Path, corpus: Corpus, meanwhile: Callable[[], object]) -> list[str]:
-    """``write_predictions``' lines of a predictions.jsonl file's records, in ``PredictionRecord.sort_key`` order.
+def normalized_lines(path: str | Path, corpus: Corpus) -> list[str]:
+    """``write_jsonl``'s lines of a predictions.jsonl file's records, in ``PredictionRecord.sort_key`` order.
 
-    One read checks the file as ``PredictionTable.read([path], corpus,
-    meanwhile)`` does, errors and their order included. Each accepted row's
-    line is ``write_jsonl``'s line of its ``read_prediction`` record, built
-    from the row's fields and ``PredictionRecord``'s defaults instead.
+    ``corpus`` must hold its variants (see ``index_corpus``). One read
+    checks the file as ``PredictionTable.read([path], corpus)`` does, errors
+    and their order included. Each accepted row's line is ``write_jsonl``'s
+    line of its ``read_prediction`` record, built from the row's fields and
+    ``PredictionRecord``'s defaults instead.
     """
-    meanwhile()
     lines, defaults = [], [(f.name, f.default) for f in fields(PredictionRecord)]  # a required field is never absent
 
     def keeping_lines(rows: Iterable[tuple[int, dict]]) -> Iterator[tuple[int, dict]]:
@@ -180,7 +182,7 @@ def _encode_source(
 
     ``lines`` yields (line number, record) pairs of the source ``name``. A
     record the inline checks accept is encoded with two dict lookups; any
-    other goes to the full validator, ``gateway.read_prediction`` then
+    other goes to the full validator, ``corpus.read_prediction`` then
     ``Corpus.codes``, which raises or accepts it. The inline checks must
     accept nothing ``read_prediction`` rejects. An unknown doc_id, an
     undeclared label or an inadmissible value is a PredictionFormatError

@@ -2,8 +2,7 @@
 
 from pathlib import Path
 
-from fairjudge.corpus import read_jsonl
-from fairjudge.gateway import PredictionFormatError, PredictionRecord, read_prediction
+from fairjudge.corpus import PredictionFormatError, PredictionRecord, read_jsonl, read_prediction
 
 
 def read_predictions(path) -> list[PredictionRecord]:

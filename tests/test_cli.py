@@ -11,8 +11,8 @@ import pytest
 
 import fairjudge.metrics
 from fairjudge.cli import EXIT_AUTH, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from fairjudge.corpus import read_jsonl, save_corpus
-from fairjudge.gateway import PredictionRecord, write_predictions
+from fairjudge.corpus import PredictionRecord, read_jsonl, save_corpus
+from fairjudge.gateway import write_predictions
 from stub_server import StubServer
 from test_corpus import shuffled_corpus
 
@@ -64,11 +64,13 @@ def test_fixture_round_trips_and_is_deterministic(tmp_path, fixture_dir):
         ('{"n_docs": 5', "Expecting ',' delimiter: line 1 column 13 (char 12)"),
         ('{"stub_models": "ab"}', "stub_models must be a list, got 'ab'"),
         ('{"n_doc": 5}', "unknown fields ['n_doc']"),
+        ('{"sentence_log_mean": 3.0, "sentence_log_sigma": 0.8}',  # fixed: fixtures.SENTENCE_LOG_MEAN and _SIGMA
+         "unknown fields ['sentence_log_mean', 'sentence_log_sigma']"),
         ('{"labels": [{"label_id": "a", "values": ["x", "y"], "refrence_value": "y"}]}',
          "labels[0]: unknown fields ['refrence_value']"),
     ],
     ids=["n_docs", "bias_effects", "label-without-values", "not-an-object", "invalid-JSON", "stub_models",
-         "unknown-key", "unknown-label-key"],
+         "unknown-key", "sentence-log-keys", "unknown-label-key"],
 )
 def test_malformed_fixture_spec_exits_1_with_one_line(tmp_path, capsys, text, reason):
     spec = tmp_path / "spec.json"
@@ -235,7 +237,7 @@ def test_config_file_with_flag_override(fixture_dir, tmp_path):
 def test_analyze_streams_without_prediction_records(fixture_dir, tmp_path, monkeypatch):
     """analyze builds no PredictionRecord and no CounterfactualVariant."""
     import fairjudge.corpus
-    from fairjudge.gateway import PredictionRecord
+    from fairjudge.corpus import PredictionRecord
 
     def refuse(*args):
         raise AssertionError("analyze built a PredictionRecord or a CounterfactualVariant")
@@ -332,9 +334,10 @@ def test_ingest_validates_and_normalizes(fixture_dir, tmp_path, monkeypatch):
     # Edge rows of a fourth model, each with the record read_prediction makes of it.
     (doc_a, _, _), (doc_b, _, _), variant = keys[0], keys[1], keys[-1]
     for fields, record in [
-        # orjson reads an integer above 2**64 as a float, which read_prediction reads as an integer.
-        ({"model_name": "m-0", "doc_id": doc_a, "label_id": None, "variant_value": None, "attempt_count": 2**64 + 1,
-          "predicted_months": -0.0}, PredictionRecord("m-0", doc_a, predicted_months=-0.0, attempt_count=2**64)),
+        # The largest integral float below 2**53, which read_prediction reads as the integer it holds exactly.
+        ({"model_name": "m-0", "doc_id": doc_a, "label_id": None, "variant_value": None,
+          "attempt_count": float(2**53 - 1), "predicted_months": -0.0},
+         PredictionRecord("m-0", doc_a, predicted_months=-0.0, attempt_count=2**53 - 1)),
         ({"model_name": "m-0", "doc_id": doc_b, "predicted_months": None}, PredictionRecord("m-0", doc_b)),
         ({"model_name": "m-0", "doc_id": variant[0], "label_id": variant[1], "variant_value": variant[2],
           "predicted_months": -0.0, "attempt_count": 3.0}, PredictionRecord("m-0", *variant, -0.0, "", 3)),
@@ -352,7 +355,7 @@ def test_ingest_validates_and_normalizes(fixture_dir, tmp_path, monkeypatch):
     # Only the lines whose attempt_count reads as a float, which the inline checks pass on, reach the full validator.
     floats = [rec for _, rec in read_jsonl(tmp_path / "mixed.jsonl", ValueError)
               if type(rec.get("attempt_count")) is float]
-    assert checked == floats and any(rec["attempt_count"] == 2**64 for rec in floats)
+    assert checked == floats and any(rec["attempt_count"] == 2**53 - 1 for rec in floats)
 
     (tmp_path / "blank.jsonl").write_text("\n  \n\t\n")
     assert main(["ingest", "--corpus", str(fixture_dir), "--predictions", str(tmp_path / "blank.jsonl"),
@@ -644,6 +647,18 @@ def test_non_numeric_predicted_months_exits_2(fixture_dir, tmp_path, capsys, mon
         assert "predicted_months must be a number or null" in one_line_error(capsys)
 
 
+@pytest.mark.parametrize("attempts", [2**64 + 1, float(2**53), -float(2**53), 1e300])
+def test_attempt_count_that_a_float_cannot_hold_exactly_exits_2(fixture_dir, tmp_path, capsys, attempts):
+    """An integral float at or beyond 2**53, as orjson decodes an integer outside the 64-bit range, is no integer."""
+    path = with_extra_record(fixture_dir, tmp_path, attempt_count=attempts)
+    capsys.readouterr()
+    for code in analyze_and_ingest(fixture_dir, tmp_path, path):
+        assert code == EXIT_DATA
+        reason = f"attempt_count must be an integer, got {float(attempts)!r}"
+        assert one_line_error(capsys) == "error: " + extra_line(fixture_dir) + reason
+    assert not (tmp_path / "r").exists() and not (tmp_path / "norm.jsonl").exists()
+
+
 @pytest.mark.parametrize(
     "fields, reason",
     [
@@ -816,6 +831,24 @@ def test_generate_side_imports_leave_scipy_unloaded(module):
     code = f"import sys, {module}; sys.exit('scipy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
     assert result.returncode == 0
+
+
+def test_analysis_imports_leave_the_http_client_unloaded():
+    """The predictions format is corpus's, so reading predictions and analyzing them loads no HTTP client."""
+    import os
+    import subprocess
+    import sys
+
+    import fairjudge
+
+    src = os.path.dirname(os.path.dirname(fairjudge.__file__))
+    code = (
+        "import sys, fairjudge.corpus, fairjudge.metrics, fairjudge.fixtures, fairjudge.report; "
+        "print(sorted({'fairjudge.gateway', 'http.client', 'ssl', 'urllib.request'} & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_cli_import_leaves_requests_unloaded():
@@ -1139,6 +1172,28 @@ def test_deeply_nested_json_ends_in_one_error_line(fixture_dir, tmp_path, capsys
         assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: no record produced a usable prediction; endpoint unreachable or misconfigured"]
+
+
+@pytest.mark.parametrize("fault", ["no-baselines", "out-is-a-file"])
+def test_failed_analyze_off_a_terminal_logs_its_error_alone(fixture_dir, tmp_path, capsys, monkeypatch, fault):
+    """``analyzing <models> ...`` goes to a terminal only, so a failed run's log holds one line."""
+    preds, out = fixture_dir / "predictions_stub-a.jsonl", tmp_path / "r"
+    if fault == "no-baselines":
+        lines = preds.read_text().splitlines(keepends=True)
+        preds = tmp_path / "variants_only.jsonl"
+        preds.write_text("".join(line for line in lines if '"label_id": null' not in line))
+        code, error = EXIT_DATA, "error: no baseline predictions for model 'stub-a'"
+    else:
+        out.write_text("a regular file\n")
+        code, error = EXIT_USAGE, f"error: cannot write {out}: File exists"
+    argv = ["analyze", "--corpus", str(fixture_dir), "--predictions", str(preds), "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == code
+    assert one_line_error(capsys) == error
+    monkeypatch.setattr(sys.stderr, "isatty", lambda: True)
+    assert main(argv) == code
+    assert capsys.readouterr().err == f"analyzing stub-a ...\n{error}\n"
+    assert out.is_file() if fault == "out-is-a-file" else not out.exists()
 
 
 @pytest.mark.parametrize("tty", [False, True])

@@ -13,12 +13,13 @@ from fairjudge.corpus import (
     CorpusError,
     CounterfactualVariant,
     LabelDefinition,
+    PredictionFormatError,
+    PredictionRecord,
     index_corpus,
     load_corpus,
     save_corpus,
 )
 from fairjudge.fixtures import default_label_specs, generate_fixture
-from fairjudge.gateway import PredictionFormatError, PredictionRecord
 from fairjudge.metrics import PredictionTable
 
 

@@ -21,14 +21,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairjudge import gateway
+from fairjudge.corpus import CorpusError, PredictionFormatError, PredictionRecord
 from fairjudge.fixtures import default_label_specs, generate_fixture
 from fairjudge.gateway import (
     DEFAULT_TEMPLATE,
     AuthenticationError,
     GatewayError,
     ModelConfig,
-    PredictionFormatError,
-    PredictionRecord,
     _Cache,
     _decodable_braces,
     build_prompt,
@@ -946,17 +945,17 @@ def test_read_predictions_reports_line_numbers(tmp_path):
 
 
 def test_prediction_record_invariants():
-    with pytest.raises(GatewayError):
+    with pytest.raises(CorpusError):
         PredictionRecord("m", "d", "L01", None, 1.0, "", 1)
-    with pytest.raises(GatewayError):
+    with pytest.raises(CorpusError):
         PredictionRecord("m", "d", None, None, -1.0, "", 1)
-    with pytest.raises(GatewayError, match="must be finite"):
+    with pytest.raises(CorpusError, match="must be finite"):
         PredictionRecord("m", "d", None, None, 10**400, "", 1)  # too large for a float
 
 
 @pytest.mark.parametrize("months", ["12", True, [12]])
 def test_prediction_record_rejects_non_numeric_months(months):
-    with pytest.raises(GatewayError, match="must be a number or null"):
+    with pytest.raises(CorpusError, match="must be a number or null"):
         PredictionRecord("m", "d", None, None, months, "", 1)
 
 

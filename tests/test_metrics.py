@@ -10,9 +10,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fairjudge.corpus import CaseDocument, Corpus, CorpusError, CounterfactualVariant, LabelDefinition, load_corpus
+from fairjudge.corpus import (
+    CaseDocument,
+    Corpus,
+    CorpusError,
+    CounterfactualVariant,
+    LabelDefinition,
+    PredictionFormatError,
+    PredictionRecord,
+    load_corpus,
+)
 from fairjudge.fixtures import default_label_specs, default_spec, generate_fixture, simulate_predictions, write_fixture
-from fairjudge.gateway import PredictionFormatError, PredictionRecord, write_predictions
+from fairjudge.gateway import write_predictions
 from fairjudge.metrics import (
     MetricsError,
     PredictionTable,

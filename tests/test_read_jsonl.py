@@ -22,14 +22,15 @@ from fairjudge.corpus import (
     CorpusError,
     CounterfactualVariant,
     LabelDefinition,
+    PredictionFormatError,
     index_corpus,
     load_corpus,
     read_jsonl,
+    read_prediction,
     record_fields,
     save_corpus,
 )
 from fairjudge.fixtures import default_label_specs, generate_fixture
-from fairjudge.gateway import PredictionFormatError, read_prediction
 from fairjudge.metrics import PredictionTable, _encode_source, normalized_lines
 from prediction_files import read_predictions
 
@@ -206,10 +207,10 @@ def test_ingest_writes_the_line_of_the_typed_readers_record(tmp_path_factory, re
         _encode_source("p.jsonl", [(lineno, read)], EVERY_KEY)
     except PredictionFormatError:
         with pytest.raises(PredictionFormatError):
-            normalized_lines(path, EVERY_KEY, lambda: None)
+            normalized_lines(path, EVERY_KEY)
         return
     expected = json.dumps(record_fields(read_prediction(read, f"p.jsonl:{lineno}")), sort_keys=True) + "\n"
-    assert normalized_lines(path, EVERY_KEY, lambda: None) == [expected]
+    assert normalized_lines(path, EVERY_KEY) == [expected]
 
 
 VARIANTS = (

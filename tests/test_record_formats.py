@@ -17,12 +17,15 @@ from fairjudge.corpus import (
     CorpusError,
     CounterfactualVariant,
     LabelDefinition,
+    PredictionFormatError,
+    PredictionRecord,
     from_record,
+    read_prediction,
     read_record,
     save_corpus,
 )
 from fairjudge.fixtures import FixtureSpec
-from fairjudge.gateway import PredictionFormatError, PredictionRecord, read_prediction, write_predictions
+from fairjudge.gateway import write_predictions
 from fairjudge.metrics import InconsistencyRow, LabelFinding, ModelFairnessSummary
 from fairjudge.report import ReportBundle, write_report
 from fairjudge.statcore import BernoulliTestResult
